@@ -194,39 +194,6 @@ void BM_ServiceBatchIdPath(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceBatchIdPath)->Arg(1)->Arg(16);
 
-// Handle-addressed batch path: routes resolved once outside the loop, zero
-// hash lookups per event in steady state. Arg: shard count.
-void BM_ServiceBatchHandles(benchmark::State& state) {
-  util::ScopedThreads threads(1);
-  const workload::MultiObjectTrace trace = ServiceTrace(8192);
-  core::ServiceOptions options;
-  options.num_shards = static_cast<int>(state.range(0));
-  core::ObjectService service(
-      16, model::CostModel::StationaryComputing(0.25, 1.0), options);
-  service.ReserveObjects(256);
-  for (int id = 0; id < 256; ++id) {
-    if (!service.AddObject(id, InlineConfig(core::AlgorithmKind::kDynamic))
-             .ok()) {
-      std::abort();
-    }
-  }
-  std::vector<core::HandleEvent> events;
-  events.reserve(trace.events.size());
-  for (const auto& event : trace.events) {
-    events.push_back(
-        core::HandleEvent{*service.Resolve(event.object), event.request});
-  }
-  core::BatchResult result;
-  for (auto _ : state) {
-    util::Status status = service.ServeBatchInto(
-        std::span<const core::HandleEvent>(events), &result);
-    if (!status.ok()) std::abort();
-    benchmark::DoNotOptimize(result.cost);
-  }
-  state.SetItemsProcessed(state.iterations() * trace.events.size());
-}
-BENCHMARK(BM_ServiceBatchHandles)->Arg(1)->Arg(16);
-
 // ---- Shard-owned executor (DESIGN.md §11) ---------------------------------
 
 // Raw SPSC ring cost, single-threaded: push a burst, pop a burst — the

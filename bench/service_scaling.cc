@@ -12,10 +12,8 @@
 //                        [--expect_io=N] [--expect_crc=N]
 //                        [--require_speedup=SHARDS,THREADS,MIN_X10]
 //
-// Each configuration is measured three ways: the id-addressed batch path
-// (admission hashes every event's ObjectId), the handle-addressed hot path
-// (ObjectHandles resolved once up front, served forever) — the
-// devirtualized serving engine's two entry points (DESIGN.md §8) — and the
+// Each configuration is measured two ways: the synchronous ServeBatch path
+// (each batch admitted, served and merged before the next) and the
 // pipelined SubmitBatch/WaitBatch path, where batch n+1 is admitted while
 // batch n is still on the shard workers (DESIGN.md §11). Each row also
 // reports the service's measured footprint (MemoryUsageBytes / objects)
@@ -130,7 +128,6 @@ struct Measurement {
   int nproc = 0;  // cores this row could actually use: min(threads, hw)
   double seconds = 0;
   double events_per_sec = 0;
-  double handle_events_per_sec = 0;
   double pipelined_events_per_sec = 0;
   // Queue occupancy while pipelining, sampled with the O(1) lock-free
   // ObjectService::Load() probe after every SubmitBatch — the same signal
@@ -301,53 +298,6 @@ int main(int argc, char** argv) {
           << " diverged from the reference run: results must be "
              "byte-identical across every configuration";
 
-      // Handle-addressed hot path: resolve every event's route once up
-      // front (outside the timer — resolve once, serve forever), then
-      // drain the same trace through the zero-hash batch entry with one
-      // recycled BatchResult.
-      double handle_best = 0;
-      Fingerprint handle_fingerprint;
-      for (int r = 0; r < repeats; ++r) {
-        core::ServiceOptions service_options;
-        service_options.num_shards = shards;
-        core::ObjectService service(
-            processors, model::CostModel::StationaryComputing(0.25, 1.0),
-            service_options);
-        service.ReserveObjects(static_cast<size_t>(objects));
-        for (int id = 0; id < objects; ++id) {
-          OBJALLOC_CHECK(service.AddObject(id, ServiceConfig()).ok());
-        }
-        std::vector<core::ObjectHandle> handles(objects);
-        for (int id = 0; id < objects; ++id) {
-          handles[id] = *service.Resolve(id);
-        }
-        std::vector<core::HandleEvent> handle_events;
-        handle_events.reserve(trace.events.size());
-        for (const auto& event : trace.events) {
-          handle_events.push_back(
-              core::HandleEvent{handles[event.object], event.request});
-        }
-        core::BatchResult batch;
-        auto start = std::chrono::steady_clock::now();
-        std::span<const core::HandleEvent> all(handle_events);
-        for (size_t pos = 0; pos < all.size(); pos += batch_size) {
-          util::Status status = service.ServeBatchInto(
-              all.subspan(pos, std::min(batch_size, all.size() - pos)),
-              &batch);
-          OBJALLOC_CHECK(status.ok()) << status.ToString();
-        }
-        auto stop = std::chrono::steady_clock::now();
-        double seconds = std::chrono::duration<double>(stop - start).count();
-        if (r == 0 || seconds < handle_best) handle_best = seconds;
-        handle_fingerprint.breakdown = service.TotalBreakdown();
-        handle_fingerprint.requests = service.TotalRequests();
-        handle_fingerprint.scheme_crc = SchemeCrc(service);
-      }
-      OBJALLOC_CHECK(handle_fingerprint == reference)
-          << "shards=" << shards << " threads=" << threads
-          << " handle path diverged from the id path: the two entry "
-             "points must be byte-identical";
-
       // Pipelined path: SubmitBatch admits + logs batch n+1 while batch n
       // is still on the shard workers; WaitBatch double-buffers the
       // results. Same trace, same fingerprint requirement.
@@ -407,7 +357,6 @@ int main(int argc, char** argv) {
       m.nproc = std::min(threads, hw);
       m.seconds = best;
       m.events_per_sec = static_cast<double>(events) / best;
-      m.handle_events_per_sec = static_cast<double>(events) / handle_best;
       m.pipelined_events_per_sec =
           static_cast<double>(events) / pipelined_best;
       m.queue_ops_peak = queue_ops_peak;
@@ -423,11 +372,11 @@ int main(int argc, char** argv) {
       m.peak_rss_bytes = PeakRssBytes();
       measurements.push_back(m);
       std::printf("shards=%-4d threads=%-3d (nproc %d) %8.3fs "
-                  "%12.0f events/sec  (handles %12.0f, pipelined %12.0f, "
+                  "%12.0f events/sec  (pipelined %12.0f, "
                   "queue peak/mean %llu/%.0f ops)  "
                   "%7.1f B/obj  rss %zu MB  ",
                   m.shards, m.threads, m.nproc, m.seconds, m.events_per_sec,
-                  m.handle_events_per_sec, m.pipelined_events_per_sec,
+                  m.pipelined_events_per_sec,
                   static_cast<unsigned long long>(m.queue_ops_peak),
                   m.queue_ops_mean, m.bytes_per_object,
                   m.peak_rss_bytes >> 20);
@@ -438,7 +387,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("determinism: all %zu configs x {id, handle, pipelined} paths "
+  std::printf("determinism: all %zu configs x {sync, pipelined} paths "
               "byte-identical (breakdown %lld/%lld/%lld, scheme crc %08x)\n",
               measurements.size(),
               static_cast<long long>(reference.breakdown.control_messages),
@@ -532,7 +481,6 @@ int main(int argc, char** argv) {
     out << "    {\"shards\": " << m.shards << ", \"threads\": " << m.threads
         << ", \"nproc\": " << m.nproc << ", \"seconds\": " << m.seconds
         << ", \"events_per_sec\": " << m.events_per_sec
-        << ", \"handle_events_per_sec\": " << m.handle_events_per_sec
         << ", \"pipelined_events_per_sec\": " << m.pipelined_events_per_sec
         << ", \"queue_ops_peak\": " << m.queue_ops_peak
         << ", \"queue_ops_mean\": " << m.queue_ops_mean

@@ -233,8 +233,7 @@ util::StatusOr<Manifest> ReadManifest(const std::string& dir) {
     return util::Status::Internal("manifest: bad magic");
   }
   OBJALLOC_RETURN_IF_ERROR(reader.Read(&version));
-  if (version < kMinDurabilityFormatVersion ||
-      version > kDurabilityFormatVersion) {
+  if (version != kDurabilityFormatVersion) {
     return util::Status::Internal("manifest: unsupported format version " +
                                   std::to_string(version));
   }
@@ -257,23 +256,32 @@ util::StatusOr<Manifest> ReadManifest(const std::string& dir) {
   return manifest;
 }
 
+namespace {
+
+// Building blocks of a checkpoint byte stream: header record,
+// service-state record, shard payload records, footer with the shard count
+// (so truncation at a record boundary is still detected). CheckpointWriter
+// streams them to disk.
+
 void BeginCheckpoint(uint64_t sequence, const DurableConfig& config,
-                     std::string* out, uint32_t version) {
+                     std::string* out) {
   std::string payload;
   AppendScalar(kCheckpointMagic, &payload);
-  AppendScalar(version, &payload);
+  AppendScalar(kDurabilityFormatVersion, &payload);
   AppendScalar(sequence, &payload);
   config.AppendTo(&payload);
   AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kCkptHeader),
                payload, out);
 }
 
+// Header of a delta snapshot: same shape plus the parent generation the
+// delta applies on top of (sequence - 1; the chain bottoms out at the full
+// snapshot the manifest names as base_sequence).
 void BeginDeltaCheckpoint(uint64_t sequence, uint64_t parent,
-                          const DurableConfig& config, std::string* out,
-                          uint32_t version) {
+                          const DurableConfig& config, std::string* out) {
   std::string payload;
   AppendScalar(kCheckpointMagic, &payload);
-  AppendScalar(version, &payload);
+  AppendScalar(kDurabilityFormatVersion, &payload);
   AppendScalar(sequence, &payload);
   AppendScalar(parent, &payload);
   config.AppendTo(&payload);
@@ -287,11 +295,6 @@ void AppendServiceStateRecord(const ServiceStateImage& image,
   image.AppendTo(&payload);
   AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kServiceState),
                payload, out);
-}
-
-void AppendShardRecord(std::string_view shard_payload, std::string* out) {
-  AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kShard),
-               shard_payload, out);
 }
 
 void AppendShardChunkRecord(uint32_t shard_index, bool last,
@@ -311,6 +314,8 @@ void FinishCheckpoint(uint32_t shard_count, std::string* out) {
   AppendRecord(static_cast<uint8_t>(CheckpointRecordType::kCkptFooter),
                payload, out);
 }
+
+}  // namespace
 
 util::StatusOr<CheckpointWriter> CheckpointWriter::Open(
     const std::string& path, uint64_t sequence, const DurableConfig& config) {
@@ -385,8 +390,9 @@ util::Status CheckpointWriter::Finish(uint32_t shard_count) {
 namespace {
 
 // Upper bound a single checkpoint record may declare before the CRC check
-// runs (mirrors record_io's cap): a v1 monolithic shard record is the
-// largest legitimate payload.
+// runs (mirrors record_io's cap). Legitimate records stay far below it:
+// the writer flushes a shard chunk as soon as it passes
+// CheckpointWriter::kChunkBytes.
 constexpr uint32_t kMaxCheckpointPayload = 1u << 30;
 
 }  // namespace
@@ -413,11 +419,11 @@ util::StatusOr<CheckpointReader> CheckpointReader::Open(
   if (magic != kCheckpointMagic) {
     return util::Status::Internal("checkpoint: bad magic");
   }
-  OBJALLOC_RETURN_IF_ERROR(payload.Read(&reader.version_));
-  if (reader.version_ < kMinDurabilityFormatVersion ||
-      reader.version_ > kDurabilityFormatVersion) {
+  uint32_t version = 0;
+  OBJALLOC_RETURN_IF_ERROR(payload.Read(&version));
+  if (version != kDurabilityFormatVersion) {
     return util::Status::Internal("checkpoint: unsupported format version " +
-                                  std::to_string(reader.version_));
+                                  std::to_string(version));
   }
   OBJALLOC_RETURN_IF_ERROR(payload.Read(&reader.sequence_));
   if (reader.is_delta_) {
@@ -480,18 +486,6 @@ util::Status CheckpointReader::Next(Piece* piece) {
     saw_state_ = true;
     piece->service_state = true;
     piece->state = std::move(*state);
-    return util::Status::Ok();
-  }
-  if (type == static_cast<uint8_t>(CheckpointRecordType::kShard)) {
-    // v1 monolithic shard record: one whole-payload chunk. Accepted at any
-    // version so old-format snapshots restore through this same reader.
-    if (shard_open_) {
-      return util::Status::Internal(
-          "checkpoint: shard record inside a chunked shard");
-    }
-    piece->shard = next_shard_++;
-    piece->last = true;
-    piece->bytes = payload_;
     return util::Status::Ok();
   }
   if (type == static_cast<uint8_t>(CheckpointRecordType::kShardChunk)) {

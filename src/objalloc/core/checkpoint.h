@@ -50,7 +50,8 @@ namespace objalloc::core {
 enum class CheckpointRecordType : uint8_t {
   kCkptHeader = 16,
   kServiceState = 17,
-  kShard = 18,       // format v1: one monolithic payload per shard
+  // 18 is retired (format v1's monolithic shard record): persisted
+  // values are never reused.
   kCkptFooter = 19,
   kShardChunk = 20,  // format v2: bounded slice of one shard's payload
   kDeltaHeader = 21, // delta snapshot header: names its parent generation
@@ -205,30 +206,6 @@ struct Manifest {
 util::Status WriteManifest(const std::string& dir, const Manifest& manifest);
 util::StatusOr<Manifest> ReadManifest(const std::string& dir);
 
-// --- Checkpoint record assembly (in-memory) ----------------------------
-// Building blocks of a checkpoint byte stream: header record,
-// service-state record, shard payload records, footer with the shard count
-// (so truncation at a record boundary is still detected). The service
-// streams them through CheckpointWriter below; compatibility tests use
-// these directly to craft old-format files (AppendShardRecord emits the v1
-// monolithic layout — pass version = 1 to BeginCheckpoint alongside it).
-
-void BeginCheckpoint(uint64_t sequence, const DurableConfig& config,
-                     std::string* out,
-                     uint32_t version = kDurabilityFormatVersion);
-// Header of a delta snapshot: same shape plus the parent generation the
-// delta applies on top of (sequence - 1; the chain bottoms out at the full
-// snapshot the manifest names as base_sequence).
-void BeginDeltaCheckpoint(uint64_t sequence, uint64_t parent,
-                          const DurableConfig& config, std::string* out,
-                          uint32_t version = kDurabilityFormatVersion);
-void AppendServiceStateRecord(const ServiceStateImage& image,
-                              std::string* out);
-void AppendShardRecord(std::string_view shard_payload, std::string* out);
-void AppendShardChunkRecord(uint32_t shard_index, bool last,
-                            std::string_view bytes, std::string* out);
-void FinishCheckpoint(uint32_t shard_count, std::string* out);
-
 // --- Streaming checkpoint writer (format v2) ---------------------------
 // Streams one checkpoint straight to disk through an AtomicFileWriter:
 // shard snapshot bytes accumulate into bounded kShardChunk records, so
@@ -280,10 +257,9 @@ class CheckpointWriter {
 };
 
 // --- Streaming checkpoint reader ---------------------------------------
-// Reads a checkpoint file record by record through a bounded buffer,
-// accepting v1 (a monolithic kShard record is simply one chunk that
-// arrives whole) and v2 alike; enforces record order, CRCs, the footer
-// count, and a byte-exact end of file.
+// Reads a checkpoint file record by record through a bounded buffer;
+// enforces the format version, record order, CRCs, the footer count, and a
+// byte-exact end of file.
 
 class CheckpointReader {
  public:
@@ -294,7 +270,6 @@ class CheckpointReader {
   CheckpointReader& operator=(CheckpointReader&&) = default;
 
   uint64_t sequence() const { return sequence_; }
-  uint32_t version() const { return version_; }
   const DurableConfig& config() const { return config_; }
   // True when the file opened with a kDeltaHeader; its shard chunks then
   // carry dirty-range delta payloads to apply on top of parent().
@@ -325,7 +300,6 @@ class CheckpointReader {
   std::string payload_;
   uint64_t sequence_ = 0;
   uint64_t parent_ = 0;
-  uint32_t version_ = 0;
   bool is_delta_ = false;
   DurableConfig config_;
   bool saw_state_ = false;

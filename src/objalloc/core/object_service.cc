@@ -166,71 +166,9 @@ size_t ObjectService::object_count() const {
   return total;
 }
 
-util::StatusOr<ObjectHandle> ObjectService::Resolve(ObjectId id) const {
-  const uint32_t route = route_directory_.Find(id);
-  if (route == util::FlatDirectory<uint32_t>::kNotFound) {
-    return util::Status::NotFound("unknown object " + std::to_string(id));
-  }
-  return ObjectHandle{static_cast<uint32_t>(RouteShard(route)),
-                      RouteSlot(route), id};
-}
-
-util::StatusOr<double> ObjectService::Serve(ObjectId id,
-                                            const Request& request) {
-  if (injector_ != nullptr) [[unlikely]] {
-    return util::Status::FailedPrecondition(
-        "single-request Serve bypasses fault time; use ServeBatch in "
-        "fault mode");
-  }
-  FenceAsync();  // this thread serves the shard directly
-  const uint32_t route = route_directory_.Find(id);
-  if (route == util::FlatDirectory<uint32_t>::kNotFound) [[unlikely]] {
-    return util::Status::NotFound("unknown object " + std::to_string(id));
-  }
-  if (request.processor < 0 || request.processor >= num_processors_)
-      [[unlikely]] {
-    return util::Status::OutOfRange("processor out of range");
-  }
-  if (durability_ != nullptr) [[unlikely]] {
-    OBJALLOC_RETURN_IF_ERROR(LogSingle(id, request));
-  }
-  const double cost =
-      shards_[RouteShard(route)].ServeSlot(RouteSlot(route), request, nullptr);
-  OBJALLOC_RETURN_IF_ERROR(FinishBatch());
-  return cost;
-}
-
-util::StatusOr<double> ObjectService::Serve(const ObjectHandle& handle,
-                                            const Request& request) {
-  if (injector_ != nullptr) [[unlikely]] {
-    return util::Status::FailedPrecondition(
-        "single-request Serve bypasses fault time; use ServeBatch in "
-        "fault mode");
-  }
-  FenceAsync();  // this thread serves the shard directly
-  if (handle.shard >= shards_.size() ||
-      handle.slot >= shards_[handle.shard].slot_span() ||
-      shards_[handle.shard].IdAt(handle.slot) != handle.id) [[unlikely]] {
-    return util::Status::InvalidArgument(
-        "stale or invalid handle for object " + std::to_string(handle.id));
-  }
-  if (request.processor < 0 || request.processor >= num_processors_)
-      [[unlikely]] {
-    return util::Status::OutOfRange("processor out of range");
-  }
-  if (durability_ != nullptr) [[unlikely]] {
-    OBJALLOC_RETURN_IF_ERROR(LogSingle(handle.id, request));
-  }
-  const double cost = shards_[handle.shard].ServeSlot(handle.slot, request,
-                                                      nullptr);
-  OBJALLOC_RETURN_IF_ERROR(FinishBatch());
-  return cost;
-}
-
-template <typename EventT>
-util::Status ObjectService::AdmitBatch(std::span<const EventT> events,
-                                       BatchResult* result,
-                                       BatchContext* context) {
+util::Status ObjectService::AdmitBatch(
+    std::span<const workload::MultiObjectEvent> events, BatchResult* result,
+    BatchContext* context) {
   if (events.size() > size_t{std::numeric_limits<uint32_t>::max()})
       [[unlikely]] {
     return util::Status::InvalidArgument(
@@ -246,31 +184,17 @@ util::Status ObjectService::AdmitBatch(std::span<const EventT> events,
   // Admission pass: validate everything and resolve each event's (shard,
   // slot) route exactly once, before any shard state changes, so a
   // rejected batch leaves the service untouched. Validation reads only
-  // registration-time state (the route directory, slot identities,
-  // processor bounds) that in-flight batches never mutate — which is what
-  // makes admitting batch n+1 while batch n is still being served safe.
+  // registration-time state (the route directory, processor bounds) that
+  // in-flight batches never mutate — which is what makes admitting batch
+  // n+1 while batch n is still being served safe.
   routes_.resize(events.size());
   for (size_t i = 0; i < events.size(); ++i) {
-    const EventT& event = events[i];
-    uint32_t route;
-    if constexpr (std::is_same_v<EventT, workload::MultiObjectEvent>) {
-      route = route_directory_.Find(event.object);
-      if (route == util::FlatDirectory<uint32_t>::kNotFound) {
-        return util::Status::NotFound(
-            "batch event " + std::to_string(i) + ": unknown object " +
-            std::to_string(event.object));
-      }
-    } else {
-      const ObjectHandle& handle = event.handle;
-      if (handle.shard >= shards_.size() ||
-          handle.slot >= shards_[handle.shard].slot_span() ||
-          shards_[handle.shard].IdAt(handle.slot) != handle.id) {
-        return util::Status::InvalidArgument(
-            "batch event " + std::to_string(i) +
-            ": stale or invalid handle for object " +
-            std::to_string(handle.id));
-      }
-      route = PackRoute(handle.shard, handle.slot);
+    const workload::MultiObjectEvent& event = events[i];
+    const uint32_t route = route_directory_.Find(event.object);
+    if (route == util::FlatDirectory<uint32_t>::kNotFound) {
+      return util::Status::NotFound("batch event " + std::to_string(i) +
+                                    ": unknown object " +
+                                    std::to_string(event.object));
     }
     if (event.request.processor < 0 ||
         event.request.processor >= num_processors_) {
@@ -336,42 +260,68 @@ void ObjectService::FenceAsync() const {
   }
 }
 
-template <typename EventT>
-util::Status ObjectService::ServeBatchImpl(std::span<const EventT> events,
-                                           BatchResult* result) {
+util::Status ObjectService::SubmitBatch(
+    std::span<const workload::MultiObjectEvent> events, BatchResult* result,
+    BatchTicket* ticket) {
+  *ticket = BatchTicket{};  // completed until proven pipelined
   // With one worker (or one shard, or when already inside a parallel
-  // worker) the executor would be pure overhead: the serial path below
-  // serves the admitted batch in place, in submission order, and never
-  // touches a queue. Per-object request order — the only order the
-  // algorithms observe — is the same either way, and breakdown counts are
-  // integers, so both modes are bit-identical.
+  // worker) the executor would be pure overhead: the batch is served in
+  // place, in submission order, and never touches a queue. Per-object
+  // request order — the only order the algorithms observe — is the same
+  // either way, and breakdown counts are integers, so both modes are
+  // bit-identical.
   const bool parallel = ParallelServing();
-
-  if (!parallel || injector_ != nullptr) [[unlikely]] {
-    // This thread is about to touch shard state directly (the serial serve,
-    // or the fault tail's serial fault pass): quiesce the pipeline first.
+  const bool faulty = injector_ != nullptr;
+  if (!parallel || faulty) [[unlikely]] {
+    // This thread is about to touch shard state directly (the in-place
+    // serve, or the serial fault pass): quiesce the pipeline first. Fault
+    // time is global serial state (one tick per event in admission order),
+    // so a fault batch also finishes before the next is admitted.
     FenceAsync();
-    OBJALLOC_RETURN_IF_ERROR(AdmitBatch(events, result, nullptr));
-    if (durability_ != nullptr) [[unlikely]] {
-      // Write-ahead: the admitted batch reaches the log before any shard
-      // state changes. A persistent IO failure degrades durability and the
-      // batch proceeds undurably — see LogBatch.
-      OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
+  }
+  BatchContext* context = nullptr;
+  uint32_t index = 0;
+  if (parallel) {
+    // Acquire a pipeline context, finalizing the batch that last used it
+    // if it is still unmerged: with `depth` batches in flight, the oldest
+    // is finalized here, which is what bounds queue occupancy.
+    EnsureExecutor();
+    index = executor_->PeekNextContext();
+    if (async_[index].active) {
+      executor_->Wait(index);
+      MergeAsync(index);
+      OBJALLOC_RETURN_IF_ERROR(FinishBatch());
     }
-    if (injector_ != nullptr) [[unlikely]] {
-      // Fault mode: same admitted routes, chaos-aware serve passes. A batch
-      // that fails the *validation* above never advances fault time (it is a
-      // caller bug, not a fault); from here on, every presented event does.
-      util::Status status = ServeBatchFaultyTail(events, result, parallel);
-      if (durability_ != nullptr) [[unlikely]] {
-        // An UNAVAILABLE-rejected batch was logged and consumed fault-time
-        // windows, so the checkpoint interval advances for it too; its
-        // rejection status outranks a checkpoint error.
-        const util::Status finish = FinishBatchDurable();
-        if (status.ok()) status = finish;
-      }
-      return status;
+    const uint32_t acquired = executor_->Acquire();
+    OBJALLOC_CHECK_EQ(acquired, index);
+    context = &executor_->context(index);
+  }
+  // The plain executor path partitions during admission; fault mode
+  // partitions after its fault pass, which decides who is served.
+  OBJALLOC_RETURN_IF_ERROR(
+      AdmitBatch(events, result, faulty ? nullptr : context));
+  if (durability_ != nullptr) [[unlikely]] {
+    // Write-ahead: the admitted batch reaches the log at submit, before
+    // any shard state changes — the log→serve order is indifferent to how
+    // long the pipeline holds the batch afterwards. A persistent IO
+    // failure degrades durability and the batch proceeds undurably — see
+    // LogBatch.
+    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
+  }
+  if (faulty) [[unlikely]] {
+    // A batch that failed *validation* above never advances fault time (it
+    // is a caller bug, not a fault); from here on, every presented event
+    // does.
+    util::Status status = FaultPass(events, result, context);
+    if (!status.ok() || context == nullptr) {
+      result->cost = result->breakdown.Cost(cost_model_);
+      // An UNAVAILABLE-rejected batch was logged and consumed fault-time
+      // windows, so the checkpoint interval advances for it too; its
+      // rejection status outranks a checkpoint error.
+      const util::Status finish = FinishBatch();
+      return status.ok() ? finish : status;
     }
+  } else if (context == nullptr) {
     // In-place serve: one pass, costs and traffic accumulated directly.
     for (size_t i = 0; i < events.size(); ++i) {
       const uint32_t route = routes_[i];
@@ -381,80 +331,59 @@ util::Status ObjectService::ServeBatchImpl(std::span<const EventT> events,
     result->cost = result->breakdown.Cost(cost_model_);
     return FinishBatch();
   }
-
-  // Executor path, synchronous: acquire a pipeline context (finalizing the
-  // async batch that last used it, if any), admit straight into its
-  // per-shard op lists, enqueue, wait, merge. Earlier pipelined batches may
-  // still be in flight on other contexts — the per-shard FIFO rings
-  // guarantee this batch's sub-batches run after theirs, so waiting on this
-  // context alone is enough for this result to be final.
-  EnsureExecutor();
-  const uint32_t index = executor_->PeekNextContext();
-  if (async_[index].active) {
-    executor_->Wait(index);
-    MergeAsync(index);
-    OBJALLOC_RETURN_IF_ERROR(FinishBatch());
-  }
-  const uint32_t acquired = executor_->Acquire();
-  OBJALLOC_CHECK_EQ(acquired, index);
-  BatchContext& context = executor_->context(index);
-  OBJALLOC_RETURN_IF_ERROR(AdmitBatch(events, result, &context));
-  if (durability_ != nullptr) [[unlikely]] {
-    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
-  }
-  context.costs = result->costs.data();
+  context->costs = result->costs.data();
+  async_[index] = AsyncBatch{result, context->sequence, /*active=*/true};
+  ++async_active_;
   executor_->Submit(index);
-  executor_->Wait(index);
-  for (const model::CostBreakdown& delta : context.deltas) {
-    result->breakdown += delta;
+  if (!faulty) [[likely]] {
+    *ticket = BatchTicket{index, context->sequence, /*completed=*/false};
+    return util::Status::Ok();
   }
-  result->cost = result->breakdown.Cost(cost_model_);
+  // Fault batches finish before SubmitBatch returns: the context points
+  // into service scratch (live_masks_, crash_log_) that the next batch
+  // recycles. Per-shard FaultStats merge in fixed shard order (integer
+  // counts — exact; repair-latency samples land in shard order, a
+  // deterministic multiset), before any auto-checkpoint snapshots them.
+  executor_->Wait(index);
+  MergeAsync(index);
+  for (const FaultStats& stats : context->fault_stats) fault_stats_ += stats;
   return FinishBatch();
 }
 
-template <typename EventT>
-util::Status ObjectService::SubmitBatchImpl(std::span<const EventT> events,
-                                            BatchResult* result,
-                                            BatchTicket* ticket) {
-  *ticket = BatchTicket{};  // completed until proven pipelined
-  if (!ParallelServing() || injector_ != nullptr) [[unlikely]] {
-    // Serial path: queues would add nothing. Fault mode: fault time is
-    // global serial state (one tick per event in admission order), so a
-    // fault batch must fully finish before the next is admitted. Both
-    // degrade to the synchronous engine, which fences internally.
-    return ServeBatchImpl(events, result);
+util::Status ObjectService::WaitBatch(BatchTicket* ticket) {
+  if (ticket->completed) return util::Status::Ok();
+  ticket->completed = true;
+  if (executor_ == nullptr || ticket->context >= async_.size()) {
+    return util::Status::Ok();
   }
-  EnsureExecutor();
-  const uint32_t index = executor_->PeekNextContext();
-  if (async_[index].active) {
-    // Pipeline full (depth batches in flight): the oldest context's batch
-    // is finalized here, which is what bounds queue occupancy.
-    executor_->Wait(index);
-    MergeAsync(index);
-    OBJALLOC_RETURN_IF_ERROR(FinishBatch());
+  const AsyncBatch& batch = async_[ticket->context];
+  if (!batch.active || batch.sequence != ticket->sequence) {
+    // Already finalized — by a drain, a fence, or a later submit reusing
+    // the slot. The result was made final then.
+    return util::Status::Ok();
   }
-  const uint32_t acquired = executor_->Acquire();
-  OBJALLOC_CHECK_EQ(acquired, index);
-  BatchContext& context = executor_->context(index);
-  OBJALLOC_RETURN_IF_ERROR(AdmitBatch(events, result, &context));
-  if (durability_ != nullptr) [[unlikely]] {
-    // Log at submit, ahead of any serve of this batch — the WAL's
-    // log→serve order is indifferent to how long the pipeline holds the
-    // batch afterwards.
-    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
-  }
-  context.costs = result->costs.data();
-  async_[index] = AsyncBatch{result, context.sequence, /*active=*/true};
-  ++async_active_;
-  executor_->Submit(index);
-  *ticket = BatchTicket{index, context.sequence, /*completed=*/false};
-  return util::Status::Ok();
+  executor_->Wait(ticket->context);
+  MergeAsync(ticket->context);
+  return FinishBatch();
 }
 
-template <typename EventT>
-util::Status ObjectService::ServeBatchFaultyTail(std::span<const EventT> events,
-                                                 BatchResult* result,
-                                                 bool parallel) {
+util::Status ObjectService::ServeBatchInto(
+    std::span<const workload::MultiObjectEvent> events, BatchResult* result) {
+  BatchTicket ticket;
+  OBJALLOC_RETURN_IF_ERROR(SubmitBatch(events, result, &ticket));
+  return WaitBatch(&ticket);
+}
+
+util::StatusOr<BatchResult> ObjectService::ServeBatch(
+    std::span<const workload::MultiObjectEvent> events) {
+  BatchResult result;
+  OBJALLOC_RETURN_IF_ERROR(ServeBatchInto(events, &result));
+  return result;
+}
+
+util::Status ObjectService::FaultPass(
+    std::span<const workload::MultiObjectEvent> events, BatchResult* result,
+    BatchContext* context) {
   result->served.assign(events.size(), 1);
   live_masks_.resize(events.size());
 
@@ -496,41 +425,15 @@ util::Status ObjectService::ServeBatchFaultyTail(std::span<const EventT> events,
         "; replay the batch after recovery");
   }
 
-  if (!parallel) {
-    for (size_t i = 0; i < events.size(); ++i) {
-      if (!result->served[i]) {
-        result->costs[i] = 0;
-        result->unavailable += 1;
-        continue;
-      }
-      const uint32_t route = routes_[i];
-      result->costs[i] = shards_[RouteShard(route)].ServeSlotFaulty(
-          RouteSlot(route), events[i].request, base_index + i, live_masks_[i],
-          crash_log_, *injector_, &result->breakdown, &fault_stats_,
-          check_invariant_);
-    }
-    fault_stats_.unavailable_requests += result->unavailable;
-    result->cost = result->breakdown.Cost(cost_model_);
-    return util::Status::Ok();
+  if (context != nullptr) {
+    context->faulty = true;
+    context->base_index = base_index;
+    context->live_masks = live_masks_.data();
+    context->crash_log = &crash_log_;
+    context->injector = injector_.get();
+    context->check_invariant = check_invariant_;
+    for (FaultStats& stats : context->fault_stats) stats = FaultStats();
   }
-
-  // Executor serve, synchronous: the same per-shard partition as the plain
-  // path, with per-shard FaultStats scratch merged in fixed shard order
-  // (integer counts — exact; repair-latency samples land in shard order, a
-  // deterministic multiset). Synchronous because the context points into
-  // service scratch (live_masks_, crash_log_) that the next batch recycles;
-  // the caller fenced the pipeline before entering the fault tail, so this
-  // context is free.
-  EnsureExecutor();
-  const uint32_t index = executor_->Acquire();
-  BatchContext& context = executor_->context(index);
-  context.faulty = true;
-  context.base_index = base_index;
-  context.live_masks = live_masks_.data();
-  context.crash_log = &crash_log_;
-  context.injector = injector_.get();
-  context.check_invariant = check_invariant_;
-  for (FaultStats& stats : context.fault_stats) stats = FaultStats();
   for (size_t i = 0; i < events.size(); ++i) {
     if (!result->served[i]) {
       // Refused (issuer crashed): cost 0, no traffic, never enqueued.
@@ -539,18 +442,17 @@ util::Status ObjectService::ServeBatchFaultyTail(std::span<const EventT> events,
       continue;
     }
     const uint32_t route = routes_[i];
-    context.ops[RouteShard(route)].push_back(ShardOp{
-        static_cast<uint32_t>(i), RouteSlot(route), events[i].request});
-  }
-  context.costs = result->costs.data();
-  executor_->Submit(index);
-  executor_->Wait(index);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    result->breakdown += context.deltas[s];
-    fault_stats_ += context.fault_stats[s];
+    if (context != nullptr) {
+      context->ops[RouteShard(route)].push_back(ShardOp{
+          static_cast<uint32_t>(i), RouteSlot(route), events[i].request});
+    } else {
+      result->costs[i] = shards_[RouteShard(route)].ServeSlotFaulty(
+          RouteSlot(route), events[i].request, base_index + i,
+          live_masks_[i], crash_log_, *injector_, &result->breakdown,
+          &fault_stats_, check_invariant_);
+    }
   }
   fault_stats_.unavailable_requests += result->unavailable;
-  result->cost = result->breakdown.Cost(cost_model_);
   return util::Status::Ok();
 }
 
@@ -676,61 +578,6 @@ size_t ObjectService::degraded_count() const {
   size_t total = 0;
   for (const ObjectShard& shard : shards_) total += shard.degraded_count();
   return total;
-}
-
-util::Status ObjectService::ServeBatchInto(
-    std::span<const workload::MultiObjectEvent> events, BatchResult* result) {
-  return ServeBatchImpl(events, result);
-}
-
-util::Status ObjectService::ServeBatchInto(std::span<const HandleEvent> events,
-                                           BatchResult* result) {
-  return ServeBatchImpl(events, result);
-}
-
-util::StatusOr<BatchResult> ObjectService::ServeBatch(
-    std::span<const workload::MultiObjectEvent> events) {
-  BatchResult result;
-  util::Status status = ServeBatchImpl(events, &result);
-  if (!status.ok()) return status;
-  return result;
-}
-
-util::StatusOr<BatchResult> ObjectService::ServeBatch(
-    std::span<const HandleEvent> events) {
-  BatchResult result;
-  util::Status status = ServeBatchImpl(events, &result);
-  if (!status.ok()) return status;
-  return result;
-}
-
-util::Status ObjectService::SubmitBatch(
-    std::span<const workload::MultiObjectEvent> events, BatchResult* result,
-    BatchTicket* ticket) {
-  return SubmitBatchImpl(events, result, ticket);
-}
-
-util::Status ObjectService::SubmitBatch(std::span<const HandleEvent> events,
-                                        BatchResult* result,
-                                        BatchTicket* ticket) {
-  return SubmitBatchImpl(events, result, ticket);
-}
-
-util::Status ObjectService::WaitBatch(BatchTicket* ticket) {
-  if (ticket->completed) return util::Status::Ok();
-  ticket->completed = true;
-  if (executor_ == nullptr || ticket->context >= async_.size()) {
-    return util::Status::Ok();
-  }
-  const AsyncBatch& batch = async_[ticket->context];
-  if (!batch.active || batch.sequence != ticket->sequence) {
-    // Already finalized — by a drain, a fence, or a later submit reusing
-    // the slot. The result was made final then.
-    return util::Status::Ok();
-  }
-  executor_->Wait(ticket->context);
-  MergeAsync(ticket->context);
-  return FinishBatch();
 }
 
 util::Status ObjectService::DrainBatches() {
@@ -870,8 +717,8 @@ util::Status ObjectService::EnterDegraded(util::Status status) {
   return status;
 }
 
-template <typename EventT>
-util::Status ObjectService::LogBatch(std::span<const EventT> events) {
+util::Status ObjectService::LogBatch(
+    std::span<const workload::MultiObjectEvent> events) {
   Durability& d = *durability_;
   if (d.state != DurabilityState::kDurable) [[unlikely]] {
     // Degraded: the disk is gone but the service is not. Serve the batch
@@ -879,20 +726,7 @@ util::Status ObjectService::LogBatch(std::span<const EventT> events) {
     ++d.degraded_batches;
     return util::Status::Ok();
   }
-  uint64_t lsn = 0;
-  if constexpr (std::is_same_v<EventT, workload::MultiObjectEvent>) {
-    lsn = d.wal->AppendBatch(events);
-  } else {
-    // Handle-addressed events log id-addressed: the two entry points are
-    // bit-identical, so replay through the id path reproduces the state.
-    d.batch_scratch.clear();
-    d.batch_scratch.reserve(events.size());
-    for (const EventT& event : events) {
-      d.batch_scratch.push_back(
-          workload::MultiObjectEvent{event.handle.id, event.request});
-    }
-    lsn = d.wal->AppendBatch(d.batch_scratch);
-  }
+  const uint64_t lsn = d.wal->AppendBatch(events);
   // The append itself is in-memory and cannot fail; I/O errors are sticky
   // inside the writer (after its own rollback-and-rewrite retry gave up).
   // sync_every_batch waits the record out (memory and disk never diverge);
@@ -933,13 +767,6 @@ util::Status ObjectService::LogOp(WalRecordType type,
   }
   if (!status.ok()) (void)EnterDegraded(status);
   return util::Status::Ok();
-}
-
-util::Status ObjectService::LogSingle(ObjectId id, const Request& request) {
-  durability_->batch_scratch.assign(1,
-                                    workload::MultiObjectEvent{id, request});
-  return LogBatch(std::span<const workload::MultiObjectEvent>(
-      durability_->batch_scratch.data(), 1));
 }
 
 util::Status ObjectService::FinishBatchDurable() {

@@ -10,21 +10,29 @@
 // one shard) the executor is never built and the batch is served in place,
 // in submission order, through a queue-free serial path.
 //
-// Pipelining (DESIGN.md §11): SubmitBatch enqueues a batch and returns a
-// BatchTicket without waiting, so shard k can serve batch n+1 while shard j
+// Serving surface (DESIGN.md §11): one core, SubmitBatch + WaitBatch, over
+// id-addressed MultiObjectEvent batches. SubmitBatch admits and logs the
+// batch, then either serves it to completion at once (serial path, fault
+// mode: the ticket comes back completed) or hands it to the executor and
+// returns an in-flight ticket, so shard k can serve batch n+1 while shard j
 // still works on batch n; WaitBatch (or DrainBatches) finalizes the
-// ticket's result. Admission stays all-or-nothing — validation reads only
-// registration-time state (routes, processor bounds), which in-flight
-// batches never mutate — and the WAL append still happens at submit, ahead
-// of any serve, preserving log→serve order. Everything that must observe
-// or mutate quiesced shards (stats reads, registrations, checkpoints,
-// fault-mode arming, the serial path) fences the pipeline first.
+// ticket's result. Everything else wraps that pair: ServeBatchInto is
+// SubmitBatch + WaitBatch, ServeBatch is ServeBatchInto on a fresh result,
+// ServeStream double-buffers SubmitBatch over an EventSource, and WAL
+// replay (Recover) drives the same pair. Admission stays all-or-nothing —
+// validation reads only registration-time state (routes, processor
+// bounds), which in-flight batches never mutate — and the WAL append
+// happens at submit, ahead of any serve, preserving log→serve order.
+// Everything that must observe or mutate quiesced shards (stats reads,
+// registrations, checkpoints, fault-mode arming, the serial path) fences
+// the pipeline first.
 //
 // Hot-path engineering (DESIGN.md §8):
-//   * Routing is handle-based: admission resolves ObjectId → (shard, dense
-//     slot) through the shard directory once and serving indexes the dense
-//     slot vector directly — one hash lookup per event on the id path, zero
-//     on the ObjectHandle path (Resolve once, serve forever).
+//   * Routing: admission resolves each ObjectId → packed (shard, dense
+//     slot) route through the service's route directory in one probe, in
+//     the same pass that validates the event and — on the executor path —
+//     partitions it into its shard's op list; serving then indexes the
+//     dense slot directly.
 //   * All batch scratch (the per-event route array, the executor's
 //     per-shard op lists and CostBreakdown deltas) is owned by the service
 //     or its executor and recycled across batches: after warming every
@@ -74,7 +82,7 @@
 // batch, registration, or fault-control call, appended before the operation
 // mutates shard state — and recovery (ObjectService::Recover) loads the
 // newest valid snapshot, replays the WAL tail through the very same
-// ServeBatchImpl, truncates a torn final record, and reproduces
+// SubmitBatch core, truncates a torn final record, and reproduces
 // bit-identical state (scheme CRCs and cost fingerprints — asserted by
 // tests/durability_test.cc).
 //
@@ -138,24 +146,6 @@ struct ServiceOptions {
   int num_shards = 16;
 
   util::Status Validate() const;
-};
-
-// A pre-resolved route to one object: its home shard and its dense slot
-// there. Obtained from ObjectService::Resolve, valid for the lifetime of
-// the service that issued it (objects are never removed, so slots are
-// stable). Every use is still validated — a handle from another service,
-// a tampered handle, or a default-constructed one is rejected, never
-// dereferenced blindly: the stored id must match what the slot holds.
-struct ObjectHandle {
-  uint32_t shard = 0xffffffffu;
-  uint32_t slot = ObjectShard::kInvalidSlot;
-  ObjectId id = -1;
-};
-
-// One batch event addressed by handle instead of id — the zero-hash route.
-struct HandleEvent {
-  ObjectHandle handle;
-  model::Request request;
 };
 
 // Outcome of one admitted batch.
@@ -290,54 +280,30 @@ class ObjectService {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_processors() const { return num_processors_; }
 
-  // Resolves an object id to its stable (shard, slot) route. NotFound for
-  // unregistered ids.
-  util::StatusOr<ObjectHandle> Resolve(ObjectId id) const;
-
-  // Single-request path (routes to the owning shard, full validation).
-  util::StatusOr<double> Serve(ObjectId id, const Request& request);
-
-  // Single-request handle path: same result as Serve(handle.id, request)
-  // without the hash lookup. InvalidArgument for stale/foreign handles.
-  util::StatusOr<double> Serve(const ObjectHandle& handle,
-                               const Request& request);
-
-  // Batched path. Admission is atomic: if any event names an unknown object
-  // or an out-of-range processor, the whole batch is rejected (NotFound /
-  // OutOfRange, message names the offending event index) and no state
-  // changes. On success every event has been served — in place when only
-  // one worker or shard is available, otherwise fanned across shards in
-  // parallel — and the result is merged in submission order.
-  util::StatusOr<BatchResult> ServeBatch(
-      std::span<const workload::MultiObjectEvent> events);
-
-  // Handle-addressed batch: identical semantics and results, but admission
-  // validates the pre-resolved routes instead of hashing ids (stale or
-  // malformed handles reject the batch atomically with InvalidArgument).
-  util::StatusOr<BatchResult> ServeBatch(std::span<const HandleEvent> events);
-
-  // Allocation-recycling variants: clear and refill `*result`, reusing its
-  // storage. A caller that keeps one BatchResult across batches pays zero
-  // steady-state allocations on the serial path.
-  util::Status ServeBatchInto(
-      std::span<const workload::MultiObjectEvent> events, BatchResult* result);
-  util::Status ServeBatchInto(std::span<const HandleEvent> events,
-                              BatchResult* result);
-
-  // Pipelined batch entry: admits and logs the batch, enqueues its
-  // per-shard work, and returns without waiting for the serve. The caller
-  // must keep `*result` alive and untouched until WaitBatch(ticket) (or
-  // DrainBatches) returns; `events` may be reused immediately — admission
-  // copies everything the workers need. Order across SubmitBatch calls is
-  // submission order per shard (FIFO queues), so results are bit-identical
-  // to back-to-back ServeBatch calls. Falls back to synchronous execution
-  // (ticket->completed == true) on the serial path and in fault mode —
-  // fault time is global serial state. An admission error rejects the
-  // batch with no state change, like ServeBatch.
+  // Pipelined batch entry — the serving core every other entry wraps.
+  // Admits and logs the batch, enqueues its per-shard work, and returns
+  // without waiting for the serve. Admission is atomic: if any event names
+  // an unknown object or an out-of-range processor, the whole batch is
+  // rejected (NotFound / OutOfRange, message names the offending event
+  // index) and no state changes. The caller must keep `*result` alive and
+  // untouched until WaitBatch(ticket) (or DrainBatches) returns; `events`
+  // may be reused immediately — admission copies everything the workers
+  // need. Order across SubmitBatch calls is submission order per shard
+  // (FIFO queues), so results are bit-identical to serving the batches one
+  // by one. Completes synchronously (ticket->completed == true) on the
+  // serial path and in fault mode — fault time is global serial state.
+  // `*result` is cleared and refilled, reusing its storage.
   util::Status SubmitBatch(std::span<const workload::MultiObjectEvent> events,
                            BatchResult* result, BatchTicket* ticket);
-  util::Status SubmitBatch(std::span<const HandleEvent> events,
-                           BatchResult* result, BatchTicket* ticket);
+
+  // Synchronous wrappers: SubmitBatch then WaitBatch. ServeBatchInto reuses
+  // the caller's BatchResult storage — a caller that keeps one BatchResult
+  // across batches pays zero steady-state allocations; ServeBatch returns a
+  // fresh one.
+  util::Status ServeBatchInto(
+      std::span<const workload::MultiObjectEvent> events, BatchResult* result);
+  util::StatusOr<BatchResult> ServeBatch(
+      std::span<const workload::MultiObjectEvent> events);
 
   // Blocks until the ticket's batch has fully completed and finalizes its
   // BatchResult (per-shard deltas merged in fixed shard order, scalar cost
@@ -552,8 +518,6 @@ class ObjectService {
     // joined) but kept for its final Stats until reattach folds them in.
     std::unique_ptr<AsyncWalWriter> wal;
     size_t events_since_checkpoint = 0;
-    // Scratch for logging handle-addressed batches and single requests.
-    std::vector<workload::MultiObjectEvent> batch_scratch;
 
     DurabilityState state = DurabilityState::kDurable;
     util::Status degraded_error;  // the failure that degraded; Ok if kDurable
@@ -564,18 +528,16 @@ class ObjectService {
     uint64_t wal_retries_detached = 0;
   };
 
-  // Appends one admitted batch to the async WAL (id-addressed; handle
-  // events are translated through the scratch buffer). With
-  // sync_every_batch the call waits for the record's LSN to be durable. A
-  // detected persistent failure (the async writer retried and gave up)
-  // *degrades* durability instead of failing the batch: the service enters
+  // Appends one admitted batch to the async WAL. With sync_every_batch the
+  // call waits for the record's LSN to be durable. A detected persistent
+  // failure (the async writer retried and gave up) *degrades* durability
+  // instead of failing the batch: the service enters
   // DurabilityState::kDegraded, stops logging, and keeps serving — the
   // batch proceeds, counted in degraded_batches. In the default mode an
   // I/O error is asynchronous — it surfaces (and degrades) on a later
   // logging call, sync, or checkpoint; the on-disk log is always a
   // consistent prefix.
-  template <typename EventT>
-  util::Status LogBatch(std::span<const EventT> events);
+  util::Status LogBatch(std::span<const workload::MultiObjectEvent> events);
 
   // Appends a non-batch operation record; a persistent failure degrades
   // durability (the operation still applies in memory and is captured by
@@ -586,11 +548,6 @@ class ObjectService {
   // already degraded the stored error is returned unchanged): detaches the
   // async writer's log thread and stops all logging until reattach.
   util::Status EnterDegraded(util::Status status);
-
-  // Logs a single-request serve as a batch of one — the two entry points
-  // are bit-identical by the engine's contract, so replay through the batch
-  // path reproduces the exact state.
-  util::Status LogSingle(ObjectId id, const Request& request);
 
   // Post-batch durability hook: auto-checkpoint when the configured event
   // interval has elapsed. Inline no-op when durability is off.
@@ -614,8 +571,8 @@ class ObjectService {
   util::Status RestoreServiceState(const ServiceStateImage& image);
 
   // Restores shards + route directory + service state from an opened
-  // checkpoint stream (v1 monolithic or v2 chunked); the service must be
-  // freshly constructed with the matching config.
+  // checkpoint stream; the service must be freshly constructed with the
+  // matching config.
   util::Status RestoreFromCheckpointStream(CheckpointReader* reader,
                                            RecoveryReport* report);
 
@@ -642,28 +599,12 @@ class ObjectService {
       const std::string& dir, const DurabilityOptions& options,
       RecoveryReport* report, bool read_only);
 
-  // Shared batch engine: one admission pass resolves and validates every
-  // event into routes_ (packed shard/slot words), then the serve pass runs
-  // in place or through the shard executor (synchronously — submit, wait).
-  // EventT is MultiObjectEvent or HandleEvent.
-  template <typename EventT>
-  util::Status ServeBatchImpl(std::span<const EventT> events,
-                              BatchResult* result);
-
-  // The pipelined twin: same admission and logging, but the executor is
-  // handed the batch without waiting. Degrades to ServeBatchImpl on the
-  // serial path and in fault mode.
-  template <typename EventT>
-  util::Status SubmitBatchImpl(std::span<const EventT> events,
-                               BatchResult* result, BatchTicket* ticket);
-
-  // Admission pass shared by both engines: validates every event, resolves
-  // its route into routes_, sizes `*result`, and — when `context` is
-  // non-null — additionally partitions the batch into the context's
-  // per-shard op lists. Rejects with no state change.
-  template <typename EventT>
-  util::Status AdmitBatch(std::span<const EventT> events, BatchResult* result,
-                          BatchContext* context);
+  // Admission pass of SubmitBatch: validates every event, resolves its
+  // route into routes_, sizes `*result`, and — when `context` is non-null
+  // — additionally partitions the batch into the context's per-shard op
+  // lists. Rejects with no state change.
+  util::Status AdmitBatch(std::span<const workload::MultiObjectEvent> events,
+                          BatchResult* result, BatchContext* context);
 
   // More than one shard and thread, and not inside a parallel worker.
   bool ParallelServing() const;
@@ -687,13 +628,14 @@ class ObjectService {
   // caller-owned results change.
   void FenceAsync() const;
 
-  // Fault-mode tail of ServeBatchImpl, entered after the common admission
-  // pass validated routes: advances fault time once per event (serial),
-  // records per-event live sets, applies degraded admission, then serves
-  // through ServeSlotFaulty (in place or fanned by shard).
-  template <typename EventT>
-  util::Status ServeBatchFaultyTail(std::span<const EventT> events,
-                                    BatchResult* result, bool parallel);
+  // Fault-mode step of SubmitBatch, entered after admission validated the
+  // routes: advances fault time once per event (serial), records per-event
+  // live sets, and applies degraded admission (Unavailable rejects the
+  // batch). Then either serves in place through ServeSlotFaulty (`context`
+  // null) or partitions the served events into `context` for the executor;
+  // refused events cost 0 and are never enqueued.
+  util::Status FaultPass(std::span<const workload::MultiObjectEvent> events,
+                           BatchResult* result, BatchContext* context);
 
   // Applies one crash/recover to the live set (no-op if already in that
   // state). A crash is appended to the crash log at its fault-time index —
@@ -727,8 +669,8 @@ class ObjectService {
   uint32_t RouteSlot(uint32_t route) const { return route & route_slot_mask_; }
   // Service-level id → packed route directory, the single source of truth
   // for object residency (shards run in external-directory mode and keep no
-  // id map of their own). Admission and Resolve route through this one
-  // table in one probe — per-event cost independent of the shard count.
+  // id map of their own). Admission routes through this one table in one
+  // probe — per-event cost independent of the shard count.
   util::FlatDirectory<uint32_t> route_directory_;
   // Batch scratch arena, recycled across batches (see header comment).
   // Per-shard partition scratch lives inside the executor's BatchContexts.

@@ -11,7 +11,7 @@
 namespace objalloc::core {
 
 namespace {
-// Wire size of one snapshot slot record (unchanged since format v1):
+// Wire size of one snapshot slot record:
 // id(8) kind(1) t(4) scheme(8) f(8) p(4) next_f(4) crash_log_pos(8)
 // requests(8) breakdown(3×8).
 constexpr size_t kSnapshotSlotBytes = 8 + 1 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 3 * 8;
@@ -626,12 +626,6 @@ void ObjectShard::AppendSnapshotFooter(std::string* out) const {
   }
 }
 
-void ObjectShard::AppendSnapshot(std::string* out) const {
-  AppendSnapshotHeader(out);
-  AppendSnapshotSlots(0, slot_count_, out);
-  AppendSnapshotFooter(out);
-}
-
 util::Status ObjectShard::RestoreSlotRecord(util::PayloadReader* reader) {
   ObjectId id = -1;
   uint8_t kind_raw = 0;
@@ -763,14 +757,6 @@ util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
   std::string rest(data.substr(data.size() - reader.remaining()));
   restore_.carry = std::move(rest);
   return util::Status::Ok();
-}
-
-util::Status ObjectShard::RestoreSnapshot(std::string_view payload) {
-  if (slot_count_ != 0 || restore_.header_done) {
-    return util::Status::Internal(
-        "RestoreSnapshot requires a freshly constructed shard");
-  }
-  return RestoreSnapshotChunk(payload, /*last=*/true);
 }
 
 // --- Delta checkpoints --------------------------------------------------

@@ -164,7 +164,7 @@ class ObjectShard {
   util::StatusOr<double> Serve(ObjectId id, const Request& request);
 
   // Validation-free hot path: the caller has already resolved the slot
-  // (SlotOf / ObjectHandle) and admitted the request (processor in range).
+  // (SlotOf, or the owning service's route directory) and admitted the request (processor in range).
   // The request's breakdown is additionally accumulated into `*delta` when
   // non-null so a batch can account its own traffic without re-walking the
   // shard.
@@ -245,17 +245,11 @@ class ObjectShard {
 
   // --- Durability (core/checkpoint.h) ---------------------------------
   //
-  // The snapshot byte format is unchanged from durability format v1: a u64
-  // slot count, one 75-byte record per slot in slot order, lifetime
-  // aggregates, then the degraded registry. What changed in v2 is the
-  // *framing*: the writer streams the same bytes as header / bounded slot
-  // ranges / footer so a checkpoint never materializes the whole shard in
-  // memory, and the reader accepts arbitrary re-chunkings of the stream —
-  // a v1 full-blob payload is simply one big chunk.
-
-  // Serializes the shard's full state as one contiguous payload (the v1
-  // shape); equivalent to Header + Slots(0, slot_span()) + Footer.
-  void AppendSnapshot(std::string* out) const;
+  // The snapshot byte format: a u64 slot count, one 75-byte record per
+  // slot in slot order, lifetime aggregates, then the degraded registry.
+  // The writer streams it as header / bounded slot ranges / footer so a
+  // checkpoint never materializes the whole shard in memory, and the
+  // reader accepts arbitrary re-chunkings of the stream.
 
   // Streaming writer: the slot count, then any partition of
   // [0, slot_span()) into ranges, then the aggregates + degraded registry.
@@ -267,8 +261,7 @@ class ObjectShard {
   // Restores a snapshot into a freshly constructed, still-empty shard built
   // with the writer's processor count and cost model, one chunk at a time
   // and in order; `last` marks the final chunk. Chunk boundaries are
-  // arbitrary (a partial slot record is carried to the next call), so the
-  // reader accepts both the v2 streamed ranges and a v1 full blob. Restored
+  // arbitrary (a partial slot record is carried to the next call). Restored
   // slots re-derive their cost constants from (kind, t) via the same table
   // AddObject reads, so a restored slot is bit-identical to one that lived
   // through the original run. Every field is range-checked; a payload that
@@ -278,9 +271,6 @@ class ObjectShard {
   // slot directory is not rebuilt (the owner rebuilds its route table and
   // owns the duplicate check).
   util::Status RestoreSnapshotChunk(std::string_view chunk, bool last);
-
-  // One-shot restore of a full payload: RestoreSnapshotChunk(payload, true).
-  util::Status RestoreSnapshot(std::string_view payload);
 
   // --- Delta checkpoints (DESIGN.md §13) -------------------------------
   //

@@ -47,9 +47,9 @@ util::Status DurableConfig::CheckMatches(const DurableConfig& other) const {
 }
 
 void EncodeWalHeader(uint64_t sequence, const DurableConfig& config,
-                     std::string* out, uint32_t version) {
+                     std::string* out) {
   AppendScalar(kWalMagic, out);
-  AppendScalar(version, out);
+  AppendScalar(kDurabilityFormatVersion, out);
   AppendScalar(sequence, out);
   config.AppendTo(out);
 }
@@ -62,8 +62,7 @@ util::StatusOr<WalHeader> DecodeWalHeader(std::string_view payload) {
     return util::Status::Internal("not a WAL file (bad magic)");
   }
   OBJALLOC_RETURN_IF_ERROR(reader.Read(&version));
-  if (version < kMinDurabilityFormatVersion ||
-      version > kDurabilityFormatVersion) {
+  if (version != kDurabilityFormatVersion) {
     return util::Status::Internal("unsupported WAL format version " +
                                   std::to_string(version));
   }

@@ -7,7 +7,7 @@
 // (§7-§9). Durability therefore reduces to logging the *inputs* — one
 // record per state-changing operation, appended before the operation
 // mutates shard state — and replaying them through the very same
-// ServeBatchImpl on recovery. No per-object redo records, no physical
+// SubmitBatch core on recovery. No per-object redo records, no physical
 // pages: the log is the admission stream.
 //
 // Record kinds (framed by util/record_io — length-prefixed, CRC32-checked):
@@ -60,12 +60,8 @@ enum class WalRecordType : uint8_t {
 };
 
 inline constexpr uint32_t kWalMagic = 0x4c57414f;  // "OAWL"
-// v1: monolithic checkpoint shard records (one full-state kShard payload
-//     per shard).
-// v2: checkpoint shard state streams through bounded kShardChunk records.
-// WAL and manifest layouts are unchanged across the bump; writers stamp
-// the current version, readers accept the full range.
-inline constexpr uint32_t kMinDurabilityFormatVersion = 1;
+// Stamped into every WAL header, checkpoint header and manifest; readers
+// accept this version only.
 inline constexpr uint32_t kDurabilityFormatVersion = 2;
 
 // The immutable service configuration a log (or checkpoint) was written
@@ -86,11 +82,8 @@ struct DurableConfig {
 // Each Encode* appends the *payload* for its record type to `*out` (the
 // caller frames it via util::AppendRecord); each Decode* parses one.
 
-// `version` exists for compatibility tests that craft old-format files;
-// production writers always stamp the current version.
 void EncodeWalHeader(uint64_t sequence, const DurableConfig& config,
-                     std::string* out,
-                     uint32_t version = kDurabilityFormatVersion);
+                     std::string* out);
 struct WalHeader {
   uint64_t sequence = 0;
   DurableConfig config;

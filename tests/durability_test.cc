@@ -20,7 +20,6 @@
 #include "objalloc/core/wal.h"
 #include "objalloc/util/io.h"
 #include "objalloc/util/parallel.h"
-#include "objalloc/util/record_io.h"
 #include "objalloc/workload/multi_object.h"
 
 namespace objalloc::core {
@@ -122,6 +121,12 @@ void RegisterObjects(ObjectService& service, int num_objects,
   }
 }
 
+// Serves one event as a one-event batch.
+util::Status ServeOne(ObjectService& service, const MultiObjectEvent& event) {
+  return service.ServeBatch(std::span<const MultiObjectEvent>(&event, 1))
+      .status();
+}
+
 // --- Round trips --------------------------------------------------------
 
 TEST(DurabilityTest, RecoverReproducesStateBitForBit) {
@@ -139,7 +144,7 @@ TEST(DurabilityTest, RecoverReproducesStateBitForBit) {
     ASSERT_TRUE(service.ServeBatch(events.subspan(0, 1500)).ok());
     ASSERT_TRUE(service.Checkpoint().ok());
     ASSERT_TRUE(service.ServeBatch(events.subspan(1500, 2000)).ok());
-    ASSERT_TRUE(service.Serve(3, trace.events[3500].request).ok());
+    ASSERT_TRUE(ServeOne(service, {3, trace.events[3500].request}).ok());
     ASSERT_TRUE(service.ServeBatch(events.subspan(3501)).ok());
     expected = Capture(service);
     // No Sync, no clean shutdown: the destructor is the crash.
@@ -211,131 +216,6 @@ TEST(DurabilityTest, BitIdenticalAcrossShardAndThreadCounts) {
   }
 }
 
-// --- Old-format compatibility -------------------------------------------
-
-// Rewrites a (v2, chunked) checkpoint file in the v1 monolithic framing:
-// the same header/state/footer payloads, each shard's chunks concatenated
-// back into one kShard record, version stamp 1. The shard payload bytes
-// are untouched — this is exactly the file a format-v1 writer produced.
-void DownConvertCheckpointToV1(const std::string& path) {
-  auto reader = CheckpointReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  std::string v1;
-  BeginCheckpoint(reader->sequence(), reader->config(), &v1, /*version=*/1);
-  std::vector<std::string> shard_payloads(reader->config().num_shards);
-  ServiceStateImage state;
-  bool saw_state = false;
-  for (;;) {
-    CheckpointReader::Piece piece;
-    auto status = reader->Next(&piece);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    if (piece.done) break;
-    if (piece.service_state) {
-      state = piece.state;
-      saw_state = true;
-      continue;
-    }
-    shard_payloads[piece.shard].append(piece.bytes);
-  }
-  ASSERT_TRUE(saw_state);
-  AppendServiceStateRecord(state, &v1);
-  for (const std::string& payload : shard_payloads) {
-    AppendShardRecord(payload, &v1);
-  }
-  FinishCheckpoint(static_cast<uint32_t>(shard_payloads.size()), &v1);
-  ASSERT_TRUE(util::WriteFileAtomic(path, v1).ok());
-}
-
-// Re-stamps a WAL's header record with format version 1 (the record layout
-// never changed across the version bump; only the stamp moves).
-void DownConvertWalToV1(const std::string& path) {
-  auto buffer = util::ReadFileToString(path);
-  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-  util::RecordCursor cursor(*buffer);
-  util::RecordView record;
-  ASSERT_TRUE(cursor.Next(&record));
-  ASSERT_EQ(record.type, static_cast<uint8_t>(WalRecordType::kWalHeader));
-  auto header = DecodeWalHeader(record.payload);
-  ASSERT_TRUE(header.ok()) << header.status().ToString();
-  std::string payload;
-  EncodeWalHeader(header->sequence, header->config, &payload, /*version=*/1);
-  std::string v1;
-  util::AppendRecord(static_cast<uint8_t>(WalRecordType::kWalHeader), payload,
-                     &v1);
-  // Everything after the header record rides along byte for byte.
-  v1.append(buffer->substr(util::kRecordHeaderSize + record.payload.size()));
-  ASSERT_TRUE(util::WriteFileAtomic(path, v1).ok());
-}
-
-// A durable directory written entirely in the old format — monolithic
-// snapshot blobs, v1 version stamps — must restore bit-identically through
-// the streaming reader, fall back across v1 generations, and keep
-// appending (the recovered service continues the history in the current
-// format).
-TEST(DurabilityTest, OldFormatV1GenerationsRestoreBitForBit) {
-  const std::string dir = FreshDir("durability_v1_compat");
-  const MultiObjectTrace trace = TestTrace(4000);
-  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  ServiceOptions options;
-  options.num_shards = 4;
-
-  StateImage expected;
-  {
-    ObjectService service(trace.num_processors, sc, options);
-    ASSERT_TRUE(service.EnableDurability(dir).ok());
-    RegisterObjects(service, trace.num_objects, TestConfig());
-    std::span<const MultiObjectEvent> events(trace.events);
-    ASSERT_TRUE(service.ServeBatch(events.first(2500)).ok());
-    ASSERT_TRUE(service.Checkpoint().ok());
-    ASSERT_TRUE(service.ServeBatch(events.subspan(2500)).ok());
-    expected = Capture(service);
-  }
-
-  // Rewrite every durable file the old writer would have produced: both
-  // retained snapshot generations and both WALs.
-  DownConvertCheckpointToV1(dir + "/" + CheckpointFileName(1));
-  DownConvertCheckpointToV1(dir + "/" + CheckpointFileName(2));
-  DownConvertWalToV1(dir + "/" + WalFileName(1));
-  DownConvertWalToV1(dir + "/" + WalFileName(2));
-
-  RecoveryReport report;
-  auto recovered = ObjectService::Recover(dir, {}, &report);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(Capture(*recovered), expected);
-  EXPECT_EQ(report.checkpoint_sequence, 2u);
-  EXPECT_FALSE(report.fell_back);
-
-  // Corrupt the newest v1 snapshot: recovery falls back to the older v1
-  // generation and replays both v1 WALs to the same state.
-  {
-    std::fstream file(dir + "/" + CheckpointFileName(2),
-                      std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good());
-    file.seekg(200);
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5a);  // guaranteed to differ
-    file.seekp(200);
-    file.write(&byte, 1);
-  }
-  auto fallback = ObjectService::Recover(dir, {}, &report);
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_EQ(Capture(*fallback), expected);
-  EXPECT_EQ(report.checkpoint_sequence, 1u);
-  EXPECT_TRUE(report.fell_back);
-
-  // The recovered service keeps the history appendable in the new format.
-  ASSERT_TRUE(fallback
-                  ->ServeBatch(std::span<const MultiObjectEvent>(trace.events)
-                                   .first(300))
-                  .ok());
-  const StateImage continued = Capture(*fallback);
-  { ObjectService drop = std::move(*fallback); }
-  auto again = ObjectService::Recover(dir);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(Capture(*again), continued);
-}
-
 // --- Torn-write sweep ---------------------------------------------------
 
 // Truncate the final WAL at *every* byte offset and recover. Each offset
@@ -354,9 +234,7 @@ TEST(DurabilityTest, TruncateAtEveryOffsetRecoversAConsistentPrefix) {
     RegisterObjects(service, trace.num_objects, TestConfig());
     prefix[0] = Capture(service);
     for (size_t i = 0; i < trace.events.size(); ++i) {
-      ASSERT_TRUE(
-          service.Serve(trace.events[i].object, trace.events[i].request)
-              .ok());
+      ASSERT_TRUE(ServeOne(service, trace.events[i]).ok());
       prefix[i + 1] = Capture(service);
     }
   }
@@ -370,7 +248,7 @@ TEST(DurabilityTest, TruncateAtEveryOffsetRecoversAConsistentPrefix) {
     RegisterObjects(service, trace.num_objects, TestConfig());
     ASSERT_TRUE(service.EnableDurability(dir).ok());
     for (const MultiObjectEvent& event : trace.events) {
-      ASSERT_TRUE(service.Serve(event.object, event.request).ok());
+      ASSERT_TRUE(ServeOne(service, event).ok());
     }
   }
   {
@@ -483,6 +361,18 @@ TEST(DurabilityTest, CorruptNewestCheckpointFallsBackToPrevious) {
   EXPECT_FALSE(report.warnings.empty());
   // Generation 1 + wal-1 + wal-2 replays the *same* history.
   EXPECT_EQ(Capture(*recovered), expected);
+
+  // The fallback-recovered service keeps the history appendable: serve
+  // more, then recover again to exactly the continued state.
+  ASSERT_TRUE(recovered
+                  ->ServeBatch(std::span<const MultiObjectEvent>(trace.events)
+                                   .first(300))
+                  .ok());
+  const StateImage continued = Capture(*recovered);
+  { ObjectService drop = std::move(*recovered); }
+  auto again = ObjectService::Recover(dir);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(Capture(*again), continued);
 }
 
 TEST(DurabilityTest, CorruptWalInteriorIsAnErrorNotSilentLoss) {
@@ -675,7 +565,7 @@ TEST(DurabilityTest, RejectedRegistrationIsNotLogged) {
   ObjectConfig bad = TestConfig();
   bad.initial_scheme = ProcessorSet{};
   EXPECT_FALSE(service.AddObject(2, bad).ok());
-  ASSERT_TRUE(service.Serve(1, model::Request::Write(0)).ok());
+  ASSERT_TRUE(ServeOne(service, {1, model::Request::Write(0)}).ok());
   const StateImage expected = Capture(service);
   { ObjectService drop = std::move(service); }
   auto recovered = ObjectService::Recover(dir);
@@ -730,7 +620,7 @@ TEST(DurabilityTest, RecoveryReportToStringMentionsTheEssentials) {
   ObjectService service(4, CostModel::StationaryComputing(0.25, 1.0));
   ASSERT_TRUE(service.EnableDurability(dir).ok());
   ASSERT_TRUE(service.AddObject(1, TestConfig()).ok());
-  ASSERT_TRUE(service.Serve(1, model::Request::Read(2)).ok());
+  ASSERT_TRUE(ServeOne(service, {1, model::Request::Read(2)}).ok());
   // The WAL is appended asynchronously; an external reader (here, the
   // verify pass on the live directory) only sees what has been synced.
   ASSERT_TRUE(service.SyncDurable().ok());
@@ -879,10 +769,7 @@ TEST(DurabilityTest, AsyncGroupCommitCrashImagesRecoverPrefixes) {
     RegisterObjects(reference, trace.num_objects, TestConfig());
     prefix[0] = Capture(reference);
     for (size_t i = 0; i < trace.events.size(); ++i) {
-      ASSERT_TRUE(reference
-                      .Serve(trace.events[i].object,
-                             trace.events[i].request)
-                      .ok());
+      ASSERT_TRUE(ServeOne(reference, trace.events[i]).ok());
       prefix[i + 1] = Capture(reference);
     }
   }
@@ -896,9 +783,7 @@ TEST(DurabilityTest, AsyncGroupCommitCrashImagesRecoverPrefixes) {
   ASSERT_TRUE(service.EnableDurability(dir, durability).ok());
   size_t floor_events = 0;
   for (size_t i = 0; i < trace.events.size(); ++i) {
-    ASSERT_TRUE(
-        service.Serve(trace.events[i].object, trace.events[i].request)
-            .ok());
+    ASSERT_TRUE(ServeOne(service, trace.events[i]).ok());
     if (i % 7 != 6) continue;
     const std::string crash = dir + "_img";
     CopyDir(dir, crash);  // may catch the log thread mid-group

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -290,6 +291,131 @@ TEST(ServicePipelineStressTest, PipelinedEqualsSynchronous) {
   BatchTicket stale = tickets[0];
   EXPECT_TRUE(pipe_service.WaitBatch(&stale).ok());
   EXPECT_TRUE(pipe_service.DrainBatches().ok());
+}
+
+// The one serving core under every entry at once: pipelined SubmitBatch
+// tickets left in flight, interleaved with synchronous ServeBatchInto and
+// one-event ServeBatch calls, on a durable service whose small checkpoint
+// interval makes auto-checkpoints fire inside WaitBatch (and inside the
+// SubmitBatch that recycles a full pipeline) while other batches are still
+// on the workers. Every per-call result, every aggregate, and the state
+// Recover rebuilds from the directory must equal a 1-thread service fed the
+// same calls.
+TEST(ServicePipelineStressTest, MixedSyncPipelinedDurableMatchesSerial) {
+  workload::MultiObjectOptions options;
+  options.num_processors = 8;
+  options.num_objects = 64;
+  options.length = 6000;
+  const MultiObjectTrace trace =
+      workload::GenerateMultiObjectTrace(options, 5);
+  const model::CostModel sc = model::CostModel::StationaryComputing(0.25, 1.0);
+  ServiceOptions service_options;
+  service_options.num_shards = 16;
+
+  // The call sequence: batches of 48 events; of every four, two are
+  // submitted and left in flight, one is served synchronously, and one is
+  // split into one-event ServeBatch calls.
+  enum class Entry { kSubmit, kServeInto, kServeOne };
+  struct Call {
+    std::span<const MultiObjectEvent> events;
+    Entry entry;
+  };
+  constexpr size_t kBatch = 48;
+  std::vector<Call> calls;
+  std::span<const MultiObjectEvent> all(trace.events);
+  for (size_t pos = 0, n = 0; pos < all.size(); pos += kBatch, ++n) {
+    auto batch = all.subspan(pos, std::min(kBatch, all.size() - pos));
+    if (n % 4 < 2) {
+      calls.push_back({batch, Entry::kSubmit});
+    } else if (n % 4 == 2) {
+      calls.push_back({batch, Entry::kServeInto});
+    } else {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        calls.push_back({batch.subspan(i, 1), Entry::kServeOne});
+      }
+    }
+  }
+
+  auto register_all = [&trace](ObjectService& service) {
+    for (int id = 0; id < trace.num_objects; ++id) {
+      ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
+    }
+  };
+  ObjectService reference(trace.num_processors, sc, service_options);
+  std::vector<BatchResult> want(calls.size());
+  {
+    ScopedThreads serial(1);
+    register_all(reference);
+    for (size_t c = 0; c < calls.size(); ++c) {
+      auto result = reference.ServeBatch(calls[c].events);
+      ASSERT_TRUE(result.ok());
+      want[c] = *std::move(result);
+    }
+  }
+  auto expect_reference_state = [&](const ObjectService& service) {
+    EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+    EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
+    for (int id = 0; id < trace.num_objects; ++id) {
+      EXPECT_EQ(service.StatsFor(id)->scheme.mask(),
+                reference.StatsFor(id)->scheme.mask())
+          << "object " << id;
+    }
+  };
+
+  const std::string dir = ::testing::TempDir() + "/executor_mixed_durable";
+  DurabilityOptions durability;
+  durability.checkpoint_interval_events = 500;
+  ScopedThreads threads(4);
+  {
+    ObjectService service(trace.num_processors, sc, service_options);
+    ASSERT_TRUE(service.EnableDurability(dir, durability).ok());
+    register_all(service);
+    // `got` never reallocates, so in-flight results stay addressable.
+    std::vector<BatchResult> got(calls.size());
+    std::vector<BatchTicket> inflight;
+    for (size_t c = 0; c < calls.size(); ++c) {
+      switch (calls[c].entry) {
+        case Entry::kSubmit: {
+          BatchTicket ticket;
+          ASSERT_TRUE(
+              service.SubmitBatch(calls[c].events, &got[c], &ticket).ok());
+          ASSERT_FALSE(ticket.completed);
+          inflight.push_back(ticket);
+          break;
+        }
+        case Entry::kServeInto:
+          ASSERT_TRUE(service.ServeBatchInto(calls[c].events, &got[c]).ok());
+          break;
+        case Entry::kServeOne: {
+          auto result = service.ServeBatch(calls[c].events);
+          ASSERT_TRUE(result.ok());
+          got[c] = *std::move(result);
+          break;
+        }
+      }
+      // Up to three tickets stay in flight; the oldest is waited only then,
+      // often already finalized (stale) by a later submit or a checkpoint's
+      // pipeline fence.
+      if (inflight.size() > 3) {
+        ASSERT_TRUE(service.WaitBatch(&inflight.front()).ok());
+        inflight.erase(inflight.begin());
+      }
+    }
+    ASSERT_TRUE(service.DrainBatches().ok());
+    for (size_t c = 0; c < calls.size(); ++c) {
+      ASSERT_EQ(got[c].costs, want[c].costs) << "call " << c;
+      ASSERT_EQ(got[c].breakdown, want[c].breakdown) << "call " << c;
+      ASSERT_EQ(got[c].cost, want[c].cost) << "call " << c;
+    }
+    expect_reference_state(service);
+    ASSERT_TRUE(service.SyncDurable().ok());
+  }
+
+  RecoveryReport report;
+  auto recovered = ObjectService::Recover(dir, durability, &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_GT(report.checkpoint_sequence, 1u) << "no auto-checkpoint fired";
+  expect_reference_state(*recovered);
 }
 
 // The completion eventfd an event loop sleeps on: after a pipelined

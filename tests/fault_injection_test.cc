@@ -82,22 +82,38 @@ TEST(FaultInjectionTest, ZeroFaultPathBitIdenticalAcrossConfigurations) {
   for (int shards : {1, 4, 16}) {
     for (int threads : {1, 2, 0}) {  // 0 = hardware concurrency
       util::ScopedThreads scope(threads);
-      ObjectService service = MakeMixedService(8, 48, shards);
-      ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
-      service.set_check_invariant(true);
-      auto got = service.ServeBatch(trace.events);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->costs, want->costs)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(got->breakdown, want->breakdown);
-      EXPECT_EQ(got->cost, want->cost);
-      EXPECT_EQ(got->unavailable, 0);
-      EXPECT_EQ(Schemes(service), want_schemes);
-      const FaultStats& stats = service.fault_stats();
-      EXPECT_EQ(stats.crashes, 0);
-      EXPECT_EQ(stats.repairs, 0);
-      EXPECT_EQ(stats.lost_control + stats.lost_data, 0);
-      EXPECT_EQ(stats.unavailable_requests, 0);
+      for (bool submit : {false, true}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads) +
+                     (submit ? " SubmitBatch" : " ServeBatch"));
+        ObjectService service = MakeMixedService(8, 48, shards);
+        ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
+        service.set_check_invariant(true);
+        BatchResult got;
+        if (submit) {
+          // Fault mode serves SubmitBatch synchronously: the ticket comes
+          // back completed and the result is already final.
+          BatchTicket ticket;
+          util::Status status = service.SubmitBatch(trace.events, &got,
+                                                    &ticket);
+          ASSERT_TRUE(status.ok()) << status.ToString();
+          EXPECT_TRUE(ticket.completed);
+        } else {
+          auto served = service.ServeBatch(trace.events);
+          ASSERT_TRUE(served.ok()) << served.status().ToString();
+          got = *std::move(served);
+        }
+        EXPECT_EQ(got.costs, want->costs);
+        EXPECT_EQ(got.breakdown, want->breakdown);
+        EXPECT_EQ(got.cost, want->cost);
+        EXPECT_EQ(got.unavailable, 0);
+        EXPECT_EQ(Schemes(service), want_schemes);
+        const FaultStats& stats = service.fault_stats();
+        EXPECT_EQ(stats.crashes, 0);
+        EXPECT_EQ(stats.repairs, 0);
+        EXPECT_EQ(stats.lost_control + stats.lost_data, 0);
+        EXPECT_EQ(stats.unavailable_requests, 0);
+      }
     }
   }
 }
@@ -424,9 +440,10 @@ TEST(FaultInjectionTest, FaultModeGuardsAndStatusBoundaries) {
   ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
   EXPECT_EQ(service.Crash(9).code(), util::StatusCode::kOutOfRange);
 
-  // Single-request Serve bypasses fault time: refused while armed.
-  EXPECT_EQ(service.Serve(0, model::Request::Read(0)).status().code(),
-            util::StatusCode::kFailedPrecondition);
+  // A one-event batch is served through fault time like any other.
+  const std::vector<workload::MultiObjectEvent> one{
+      {0, model::Request::Read(0)}};
+  EXPECT_TRUE(service.ServeBatch(one).ok());
 
   // Registration under fault mode: fallback kinds and schemes born on
   // crashed processors are refused.
@@ -452,7 +469,7 @@ TEST(FaultInjectionTest, FaultModeGuardsAndStatusBoundaries) {
 
   service.DisableFaults();
   EXPECT_FALSE(service.faults_enabled());
-  EXPECT_TRUE(service.Serve(0, model::Request::Read(0)).ok());
+  EXPECT_TRUE(service.ServeBatch(one).ok());
 }
 
 TEST(FaultInjectionTest, CreateAndBatchBoundariesReturnStatus) {

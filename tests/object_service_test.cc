@@ -112,7 +112,7 @@ TEST(ObjectServiceTest, ShardedBatchedMatchesSerialBitForBit) {
   }
 }
 
-TEST(ObjectServiceTest, SingleServePathMatchesManager) {
+TEST(ObjectServiceTest, SingleEventBatchesMatchManager) {
   const MultiObjectTrace trace = TestTrace(500);
   const CostModel mc = CostModel::MobileComputing(0.5, 1.0);
   ObjectManager manager(trace.num_processors, mc);
@@ -126,10 +126,10 @@ TEST(ObjectServiceTest, SingleServePathMatchesManager) {
   }
   for (const auto& event : trace.events) {
     auto want = manager.Serve(event.object, event.request);
-    auto got = service.Serve(event.object, event.request);
+    auto got = service.ServeBatch(std::span<const MultiObjectEvent>(&event, 1));
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
-    ASSERT_EQ(*got, *want);
+    ASSERT_EQ(got->costs[0], *want);
   }
   EXPECT_EQ(service.TotalBreakdown(), manager.TotalBreakdown());
 }

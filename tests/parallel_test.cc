@@ -13,10 +13,8 @@
 
 #include "objalloc/analysis/adversarial_search.h"
 #include "objalloc/analysis/competitive.h"
-#include "objalloc/analysis/ensemble_runner.h"
 #include "objalloc/analysis/region_map.h"
 #include "objalloc/core/dynamic_allocation.h"
-#include "objalloc/core/static_allocation.h"
 #include "objalloc/opt/exact_opt.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/util/rng.h"
@@ -228,70 +226,6 @@ TEST(ParallelDeterminismTest, AdversarialSearchIsBitIdentical) {
     EXPECT_EQ(result.best_schedule.ToString(),
               reference.best_schedule.ToString());
     EXPECT_EQ(result.evaluations, reference.evaluations);
-  }
-}
-
-TEST(ParallelDeterminismTest, EnsembleAggregatesAreBitIdentical) {
-  workload::UniformWorkload balanced(0.7);
-  workload::UniformWorkload write_heavy(0.3);
-  core::StaticAllocation sa;
-  core::DynamicAllocation da;
-  const model::CostModel sc = model::CostModel::StationaryComputing(0.3, 0.6);
-  const model::CostModel mc = model::CostModel::MobileComputing(0.1, 0.5);
-
-  std::vector<analysis::EnsembleUnit> units;
-  for (const auto* generator :
-       {static_cast<const workload::ScheduleGenerator*>(&balanced),
-        static_cast<const workload::ScheduleGenerator*>(&write_heavy)}) {
-    for (const auto* algorithm :
-         {static_cast<const core::DomAlgorithm*>(&sa),
-          static_cast<const core::DomAlgorithm*>(&da)}) {
-      for (const auto& cost_model : {sc, mc}) {
-        analysis::EnsembleUnit unit;
-        unit.label = algorithm->name() + "/" + generator->name() + "/" +
-                     cost_model.ToString();
-        unit.generator = generator;
-        unit.algorithm = algorithm;
-        unit.cost_model = cost_model;
-        unit.num_processors = 6;
-        unit.schedule_length = 40;
-        unit.t = 2;
-        units.push_back(unit);
-      }
-    }
-  }
-
-  analysis::EnsembleOptions options;
-  options.replications = 3;
-
-  analysis::EnsembleSummary reference;
-  {
-    ScopedThreads threads(1);
-    reference = analysis::RunEnsemble(units, options);
-  }
-  ASSERT_EQ(reference.aggregates.size(), units.size());
-  ASSERT_EQ(reference.outcomes.size(),
-            units.size() * static_cast<size_t>(options.replications));
-
-  for (int count : ThreadCounts()) {
-    ScopedThreads threads(count);
-    analysis::EnsembleSummary summary = analysis::RunEnsemble(units, options);
-    ASSERT_EQ(summary.outcomes.size(), reference.outcomes.size());
-    for (size_t i = 0; i < summary.outcomes.size(); ++i) {
-      EXPECT_EQ(summary.outcomes[i].seed, reference.outcomes[i].seed);
-      EXPECT_EQ(summary.outcomes[i].cost, reference.outcomes[i].cost)
-          << "threads=" << count << " outcome " << i;
-      EXPECT_EQ(summary.outcomes[i].opt_cost, reference.outcomes[i].opt_cost);
-      EXPECT_EQ(summary.outcomes[i].ratio, reference.outcomes[i].ratio);
-    }
-    for (size_t u = 0; u < summary.aggregates.size(); ++u) {
-      EXPECT_EQ(summary.aggregates[u].mean_cost,
-                reference.aggregates[u].mean_cost);
-      EXPECT_EQ(summary.aggregates[u].mean_ratio,
-                reference.aggregates[u].mean_ratio);
-      EXPECT_EQ(summary.aggregates[u].worst_ratio,
-                reference.aggregates[u].worst_ratio);
-    }
   }
 }
 

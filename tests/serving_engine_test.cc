@@ -1,9 +1,9 @@
 // The devirtualized serving engine's contracts (DESIGN.md §8): the inline
 // SA/DA dispatch in ObjectShard is bit-identical to the virtual reference
-// classes, the handle-addressed path is bit-identical to the id-addressed
-// path for every shard x thread configuration, stale or tampered handles are
-// rejected atomically, and the steady-state batch path performs zero heap
-// allocations (asserted through a global operator-new counting hook).
+// classes, the batch path is bit-identical to the serial ObjectManager for
+// every shard x thread configuration, and the steady-state batch path
+// performs zero heap allocations (asserted through a global operator-new
+// counting hook).
 
 #include <atomic>
 #include <cstdlib>
@@ -75,22 +75,6 @@ void RegisterObjects(ObjectService& service, const MultiObjectTrace& trace,
   }
 }
 
-std::vector<HandleEvent> ResolveAll(const ObjectService& service,
-                                    const MultiObjectTrace& trace) {
-  std::vector<ObjectHandle> handles(trace.num_objects);
-  for (int id = 0; id < trace.num_objects; ++id) {
-    auto handle = service.Resolve(id);
-    EXPECT_TRUE(handle.ok());
-    handles[id] = *handle;
-  }
-  std::vector<HandleEvent> events;
-  events.reserve(trace.events.size());
-  for (const MultiObjectEvent& event : trace.events) {
-    events.push_back(HandleEvent{handles[event.object], event.request});
-  }
-  return events;
-}
-
 // The engine's core identity: the inline SA/DA switch in ObjectShard must
 // be the same function as the virtual DomAlgorithm reference path, request
 // for request — exact double equality, exact breakdowns, exact schemes.
@@ -144,10 +128,9 @@ TEST(ServingEngineTest, InlineDispatchMatchesVirtualReference) {
   }
 }
 
-// Handle-addressed serving must be bit-identical to id-addressed serving —
-// and both to the serial ObjectManager — for every shard count and thread
-// count, per-event costs included.
-TEST(ServingEngineTest, HandlePathMatchesIdPathBitForBit) {
+// Batched serving must be bit-identical to the serial ObjectManager for
+// every shard count and thread count, per-event costs included.
+TEST(ServingEngineTest, BatchPathMatchesManagerBitForBit) {
   const MultiObjectTrace trace = TestTrace();
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   const ObjectConfig config = TestConfig();
@@ -173,109 +156,33 @@ TEST(ServingEngineTest, HandlePathMatchesIdPathBitForBit) {
       ServiceOptions options;
       options.num_shards = shards;
 
-      ObjectService by_id(trace.num_processors, sc, options);
-      RegisterObjects(by_id, trace, config);
-      ObjectService by_handle(trace.num_processors, sc, options);
-      RegisterObjects(by_handle, trace, config);
-      const std::vector<HandleEvent> handle_events =
-          ResolveAll(by_handle, trace);
+      ObjectService service(trace.num_processors, sc, options);
+      RegisterObjects(service, trace, config);
 
-      std::span<const MultiObjectEvent> id_span(trace.events);
-      std::span<const HandleEvent> handle_span(handle_events);
+      std::span<const MultiObjectEvent> events(trace.events);
       size_t event_index = 0;
       for (size_t pos = 0; pos < trace.events.size(); pos += kBatch) {
         const size_t n = std::min(kBatch, trace.events.size() - pos);
-        auto id_batch = by_id.ServeBatch(id_span.subspan(pos, n));
-        auto handle_batch = by_handle.ServeBatch(handle_span.subspan(pos, n));
-        ASSERT_TRUE(id_batch.ok());
-        ASSERT_TRUE(handle_batch.ok());
-        ASSERT_EQ(id_batch->costs.size(), n);
-        ASSERT_EQ(handle_batch->costs.size(), n);
-        EXPECT_EQ(id_batch->breakdown, handle_batch->breakdown);
+        auto batch = service.ServeBatch(events.subspan(pos, n));
+        ASSERT_TRUE(batch.ok());
+        ASSERT_EQ(batch->costs.size(), n);
         for (size_t i = 0; i < n; ++i, ++event_index) {
-          ASSERT_EQ(id_batch->costs[i], reference_costs[event_index]);
-          ASSERT_EQ(handle_batch->costs[i], reference_costs[event_index]);
+          ASSERT_EQ(batch->costs[i], reference_costs[event_index]);
         }
       }
-      EXPECT_EQ(by_id.TotalBreakdown(), by_handle.TotalBreakdown());
-      EXPECT_EQ(by_id.TotalBreakdown(), reference.TotalBreakdown());
-      EXPECT_EQ(by_id.TotalRequests(), by_handle.TotalRequests());
+      EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+      EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
       for (int id = 0; id < trace.num_objects; ++id) {
-        EXPECT_EQ(by_id.StatsFor(id)->scheme.mask(),
-                  by_handle.StatsFor(id)->scheme.mask());
+        EXPECT_EQ(service.StatsFor(id)->scheme.mask(),
+                  reference.StatsFor(id)->scheme.mask());
       }
     }
   }
 }
 
-TEST(ServingEngineTest, ResolveRejectsUnknownObjects) {
-  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  ObjectService service(8, sc, ServiceOptions{.num_shards = 4});
-  ASSERT_TRUE(service.AddObject(7, TestConfig()).ok());
-
-  auto known = service.Resolve(7);
-  ASSERT_TRUE(known.ok());
-  EXPECT_EQ(known->id, 7);
-  EXPECT_LT(known->shard, 4u);
-
-  EXPECT_EQ(service.Resolve(8).status().code(), util::StatusCode::kNotFound);
-  EXPECT_EQ(service.Resolve(-1).status().code(), util::StatusCode::kNotFound);
-}
-
-TEST(ServingEngineTest, StaleAndTamperedHandlesAreRejected) {
-  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  const Request read = Request::Read(0);
-
-  ObjectService service(8, sc, ServiceOptions{.num_shards = 4});
-  ASSERT_TRUE(service.AddObject(1, TestConfig()).ok());
-  ASSERT_TRUE(service.AddObject(2, TestConfig()).ok());
-  ObjectHandle good = *service.Resolve(1);
-
-  // A default-constructed handle, an out-of-range shard or slot, and a
-  // handle whose claimed id disagrees with what the slot holds must all be
-  // rejected — never dereferenced.
-  EXPECT_EQ(service.Serve(ObjectHandle{}, read).status().code(),
-            util::StatusCode::kInvalidArgument);
-  ObjectHandle bad_shard = good;
-  bad_shard.shard = 99;
-  EXPECT_EQ(service.Serve(bad_shard, read).status().code(),
-            util::StatusCode::kInvalidArgument);
-  ObjectHandle bad_slot = good;
-  bad_slot.slot = 12345;
-  EXPECT_EQ(service.Serve(bad_slot, read).status().code(),
-            util::StatusCode::kInvalidArgument);
-  ObjectHandle bad_id = good;
-  bad_id.id = 2;  // registered object, wrong route
-  EXPECT_EQ(service.Serve(bad_id, read).status().code(),
-            util::StatusCode::kInvalidArgument);
-
-  // Handles do not transfer between services: a route resolved against a
-  // differently-sharded service must fail validation here.
-  ObjectService other(8, sc, ServiceOptions{.num_shards = 16});
-  ASSERT_TRUE(other.AddObject(1, TestConfig()).ok());
-  ObjectHandle foreign = *other.Resolve(1);
-  const bool foreign_same_route =
-      foreign.shard == good.shard && foreign.slot == good.slot;
-  if (!foreign_same_route) {
-    EXPECT_FALSE(service.Serve(foreign, read).ok());
-  }
-
-  // Batch admission stays atomic on the handle path: one bad handle rejects
-  // the whole batch before any state changes.
-  const int64_t before = service.TotalRequests();
-  std::vector<HandleEvent> batch = {HandleEvent{good, read},
-                                    HandleEvent{bad_id, read}};
-  auto result = service.ServeBatch(std::span<const HandleEvent>(batch));
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.TotalRequests(), before);
-
-  // The good handle still serves after all the rejections.
-  EXPECT_TRUE(service.Serve(good, read).ok());
-}
-
 // The scratch-arena contract: after one warm-up batch, repeated batches
-// allocate nothing — on the id path, the handle path, and ServeStream's
-// inner loop equivalent (ServeBatchInto with recycled storage).
+// allocate nothing — ServeStream's inner loop equivalent (ServeBatchInto
+// with recycled storage) on the serial path.
 TEST(ServingEngineTest, SteadyStateBatchesDoNotAllocate) {
   const MultiObjectTrace trace = TestTrace(2048);
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
@@ -284,19 +191,15 @@ TEST(ServingEngineTest, SteadyStateBatchesDoNotAllocate) {
   ObjectService service(trace.num_processors, sc,
                         ServiceOptions{.num_shards = 4});
   RegisterObjects(service, trace, TestConfig());
-  const std::vector<HandleEvent> handle_events = ResolveAll(service, trace);
 
   std::span<const MultiObjectEvent> id_span(trace.events);
-  std::span<const HandleEvent> handle_span(handle_events);
   BatchResult result;
   // Warm-up: sizes routes_ and result->costs to the maximal batch.
   ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-  ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
   }
   const int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
@@ -316,10 +219,8 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   ObjectService service(trace.num_processors, sc,
                         ServiceOptions{.num_shards = 4});
   RegisterObjects(service, trace, TestConfig());
-  const std::vector<HandleEvent> handle_events = ResolveAll(service, trace);
 
   std::span<const MultiObjectEvent> id_span(trace.events);
-  std::span<const HandleEvent> handle_span(handle_events);
   BatchResult result;
   BatchResult results[2];
   BatchTicket tickets[2];
@@ -331,7 +232,6 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   const size_t rounds = 2 * ShardExecutor::kDefaultDepth;
   for (size_t round = 0; round < rounds; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
     const int cur = static_cast<int>(round % 2);
     if (!tickets[cur].completed) {
       ASSERT_TRUE(service.WaitBatch(&tickets[cur]).ok());
@@ -344,7 +244,6 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    ASSERT_TRUE(service.ServeBatchInto(handle_span, &result).ok());
     const int cur = round % 2;
     if (!tickets[cur].completed) {
       ASSERT_TRUE(service.WaitBatch(&tickets[cur]).ok());
