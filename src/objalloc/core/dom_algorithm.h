@@ -47,9 +47,9 @@ class DomAlgorithm {
   virtual Decision Step(const Request& request) = 0;
 
   // An independent copy with the same configuration. Parallel drivers (the
-  // competitive sweeps, adversarial searches, and ensemble runners) clone
-  // one prototype per concurrent unit of work; clones share no state, and
-  // callers Reset() them before use.
+  // competitive sweeps and adversarial searches) clone one prototype per
+  // concurrent unit of work; clones share no state, and callers Reset()
+  // them before use.
   virtual std::unique_ptr<DomAlgorithm> Clone() const = 0;
 };
 
@@ -62,13 +62,14 @@ enum class AlgorithmKind {
 
 const char* AlgorithmKindToString(AlgorithmKind kind);
 
-// True for the kinds whose step function ObjectShard evaluates inline (a
-// switch on AlgorithmKind over value-stored state) instead of through a
-// heap-allocated DomAlgorithm and a virtual Step() call. The two paths are
-// the same function by construction: the shard calls the classes' static
-// rule helpers (StaticAllocation::Decide, DynamicAllocation::WriteSet /
-// SplitScheme), and tests/serving_engine_test.cc asserts per-request cost
-// equality between the shard and the reference classes.
+// True for the kinds the serving engine (ObjectShard and everything built
+// on it) registers: the paper's SA and DA, evaluated inline over
+// value-stored state instead of through a heap-allocated DomAlgorithm and a
+// virtual Step() call. The two paths are the same function by
+// construction: the shard calls the classes' static rule helpers
+// (StaticAllocation::Decide, DynamicAllocation::WriteSet / SplitScheme),
+// and tests/serving_engine_test.cc asserts per-request cost equality
+// between the shard and the reference classes.
 constexpr bool IsInlinableKind(AlgorithmKind kind) {
   return kind == AlgorithmKind::kStatic || kind == AlgorithmKind::kDynamic;
 }

@@ -27,7 +27,8 @@ class ObjectManager {
       : shard_(num_processors, cost_model) {}
 
   // Registers an object. Fails on duplicate ids, empty or out-of-range
-  // schemes, and algorithm/threshold mismatches (DA needs t >= 2).
+  // schemes, algorithms other than SA and DA, and algorithm/threshold
+  // mismatches (DA needs t >= 2).
   util::Status AddObject(ObjectId id, const ObjectConfig& config) {
     return shard_.AddObject(id, config).status();
   }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "objalloc/util/logging.h"
 #include "objalloc/util/parallel.h"
@@ -68,31 +69,13 @@ util::Status ObjectService::AddObject(ObjectId id,
   // Registration mutates a shard's slot table (possibly reallocating it):
   // no worker may be serving while that happens.
   FenceAsync();
-  if (injector_ != nullptr) [[unlikely]] {
-    // Registrations under fault mode must respect the fault layer's two
-    // preconditions: inlinable algorithm kind, and no replica born on a
-    // crashed processor (scheme ⊆ live is the scrub invariant).
-    if (config.algorithm != AlgorithmKind::kStatic &&
-        config.algorithm != AlgorithmKind::kDynamic) {
-      return util::Status::FailedPrecondition(
-          "fault mode supports only the inlined algorithm kinds");
-    }
-    if (!config.initial_scheme.IsSubsetOf(live_)) {
-      return util::Status::FailedPrecondition(
-          "initial scheme " + config.initial_scheme.ToString() +
-          " includes crashed processors (live " + live_.ToString() + ")");
-    }
-  }
-  if (durability_ != nullptr) [[unlikely]] {
-    // Write-ahead: the registration record reaches the log before the shard
-    // mutates, so it must be validated *here* — a logged AddObject may never
-    // fail on replay.
-    if (config.algorithm != AlgorithmKind::kStatic &&
-        config.algorithm != AlgorithmKind::kDynamic) {
-      return util::Status::FailedPrecondition(
-          "durability supports only the inlined algorithm kinds (static, "
-          "dynamic)");
-    }
+  // Under fault mode no replica may be born on a crashed processor
+  // (scheme ⊆ live is the scrub invariant).
+  if (injector_ != nullptr && !config.initial_scheme.IsSubsetOf(live_))
+      [[unlikely]] {
+    return util::Status::FailedPrecondition(
+        "initial scheme " + config.initial_scheme.ToString() +
+        " includes crashed processors (live " + live_.ToString() + ")");
   }
   // The shards keep no directory in external mode, so the duplicate check
   // lives here — before the WAL write, which must never log a registration
@@ -113,11 +96,14 @@ util::Status ObjectService::AddObject(ObjectId id,
         std::to_string(next_slot) + " objects)");
   }
   if (durability_ != nullptr) [[unlikely]] {
+    // Write-ahead: the registration record reaches the log before the shard
+    // mutates, so it is validated *here* — a logged AddObject may never
+    // fail on replay.
     OBJALLOC_RETURN_IF_ERROR(
         ObjectShard::ValidateConfig(config, num_processors_));
     std::string payload;
     EncodeAddObject(id, config, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kAddObject, payload));
+    durability_->LogOp(WalRecordType::kAddObject, payload);
   }
   util::StatusOr<uint32_t> slot = shards_[shard].AddObject(id, config);
   if (slot.ok()) {
@@ -290,7 +276,7 @@ util::Status ObjectService::SubmitBatch(
     if (async_[index].active) {
       executor_->Wait(index);
       MergeAsync(index);
-      OBJALLOC_RETURN_IF_ERROR(FinishBatch());
+      FinishBatch();
     }
     const uint32_t acquired = executor_->Acquire();
     OBJALLOC_CHECK_EQ(acquired, index);
@@ -305,8 +291,8 @@ util::Status ObjectService::SubmitBatch(
     // any shard state changes — the log→serve order is indifferent to how
     // long the pipeline holds the batch afterwards. A persistent IO
     // failure degrades durability and the batch proceeds undurably — see
-    // LogBatch.
-    OBJALLOC_RETURN_IF_ERROR(LogBatch(events));
+    // DurableLog::LogBatch.
+    durability_->LogBatch(events);
   }
   if (faulty) [[unlikely]] {
     // A batch that failed *validation* above never advances fault time (it
@@ -316,10 +302,9 @@ util::Status ObjectService::SubmitBatch(
     if (!status.ok() || context == nullptr) {
       result->cost = result->breakdown.Cost(cost_model_);
       // An UNAVAILABLE-rejected batch was logged and consumed fault-time
-      // windows, so the checkpoint interval advances for it too; its
-      // rejection status outranks a checkpoint error.
-      const util::Status finish = FinishBatch();
-      return status.ok() ? finish : status;
+      // windows, so the checkpoint interval advances for it too.
+      FinishBatch();
+      return status;
     }
   } else if (context == nullptr) {
     // In-place serve: one pass, costs and traffic accumulated directly.
@@ -329,7 +314,8 @@ util::Status ObjectService::SubmitBatch(
           RouteSlot(route), events[i].request, &result->breakdown);
     }
     result->cost = result->breakdown.Cost(cost_model_);
-    return FinishBatch();
+    FinishBatch();
+    return util::Status::Ok();
   }
   context->costs = result->costs.data();
   async_[index] = AsyncBatch{result, context->sequence, /*active=*/true};
@@ -347,7 +333,8 @@ util::Status ObjectService::SubmitBatch(
   executor_->Wait(index);
   MergeAsync(index);
   for (const FaultStats& stats : context->fault_stats) fault_stats_ += stats;
-  return FinishBatch();
+  FinishBatch();
+  return util::Status::Ok();
 }
 
 util::Status ObjectService::WaitBatch(BatchTicket* ticket) {
@@ -364,7 +351,8 @@ util::Status ObjectService::WaitBatch(BatchTicket* ticket) {
   }
   executor_->Wait(ticket->context);
   MergeAsync(ticket->context);
-  return FinishBatch();
+  FinishBatch();
+  return util::Status::Ok();
 }
 
 util::Status ObjectService::ServeBatchInto(
@@ -484,19 +472,12 @@ util::Status ObjectService::EnableFaults(const FaultInjectorOptions& options,
   OBJALLOC_RETURN_IF_ERROR(options.Validate(num_processors_));
   OBJALLOC_RETURN_IF_ERROR(
       FaultInjector::ValidateSchedule(schedule, num_processors_));
-  for (const ObjectShard& shard : shards_) {
-    if (shard.HasFallbackObjects()) {
-      return util::Status::FailedPrecondition(
-          "fault injection supports only the inlined algorithm kinds "
-          "(static, dynamic); a registered object uses a fallback");
-    }
-  }
   if (durability_ != nullptr) [[unlikely]] {
     // All validation passed; from here the arm cannot fail, so the record
     // is safe to write ahead (before `schedule` is moved away).
     std::string payload;
     EncodeEnableFaults(options, schedule, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kEnableFaults, payload));
+    durability_->LogOp(WalRecordType::kEnableFaults, payload);
   }
   // Apply any crash history a previous fault session left pending, so the
   // new session starts from schemes consistent with everything that was
@@ -512,9 +493,9 @@ util::Status ObjectService::EnableFaults(const FaultInjectorOptions& options,
 
 void ObjectService::DisableFaults() {
   if (durability_ != nullptr) [[unlikely]] {
-    // Best effort: an append failure detaches durability (the on-disk state
-    // stays a consistent prefix); the disable itself always proceeds.
-    (void)LogOp(WalRecordType::kDisableFaults, {});
+    // An append failure degrades durability (the on-disk state stays a
+    // consistent prefix); the disable itself always proceeds.
+    durability_->LogOp(WalRecordType::kDisableFaults, {});
   }
   for (ObjectShard& shard : shards_) shard.FlushCrashLog(crash_log_);
   crash_log_.clear();
@@ -533,7 +514,7 @@ util::Status ObjectService::Crash(ProcessorId p) {
   if (durability_ != nullptr) [[unlikely]] {
     std::string payload;
     EncodeProcessor(p, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kCrash, payload));
+    durability_->LogOp(WalRecordType::kCrash, payload);
   }
   // Stamped at "now": events already served keep the member; every later
   // event evicts it via the log.
@@ -552,7 +533,7 @@ util::Status ObjectService::Recover(ProcessorId p) {
   if (durability_ != nullptr) [[unlikely]] {
     std::string payload;
     EncodeProcessor(p, &payload);
-    OBJALLOC_RETURN_IF_ERROR(LogOp(WalRecordType::kRecover, payload));
+    durability_->LogOp(WalRecordType::kRecover, payload);
   }
   ApplyFault(FaultEvent::Recover(0, p));
   return util::Status::Ok();
@@ -561,9 +542,9 @@ util::Status ObjectService::Recover(ProcessorId p) {
 int64_t ObjectService::RepairDegraded() {
   if (injector_ == nullptr) return 0;
   if (durability_ != nullptr) [[unlikely]] {
-    // Best effort, as in DisableFaults: an append failure detaches
-    // durability but never blocks the repair.
-    (void)LogOp(WalRecordType::kRepairDegraded, {});
+    // As in DisableFaults: an append failure degrades durability but never
+    // blocks the repair.
+    durability_->LogOp(WalRecordType::kRepairDegraded, {});
   }
   int64_t added = 0;
   const size_t index = injector_->cursor();  // repairs happen at "now"
@@ -582,7 +563,8 @@ size_t ObjectService::degraded_count() const {
 
 util::Status ObjectService::DrainBatches() {
   FenceAsync();
-  return FinishBatch();
+  FinishBatch();
+  return util::Status::Ok();
 }
 
 bool ObjectService::BatchDone(const BatchTicket& ticket) const {
@@ -693,101 +675,6 @@ std::vector<ObjectId> ObjectService::SortedObjectIds() const {
 
 // --- Durability ---------------------------------------------------------
 
-namespace {
-
-AsyncWalOptions AsyncWalOptionsFrom(const DurabilityOptions& options) {
-  AsyncWalOptions out;
-  out.group_commit_delay_us = options.group_commit_delay_us;
-  out.group_commit_bytes = options.group_commit_bytes;
-  out.sync_mode = options.sync_mode;
-  out.retry = options.retry;
-  return out;
-}
-
-}  // namespace
-
-util::Status ObjectService::EnterDegraded(util::Status status) {
-  Durability& d = *durability_;
-  if (d.state == DurabilityState::kDegraded) return d.degraded_error;
-  d.state = DurabilityState::kDegraded;
-  d.degraded_error = status;
-  // Join the log thread; the writer object stays alive so its final commit
-  // stats (and the original sticky error) remain readable until reattach.
-  if (d.wal != nullptr) (void)d.wal->Detach();
-  return status;
-}
-
-util::Status ObjectService::LogBatch(
-    std::span<const workload::MultiObjectEvent> events) {
-  Durability& d = *durability_;
-  if (d.state != DurabilityState::kDurable) [[unlikely]] {
-    // Degraded: the disk is gone but the service is not. Serve the batch
-    // undurably; the reattach checkpoint will capture its effects.
-    ++d.degraded_batches;
-    return util::Status::Ok();
-  }
-  const uint64_t lsn = d.wal->AppendBatch(events);
-  // The append itself is in-memory and cannot fail; I/O errors are sticky
-  // inside the writer (after its own rollback-and-rewrite retry gave up).
-  // sync_every_batch waits the record out (memory and disk never diverge);
-  // the default mode only probes for a sticky error so a dead disk is
-  // noticed within one batch rather than at the next sync.
-  util::Status status = util::Status::Ok();
-  if (d.options.sync_every_batch) {
-    status = d.wal->WaitDurable(lsn);
-  } else if (!d.wal->is_open()) [[unlikely]] {
-    status = d.wal->Detach();
-    if (status.ok()) status = util::Status::Internal("WAL writer closed");
-  }
-  if (!status.ok()) {
-    // Degrade, don't stop: the writer already rolled the file back to the
-    // last durable group boundary, so the on-disk state is a consistent
-    // prefix. The batch is served undurably.
-    (void)EnterDegraded(status);
-    ++d.degraded_batches;
-    return util::Status::Ok();
-  }
-  d.events_since_checkpoint += events.size();
-  return util::Status::Ok();
-}
-
-util::Status ObjectService::LogOp(WalRecordType type,
-                                  std::string_view payload) {
-  Durability& d = *durability_;
-  if (d.state != DurabilityState::kDurable) [[unlikely]] {
-    return util::Status::Ok();  // applies in memory; reattach captures it
-  }
-  const uint64_t lsn = d.wal->Append(type, payload);
-  util::Status status = util::Status::Ok();
-  if (d.options.sync_every_batch) {
-    status = d.wal->WaitDurable(lsn);
-  } else if (!d.wal->is_open()) [[unlikely]] {
-    status = d.wal->Detach();
-    if (status.ok()) status = util::Status::Internal("WAL writer closed");
-  }
-  if (!status.ok()) (void)EnterDegraded(status);
-  return util::Status::Ok();
-}
-
-util::Status ObjectService::FinishBatchDurable() {
-  Durability& d = *durability_;
-  if (d.state != DurabilityState::kDurable) [[unlikely]] {
-    return util::Status::Ok();  // no auto-checkpoints while degraded
-  }
-  if (d.options.checkpoint_interval_events > 0 &&
-      d.events_since_checkpoint >= d.options.checkpoint_interval_events) {
-    util::Status status = Checkpoint();
-    if (!status.ok() && d.state == DurabilityState::kDegraded) {
-      // The auto-checkpoint degraded the service, but the batch that
-      // triggered it was served (and logged) fine — don't fail it; the
-      // degradation is reported through Stats / the next explicit call.
-      return util::Status::Ok();
-    }
-    return status;
-  }
-  return util::Status::Ok();
-}
-
 ServiceStateImage ObjectService::CaptureServiceState() const {
   ServiceStateImage image;
   image.faults_enabled = injector_ != nullptr;
@@ -833,45 +720,11 @@ util::Status ObjectService::RestoreServiceState(
   return util::Status::Ok();
 }
 
-util::Status ObjectService::WriteCheckpointFile(const std::string& path,
-                                                uint64_t sequence) const {
-  auto writer = CheckpointWriter::Open(path, sequence, durability_->config);
-  if (!writer.ok()) return writer.status();
+util::Status ObjectService::WriteSnapshot(CheckpointWriter* writer,
+                                          bool delta) const {
   OBJALLOC_RETURN_IF_ERROR(writer->AppendServiceState(CaptureServiceState()));
-  // Slot records stream out one slab page at a time; the scratch buffer
-  // and the writer's chunk buffer bound peak memory regardless of how many
-  // objects the shards hold.
-  constexpr uint32_t kSlotsPerAppend = 2048;
-  std::string scratch;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const ObjectShard& shard = shards_[s];
-    writer->BeginShard(static_cast<uint32_t>(s));
-    scratch.clear();
-    shard.AppendSnapshotHeader(&scratch);
-    OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    const uint32_t span = shard.slot_span();
-    for (uint32_t begin = 0; begin < span; begin += kSlotsPerAppend) {
-      scratch.clear();
-      shard.AppendSnapshotSlots(begin, std::min(span, begin + kSlotsPerAppend),
-                                &scratch);
-      OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    }
-    scratch.clear();
-    shard.AppendSnapshotFooter(&scratch);
-    OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    OBJALLOC_RETURN_IF_ERROR(writer->EndShard());
-  }
-  return writer->Finish(static_cast<uint32_t>(shards_.size()));
-}
-
-util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
-                                                     uint64_t sequence) const {
-  auto writer = CheckpointWriter::OpenDelta(path, sequence, sequence - 1,
-                                            durability_->config);
-  if (!writer.ok()) return writer.status();
-  OBJALLOC_RETURN_IF_ERROR(writer->AppendServiceState(CaptureServiceState()));
-  // Dirty ranges are split into bounded pieces so the scratch buffer (not
-  // the dirty span) caps peak memory, exactly like the full-snapshot path.
+  // Slot ranges are split into bounded pieces so the scratch buffer (not
+  // the shard or the dirty span) caps peak memory.
   constexpr uint32_t kSlotsPerAppend = 2048;
   std::string scratch;
   std::vector<std::pair<uint32_t, uint32_t>> ranges;
@@ -879,7 +732,11 @@ util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ObjectShard& shard = shards_[s];
     writer->BeginShard(static_cast<uint32_t>(s));
-    shard.CollectDirtyRanges(&ranges);
+    if (delta) {
+      shard.CollectDirtyRanges(&ranges);
+    } else {
+      ranges.assign(1, {0, shard.slot_span()});
+    }
     pieces.clear();
     for (const auto& [begin, end] : ranges) {
       // 64-bit cursor: begin + kSlotsPerAppend could wrap at the top of
@@ -892,11 +749,19 @@ util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
       }
     }
     scratch.clear();
-    shard.AppendDeltaHeader(static_cast<uint32_t>(pieces.size()), &scratch);
+    if (delta) {
+      shard.AppendDeltaHeader(static_cast<uint32_t>(pieces.size()), &scratch);
+    } else {
+      shard.AppendSnapshotHeader(&scratch);
+    }
     OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
     for (const auto& [begin, end] : pieces) {
       scratch.clear();
-      shard.AppendDeltaRange(begin, end, &scratch);
+      if (delta) {
+        shard.AppendDeltaRange(begin, end, &scratch);
+      } else {
+        shard.AppendSnapshotSlots(begin, end, &scratch);
+      }
       OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
     }
     scratch.clear();
@@ -904,7 +769,18 @@ util::Status ObjectService::WriteDeltaCheckpointFile(const std::string& path,
     OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
     OBJALLOC_RETURN_IF_ERROR(writer->EndShard());
   }
-  return writer->Finish(static_cast<uint32_t>(shards_.size()));
+  return util::Status::Ok();
+}
+
+void ObjectService::ResetDirtyTracking(bool track) {
+  for (ObjectShard& shard : shards_) {
+    if (track) {
+      shard.EnableDirtyTracking();
+      shard.ClearDirty();
+    } else {
+      shard.DisableDirtyTracking();
+    }
+  }
 }
 
 util::Status ObjectService::EnableDurability(const std::string& dir,
@@ -913,78 +789,13 @@ util::Status ObjectService::EnableDurability(const std::string& dir,
     return util::Status::FailedPrecondition("durability already enabled");
   }
   FenceAsync();  // the generation-1 snapshot reads every shard
-  OBJALLOC_RETURN_IF_ERROR(options.Validate());
-  for (const ObjectShard& shard : shards_) {
-    if (shard.HasFallbackObjects()) {
-      return util::Status::FailedPrecondition(
-          "durability supports only the inlined algorithm kinds (static, "
-          "dynamic); a registered object uses a fallback");
-    }
-  }
-  OBJALLOC_RETURN_IF_ERROR(util::EnsureDir(dir));
-  // This call *starts* a durable history; durable files left by a previous
-  // incarnation (including their temp files) are removed so a manifest-less
-  // scan can never resurrect them.
-  auto names = util::ListDir(dir);
-  if (!names.ok()) return names.status();
-  for (const std::string& name : *names) {
-    if (name.rfind(kManifestFileName, 0) == 0 ||
-        name.rfind("checkpoint-", 0) == 0 || name.rfind("wal-", 0) == 0) {
-      OBJALLOC_RETURN_IF_ERROR(util::RemoveFile(dir + "/" + name));
-    }
-  }
-  auto d = std::make_unique<Durability>();
-  d->dir = dir;
-  d->options = options;
-  d->config =
+  auto log = DurableLog::Start(
+      dir, options,
       DurableConfig{num_processors_, static_cast<int32_t>(shards_.size()),
-                    cost_model_};
-  d->sequence = 1;
-  d->base_sequence = 1;
-  durability_ = std::move(d);
-  // Generation 1: a snapshot of the current state (empty service or one
-  // mid-life — both are just states) + a fresh WAL + the manifest. Each
-  // step retries transient IO failures; a persistent failure here is a
-  // clean error (durability never armed), not a degradation.
-  util::Env* env = util::CurrentEnv();
-  uint64_t* retries = &durability_->checkpoint_retries;
-  util::Status status = util::RetryIo(options.retry, env, retries, [&] {
-    return WriteCheckpointFile(durability_->dir + "/" + CheckpointFileName(1),
-                               1);
-  });
-  if (status.ok()) {
-    util::StatusOr<WalWriter> wal{util::Status::Internal("unattempted")};
-    status = util::RetryIo(options.retry, env, retries, [&] {
-      wal = WalWriter::Create(durability_->dir + "/" + WalFileName(1), 1,
-                              durability_->config);
-      return wal.status();
-    });
-    if (status.ok()) {
-      durability_->wal = std::make_unique<AsyncWalWriter>();
-      status = durability_->wal->Attach(std::move(*wal),
-                                        AsyncWalOptionsFrom(options));
-      if (status.ok()) {
-        status = util::RetryIo(options.retry, env, retries, [&] {
-          return WriteManifest(durability_->dir,
-                               Manifest{1, 1, durability_->config});
-        });
-      }
-    }
-  }
-  if (!status.ok()) {
-    durability_.reset();
-    return status;
-  }
-  // Delta checkpoints need to know which slab pages each checkpoint window
-  // dirties; the generation-1 snapshot is full, so the slate starts clean.
-  for (ObjectShard& shard : shards_) {
-    if (options.delta_chain_limit > 0) {
-      shard.EnableDirtyTracking();
-      shard.ClearDirty();
-    } else {
-      shard.DisableDirtyTracking();
-    }
-  }
+                    cost_model_},
+      *this);
+  if (!log.ok()) return log.status();
+  durability_ = std::move(*log);
   return util::Status::Ok();
 }
 
@@ -992,11 +803,7 @@ util::Status ObjectService::DisableDurability() {
   if (durability_ == nullptr) {
     return util::Status::FailedPrecondition("durability not enabled");
   }
-  // A degraded detach reports the degrading error — the caller learns that
-  // a tail of history never reached disk — but detaches either way.
-  util::Status status = durability_->state == DurabilityState::kDegraded
-                            ? durability_->degraded_error
-                            : durability_->wal->Detach();
+  util::Status status = durability_->Close();
   durability_.reset();
   return status;
 }
@@ -1005,19 +812,12 @@ util::Status ObjectService::SyncDurable() {
   if (durability_ == nullptr) {
     return util::Status::FailedPrecondition("durability not enabled");
   }
-  if (durability_->state == DurabilityState::kDegraded) {
-    return durability_->degraded_error;
-  }
-  util::Status status = durability_->wal->Flush();
-  if (!status.ok()) return EnterDegraded(status);
-  return status;
+  return durability_->Sync();
 }
 
 WalCommitStats ObjectService::DurableCommitStats() const {
-  if (durability_ == nullptr || durability_->wal == nullptr) {
-    return WalCommitStats();
-  }
-  return durability_->wal->Stats();
+  return durability_ != nullptr ? durability_->CommitStats()
+                                : WalCommitStats();
 }
 
 util::Status ObjectService::Checkpoint() {
@@ -1029,200 +829,22 @@ util::Status ObjectService::Checkpoint() {
   // WaitBatch's auto-checkpoint hook may find later pipelined batches
   // still running.
   FenceAsync();
-  Durability& d = *durability_;
-  if (d.state == DurabilityState::kDegraded) {
-    return d.degraded_error;
-  }
-  // (1) Everything the snapshot will contain must be durable under the old
-  //     generation first: state(ckpt g+1) == state(ckpt g) + replay(wal-g)
-  //     only holds if wal-g is complete on disk.
-  util::Status status = d.wal->Flush();
-  if (!status.ok()) {
-    return EnterDegraded(status);
-  }
-  const uint64_t next = d.sequence + 1;
-  // Delta while the chain has room, full once it hits the limit (the
-  // periodic compaction that keeps recovery cost bounded).
-  const bool delta = d.options.delta_chain_limit > 0 &&
-                     d.delta_chain_length < d.options.delta_chain_limit;
-  const std::string ckpt_path =
-      d.dir + "/" +
-      (delta ? DeltaCheckpointFileName(next) : CheckpointFileName(next));
-  const std::string wal_path = d.dir + "/" + WalFileName(next);
-  util::Env* env = util::CurrentEnv();
-  // (2) The snapshot, streamed to a temp file and atomically published
-  //     under its final name. Safe to retry whole: the temp file is
-  //     recreated from scratch each attempt.
-  status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-    return delta ? WriteDeltaCheckpointFile(ckpt_path, next)
-                 : WriteCheckpointFile(ckpt_path, next);
-  });
-  // (3) The next generation's WAL with a synced header — it must exist
-  //     before the manifest can name it. Create truncates, so a retry
-  //     rewrites the header cleanly.
-  util::StatusOr<WalWriter> wal{status.ok()
-                                    ? util::Status::Internal("unattempted")
-                                    : status};
-  if (status.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      wal = WalWriter::Create(wal_path, next, d.config);
-      return wal.status();
-    });
-  }
-  // (4) Commit point: the manifest flips to the new generation (and names
-  //     the full snapshot its delta chain stands on).
-  if (wal.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      return WriteManifest(
-          d.dir, Manifest{next, delta ? d.base_sequence : next, d.config});
-    });
-  }
-  if (!status.ok()) {
-    // Roll back the orphans so a manifest-less recovery scan cannot pick a
-    // generation whose WAL chain never went live. The current generation
-    // stays fully intact and appendable — but the disk just refused a
-    // persistent write, so the service degrades rather than pretending the
-    // next interval will fare better.
-    (void)util::RemoveFile(ckpt_path);
-    (void)util::RemoveFile(wal_path);
-    return EnterDegraded(status);
-  }
-  status = d.wal->Rotate(std::move(*wal));
-  if (!status.ok()) {
-    return EnterDegraded(status);
-  }
-  d.sequence = next;
-  d.events_since_checkpoint = 0;
-  if (delta) {
-    d.delta_chain_length += 1;
-  } else {
-    d.base_sequence = next;
-    d.delta_chain_length = 0;
-  }
-  // The published snapshot covers every page dirtied so far; the next
-  // delta window starts clean. (Only after the manifest commit — a failed
-  // checkpoint must leave the pages marked for the retry.)
-  if (d.options.delta_chain_limit > 0) {
-    for (ObjectShard& shard : shards_) shard.ClearDirty();
-  }
-  // (5) GC, best effort: drop generations beyond keep_generations (walking
-  //     down until the names stop existing catches backlogs left by
-  //     earlier failed GCs). WALs fall at keep_generations exactly;
-  //     snapshot files survive further down to the full snapshot the
-  //     oldest kept generation's delta chain stands on.
-  if (next > static_cast<uint64_t>(d.options.keep_generations)) {
-    const uint64_t wal_floor =
-        next - static_cast<uint64_t>(d.options.keep_generations);
-    uint64_t ckpt_floor = wal_floor + 1;
-    while (ckpt_floor > 1 &&
-           !util::FileExists(d.dir + "/" + CheckpointFileName(ckpt_floor))) {
-      --ckpt_floor;
-    }
-    for (uint64_t gen = wal_floor;; --gen) {
-      const std::string wal_name = d.dir + "/" + WalFileName(gen);
-      const std::string full_name = d.dir + "/" + CheckpointFileName(gen);
-      const std::string delta_name = d.dir + "/" + DeltaCheckpointFileName(gen);
-      bool had_files = util::FileExists(wal_name) ||
-                       util::FileExists(full_name) ||
-                       util::FileExists(delta_name);
-      (void)util::RemoveFile(wal_name);
-      if (gen < ckpt_floor) {
-        (void)util::RemoveFile(full_name);
-        (void)util::RemoveFile(delta_name);
-      }
-      if (!had_files || gen == 1) break;
-    }
-  }
-  return util::Status::Ok();
+  return durability_->Checkpoint(*this);
 }
 
 util::Status ObjectService::ReattachDurability() {
   if (durability_ == nullptr) {
     return util::Status::FailedPrecondition("durability not enabled");
   }
-  Durability& d = *durability_;
-  if (d.state != DurabilityState::kDegraded) {
-    return util::Status::FailedPrecondition(
-        "durability is healthy — nothing to reattach");
-  }
-  // The fresh checkpoint reads every shard; quiesce first.
-  FenceAsync();
-  // The old writer is already detached (EnterDegraded joined its thread);
-  // fold its retry count into the service totals and release it.
-  if (d.wal != nullptr) {
-    d.wal_retries_detached += d.wal->Stats().write_retries;
-    d.wal.reset();
-  }
-  // Quarantine the failed generation's WAL: its durable prefix is real
-  // history, but the new checkpoint supersedes it and it must never be
-  // picked up by a manifest-less recovery scan. Renamed, not deleted —
-  // forensics beat free disk blocks right after a disk scare. NotFound is
-  // fine (the failure may have struck before the file ever existed).
-  const std::string failed_wal = d.dir + "/" + WalFileName(d.sequence);
-  util::Status status =
-      util::RenameFile(failed_wal, failed_wal + ".quarantine");
-  if (!status.ok() && status.code() != util::StatusCode::kNotFound) {
-    d.degraded_error = status;
-    return status;
-  }
-  // Fresh full generation g+1 capturing the *current* in-memory state —
-  // including every batch served while degraded — then the manifest commit
-  // names it as both the live generation and the full-snapshot base.
-  const uint64_t next = d.sequence + 1;
-  const std::string ckpt_path = d.dir + "/" + CheckpointFileName(next);
-  const std::string wal_path = d.dir + "/" + WalFileName(next);
-  util::Env* env = util::CurrentEnv();
-  status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-    return WriteCheckpointFile(ckpt_path, next);
-  });
-  util::StatusOr<WalWriter> wal{status.ok()
-                                    ? util::Status::Internal("unattempted")
-                                    : status};
-  if (status.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      wal = WalWriter::Create(wal_path, next, d.config);
-      return wal.status();
-    });
-  }
-  if (wal.ok()) {
-    status = util::RetryIo(d.options.retry, env, &d.checkpoint_retries, [&] {
-      return WriteManifest(d.dir, Manifest{next, next, d.config});
-    });
-  }
-  if (status.ok()) {
-    d.wal = std::make_unique<AsyncWalWriter>();
-    status = d.wal->Attach(std::move(*wal), AsyncWalOptionsFrom(d.options));
-    if (!status.ok()) d.wal.reset();
-  }
-  if (!status.ok()) {
-    // Still degraded, now holding the reattach failure; the caller can try
-    // again once the disk truly heals.
-    (void)util::RemoveFile(ckpt_path);
-    (void)util::RemoveFile(wal_path);
-    d.degraded_error = status;
-    return status;
-  }
-  d.sequence = next;
-  d.base_sequence = next;
-  d.delta_chain_length = 0;
-  d.events_since_checkpoint = 0;
-  d.state = DurabilityState::kDurable;
-  d.degraded_error = util::Status::Ok();
-  ++d.reattach_count;
-  // The published snapshot is full; the next delta window starts clean.
-  if (d.options.delta_chain_limit > 0) {
-    for (ObjectShard& shard : shards_) {
-      shard.EnableDirtyTracking();
-      shard.ClearDirty();
-    }
-  }
-  if (d.options.verify_reattach) {
+  FenceAsync();  // the fresh checkpoint reads every shard
+  OBJALLOC_RETURN_IF_ERROR(durability_->Reattach(*this));
+  if (durability_->options().verify_reattach) {
     // Verifiable resync: prove the healed directory actually recovers
     // before reporting success. A failure here means the disk is still
     // lying (reads don't match writes) — degrade again.
     RecoveryReport report;
-    util::Status verify = VerifyDurableDir(d.dir, &report);
-    if (!verify.ok()) return EnterDegraded(verify);
+    util::Status verify = VerifyDurableDir(durability_->dir(), &report);
+    if (!verify.ok()) return durability_->EnterDegraded(verify);
   }
   return util::Status::Ok();
 }
@@ -1234,11 +856,8 @@ ServiceLoad ObjectService::Load() const {
     load.inflight_batches = executor_->InflightBatches();
   }
   if (durability_ != nullptr) {
-    load.durability = durability_->state;
-    if (durability_->wal != nullptr &&
-        durability_->state == DurabilityState::kDurable) {
-      load.wal_backlog_bytes = durability_->wal->BacklogBytes();
-    }
+    load.durability = durability_->state();
+    load.wal_backlog_bytes = durability_->BacklogBytes();
   }
   return load;
 }
@@ -1252,105 +871,22 @@ ServiceStats ObjectService::Stats() const {
   stats.total_requests = TotalRequests();
   stats.total_breakdown = TotalBreakdown();
   if (durability_ != nullptr) {
-    const Durability& d = *durability_;
-    stats.durability = d.state;
-    stats.durability_error = d.degraded_error;
-    stats.checkpoint_retries = d.checkpoint_retries;
-    stats.degraded_batches = d.degraded_batches;
-    stats.reattach_count = d.reattach_count;
-    stats.wal_write_retries = d.wal_retries_detached;
-    if (d.wal != nullptr) {
-      stats.commit = d.wal->Stats();
-      stats.wal_write_retries += stats.commit.write_retries;
-    }
+    const DurableLog& d = *durability_;
+    stats.durability = d.state();
+    stats.durability_error = d.degraded_error();
+    stats.checkpoint_retries = d.checkpoint_retries();
+    stats.degraded_batches = d.degraded_batches();
+    stats.reattach_count = d.reattach_count();
+    stats.wal_write_retries = d.wal_write_retries();
+    stats.commit = d.CommitStats();
   }
   return stats;
 }
 
-namespace {
-
-// Generic framing + CRC walk shared by the scrub's WAL and checkpoint
-// passes (semantic validation is the recovery dry run's job).
-void ScrubRecordFile(const std::string& path, bool torn_tail_legal,
-                     ScrubFileReport* file) {
-  auto bytes = util::ReadFileToString(path);
-  if (!bytes.ok()) {
-    file->verdict = ScrubVerdict::kCorrupt;
-    file->detail = bytes.status().ToString();
-    return;
-  }
-  file->bytes = bytes->size();
-  util::RecordCursor cursor(*bytes);
-  util::RecordView record;
-  bool first = true;
-  while (cursor.Next(&record)) {
-    if (first && file->name.rfind("wal-", 0) == 0) {
-      // The WAL's first record must be its header; a checkpoint's
-      // structure is enforced by the recovery dry run.
-      if (record.type != static_cast<uint8_t>(WalRecordType::kWalHeader) ||
-          !DecodeWalHeader(record.payload).ok()) {
-        file->verdict = ScrubVerdict::kCorrupt;
-        file->detail = "first record is not a valid WAL header";
-        return;
-      }
-    }
-    first = false;
-    ++file->records;
-  }
-  if (!cursor.status().ok()) {
-    file->verdict = ScrubVerdict::kCorrupt;
-    file->detail = cursor.status().ToString();
-  } else if (cursor.tail_bytes() > 0) {
-    if (torn_tail_legal) {
-      file->verdict = ScrubVerdict::kTornTail;
-      file->detail = std::to_string(cursor.tail_bytes()) +
-                     " torn tail byte(s) past the valid prefix";
-    } else {
-      file->verdict = ScrubVerdict::kCorrupt;
-      file->detail = "truncated mid-record (checkpoints publish atomically)";
-    }
-  }
-}
-
-}  // namespace
-
 util::Status ObjectService::Scrub(const std::string& dir,
                                   ScrubReport* report) {
   *report = ScrubReport();
-  auto names = util::ListDir(dir);
-  if (!names.ok()) return names.status();
-  std::sort(names->begin(), names->end());
-  for (const std::string& name : *names) {
-    ScrubFileReport file;
-    file.name = name;
-    const std::string path = dir + "/" + name;
-    if (auto size = util::FileSize(path); size.ok()) file.bytes = *size;
-    if (name == kManifestFileName) {
-      auto manifest = ReadManifest(dir);
-      if (manifest.ok()) {
-        file.records = 1;
-        file.detail = "generation " + std::to_string(manifest->sequence) +
-                      ", base " + std::to_string(manifest->base_sequence);
-      } else {
-        file.verdict = ScrubVerdict::kCorrupt;
-        file.detail = manifest.status().ToString();
-      }
-    } else if (name.ends_with(".quarantine")) {
-      file.verdict = ScrubVerdict::kQuarantined;
-      file.detail = "failed generation set aside by reattach (not replayed)";
-    } else if (name.ends_with(".tmp")) {
-      file.verdict = ScrubVerdict::kStray;
-      file.detail = "abandoned temp file (an interrupted atomic publish)";
-    } else if (name.rfind("checkpoint-", 0) == 0) {
-      ScrubRecordFile(path, /*torn_tail_legal=*/false, &file);
-    } else if (name.rfind("wal-", 0) == 0 && name.ends_with(".log")) {
-      ScrubRecordFile(path, /*torn_tail_legal=*/true, &file);
-    } else {
-      file.verdict = ScrubVerdict::kStray;
-      file.detail = "not a durability-layer file";
-    }
-    report->files.push_back(std::move(file));
-  }
+  OBJALLOC_RETURN_IF_ERROR(ScrubFiles(dir, report));
   // The semantic pass: would Recover succeed, and what would it do?
   util::Status status = VerifyDurableDir(dir, &report->recovery);
   report->recoverable = status.ok();
@@ -1365,13 +901,21 @@ util::Status ObjectService::Scrub(const std::string& dir,
   return status;
 }
 
-util::Status ObjectService::RestoreFromCheckpointStream(
-    CheckpointReader* reader, RecoveryReport* report) {
+util::Status ObjectService::RestoreSnapshot(CheckpointReader* reader,
+                                            RecoveryReport* report) {
   OBJALLOC_CHECK_EQ(static_cast<size_t>(reader->config().num_shards),
                     shards_.size());
-  if (reader->is_delta()) {
-    return util::Status::Internal(
-        "checkpoint: delta snapshot where a full snapshot was expected");
+  const bool delta = reader->is_delta();
+  // Slots never move and ids never change once assigned, so a snapshot
+  // only ever *extends* each shard's slot span (from 0 for a full one):
+  // the route directory keeps every prior entry and just needs the new
+  // slots folded in afterwards.
+  std::vector<uint32_t> prior_span(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    prior_span[s] = shards_[s].slot_span();
+  }
+  if (delta) {
+    for (ObjectShard& shard : shards_) shard.BeginDeltaRestore();
   }
   ServiceStateImage state;
   bool saw_state = false;
@@ -1389,18 +933,22 @@ util::Status ObjectService::RestoreFromCheckpointStream(
                                     std::to_string(piece.shard) +
                                     " out of range");
     }
+    ObjectShard& shard = shards_[piece.shard];
     OBJALLOC_RETURN_IF_ERROR(
-        shards_[piece.shard].RestoreSnapshotChunk(piece.bytes, piece.last));
+        delta ? shard.RestoreDeltaChunk(piece.bytes, piece.last)
+              : shard.RestoreSnapshotChunk(piece.bytes, piece.last));
   }
   if (!saw_state) {
     return util::Status::Internal("checkpoint: missing service state record");
   }
-  // Rebuild the id → route mirror, verifying the partition while at it: an
-  // id must live in exactly the shard the hash assigns it, or handles and
-  // future AddObject calls would disagree with the restored layout.
+  // Fold the new slots into the route directory, verifying the partition
+  // while at it: an id must live in exactly the shard the hash assigns it,
+  // or admission and future AddObject calls would disagree with the
+  // restored layout.
   route_directory_.Reserve(object_count());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    for (uint32_t slot = 0; slot < shards_[s].slot_span(); ++slot) {
+    for (uint32_t slot = prior_span[s]; slot < shards_[s].slot_span();
+         ++slot) {
       if (slot > route_slot_mask_ ||
           PackRoute(s, slot) >= 0xFFFFFFFEu) [[unlikely]] {
         return util::Status::Internal(
@@ -1415,86 +963,14 @@ util::Status ObjectService::RestoreFromCheckpointStream(
       }
       if (route_directory_.Contains(id)) {
         return util::Status::Internal("checkpoint: object " +
-                                      std::to_string(id) +
-                                      " appears in two shards");
+                                      std::to_string(id) + " appears twice");
       }
       route_directory_.Insert(id, PackRoute(s, slot));
     }
   }
   report->objects_restored = object_count();
-  return RestoreServiceState(state);
-}
-
-util::Status ObjectService::ApplyDeltaCheckpointStream(
-    CheckpointReader* reader, RecoveryReport* report) {
-  OBJALLOC_CHECK_EQ(static_cast<size_t>(reader->config().num_shards),
-                    shards_.size());
-  if (!reader->is_delta()) {
-    return util::Status::Internal(
-        "checkpoint: full snapshot where a delta was expected");
-  }
-  // Slots never move and ids never change once assigned, so applying a
-  // delta only ever *extends* each shard's slot span; the route mirror
-  // built by the base restore stays valid and just needs the new slots
-  // folded in afterwards.
-  std::vector<uint32_t> prior_span(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    prior_span[s] = shards_[s].slot_span();
-  }
-  ServiceStateImage state;
-  bool saw_state = false;
-  std::vector<uint8_t> begun(shards_.size(), 0);
-  CheckpointReader::Piece piece;
-  for (;;) {
-    OBJALLOC_RETURN_IF_ERROR(reader->Next(&piece));
-    if (piece.done) break;
-    if (piece.service_state) {
-      state = std::move(piece.state);
-      saw_state = true;
-      continue;
-    }
-    if (piece.shard >= shards_.size()) {
-      return util::Status::Internal("delta checkpoint: shard index " +
-                                    std::to_string(piece.shard) +
-                                    " out of range");
-    }
-    if (!begun[piece.shard]) {
-      shards_[piece.shard].BeginDeltaRestore();
-      begun[piece.shard] = 1;
-    }
-    OBJALLOC_RETURN_IF_ERROR(
-        shards_[piece.shard].RestoreDeltaChunk(piece.bytes, piece.last));
-  }
-  if (!saw_state) {
-    return util::Status::Internal(
-        "delta checkpoint: missing service state record");
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (uint32_t slot = prior_span[s]; slot < shards_[s].slot_span();
-         ++slot) {
-      if (slot > route_slot_mask_ ||
-          PackRoute(s, slot) >= 0xFFFFFFFEu) [[unlikely]] {
-        return util::Status::Internal(
-            "delta checkpoint: shard " + std::to_string(s) +
-            " exceeds the routable slot space");
-      }
-      const ObjectId id = shards_[s].IdAt(slot);
-      if (ShardOf(id) != s) {
-        return util::Status::Internal("delta checkpoint: object " +
-                                      std::to_string(id) +
-                                      " stored in the wrong shard");
-      }
-      if (route_directory_.Contains(id)) {
-        return util::Status::Internal("delta checkpoint: object " +
-                                      std::to_string(id) +
-                                      " appears twice");
-      }
-      route_directory_.Insert(id, PackRoute(s, slot));
-    }
-  }
-  report->objects_restored = object_count();
-  // The delta's service-state image wins outright: fault state, crash
-  // journal, and injector cursor are small and snapshotted whole in every
+  // The snapshot's service-state image wins outright: fault state, crash
+  // journal and injector cursor are small and snapshotted whole in every
   // generation, full or delta.
   return RestoreServiceState(state);
 }
@@ -1529,21 +1005,13 @@ util::Status ObjectService::ReplayWalBuffer(std::string_view buffer,
   BatchTicket tickets[2];
   int cur = 0;
   std::vector<workload::MultiObjectEvent> pending;
-  auto wait_slot = [&](BatchTicket* ticket) -> util::Status {
-    util::Status status = WaitBatch(ticket);
+  auto submit = [&](std::span<const workload::MultiObjectEvent> events)
+      -> util::Status {
+    OBJALLOC_RETURN_IF_ERROR(WaitBatch(&tickets[cur]));
+    util::Status status = SubmitBatch(events, &results[cur], &tickets[cur]);
     // UNAVAILABLE is a *replayed rejection* — the original run logged the
     // batch because it consumed fault-time windows; the replay consumes
     // the same windows and rejects identically.
-    if (!status.ok() && status.code() != util::StatusCode::kUnavailable) {
-      return util::Status::Internal(
-          name + ": logged batch failed on replay: " + status.ToString());
-    }
-    return util::Status::Ok();
-  };
-  auto submit = [&](std::span<const workload::MultiObjectEvent> events)
-      -> util::Status {
-    OBJALLOC_RETURN_IF_ERROR(wait_slot(&tickets[cur]));
-    util::Status status = SubmitBatch(events, &results[cur], &tickets[cur]);
     if (!status.ok() && status.code() != util::StatusCode::kUnavailable) {
       return util::Status::Internal(
           name + ": logged batch failed on replay: " + status.ToString());
@@ -1584,18 +1052,16 @@ util::Status ObjectService::ReplayWalBuffer(std::string_view buffer,
     if (type != WalRecordType::kBatch) {
       OBJALLOC_RETURN_IF_ERROR(flush_pending());
     }
+    // The logged operation passed validation on the original run, so a
+    // failure to apply it now is corruption.
+    util::Status applied = util::Status::Ok();
     switch (type) {
       case WalRecordType::kWalHeader:
         return util::Status::Internal(name + ": duplicate header record");
       case WalRecordType::kAddObject: {
         auto decoded = DecodeAddObject(record.payload);
         if (!decoded.ok()) return decoded.status();
-        util::Status status = AddObject(decoded->id, decoded->config);
-        if (!status.ok()) {
-          return util::Status::Internal(
-              name + ": logged registration failed on replay: " +
-              status.ToString());
-        }
+        applied = AddObject(decoded->id, decoded->config);
         break;
       }
       case WalRecordType::kBatch: {
@@ -1620,13 +1086,7 @@ util::Status ObjectService::ReplayWalBuffer(std::string_view buffer,
       case WalRecordType::kEnableFaults: {
         auto decoded = DecodeEnableFaults(record.payload);
         if (!decoded.ok()) return decoded.status();
-        util::Status status =
-            EnableFaults(decoded->options, std::move(decoded->schedule));
-        if (!status.ok()) {
-          return util::Status::Internal(
-              name + ": logged EnableFaults failed on replay: " +
-              status.ToString());
-        }
+        applied = EnableFaults(decoded->options, std::move(decoded->schedule));
         break;
       }
       case WalRecordType::kDisableFaults:
@@ -1636,14 +1096,8 @@ util::Status ObjectService::ReplayWalBuffer(std::string_view buffer,
       case WalRecordType::kRecover: {
         auto processor = DecodeProcessor(record.payload);
         if (!processor.ok()) return processor.status();
-        util::Status status = type == WalRecordType::kCrash
-                                  ? Crash(*processor)
-                                  : Recover(*processor);
-        if (!status.ok()) {
-          return util::Status::Internal(
-              name + ": logged liveness control failed on replay: " +
-              status.ToString());
-        }
+        applied = type == WalRecordType::kCrash ? Crash(*processor)
+                                                : Recover(*processor);
         break;
       }
       case WalRecordType::kRepairDegraded:
@@ -1652,6 +1106,11 @@ util::Status ObjectService::ReplayWalBuffer(std::string_view buffer,
       default:
         return util::Status::Internal(name + ": unknown record type " +
                                       std::to_string(record.type));
+    }
+    if (!applied.ok()) {
+      return util::Status::Internal(name + ": logged record type " +
+                                    std::to_string(record.type) +
+                                    " failed on replay: " + applied.ToString());
     }
     report->records_replayed += 1;
   }
@@ -1678,12 +1137,9 @@ util::Status ObjectService::ReplayWalBuffer(std::string_view buffer,
   }();
   // The in-flight tail still references the local result slots above —
   // fence the pipeline before they go out of scope, whatever the loop
-  // decided, and surface a serve-side failure the loop didn't see.
-  util::Status tail_a = wait_slot(&tickets[0]);
-  util::Status tail_b = wait_slot(&tickets[1]);
-  OBJALLOC_RETURN_IF_ERROR(replay_status);
-  OBJALLOC_RETURN_IF_ERROR(tail_a);
-  return tail_b;
+  // decided.
+  FenceAsync();
+  return replay_status;
 }
 
 util::StatusOr<ObjectService> ObjectService::RecoverInternal(
@@ -1725,93 +1181,70 @@ util::StatusOr<ObjectService> ObjectService::RecoverInternal(
     if (!fulls.ok()) return fulls.status();
     auto deltas = ListDeltaCheckpointSequences(dir);
     if (!deltas.ok()) return deltas.status();
-    std::vector<uint64_t> merged = std::move(*fulls);
-    merged.insert(merged.end(), deltas->begin(), deltas->end());
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    if (merged.empty()) {
+    candidates = std::move(*fulls);
+    candidates.insert(candidates.end(), deltas->begin(), deltas->end());
+    std::sort(candidates.rbegin(), candidates.rend());  // newest first
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    if (candidates.empty()) {
       return util::Status::NotFound("no durable state in " + dir);
-    }
-    for (auto it = merged.rbegin(); it != merged.rend(); ++it) {
-      candidates.push_back(*it);
     }
     top = candidates.front();
   }
-
-  // Newest full snapshot at or below `g` (0 when none): the bottom of the
-  // delta chain that reconstructs generation `g`'s snapshot.
-  auto resolve_base = [&dir](uint64_t g) -> uint64_t {
-    while (g > 0 && !util::FileExists(dir + "/" + CheckpointFileName(g))) {
-      --g;
-    }
-    return g;
-  };
 
   util::Status last_error =
       util::Status::Internal("no usable checkpoint generation in " + dir);
   for (size_t c = 0; c < candidates.size(); ++c) {
     const uint64_t gen = candidates[c];
-    RecoveryReport attempt;
-    attempt.manifest_sequence = rep.manifest_sequence;
-    attempt.manifest_missing = rep.manifest_missing;
-    attempt.manifest_corrupt = rep.manifest_corrupt;
-    attempt.warnings = rep.warnings;
+    // Only the manifest verdict and the warnings are set so far.
+    RecoveryReport attempt = rep;
     auto attempt_service = [&]() -> util::StatusOr<ObjectService> {
       // Reconstruct generation `gen`'s snapshot: the newest full snapshot
       // at or below it, then the delta chain base+1..gen in order.
-      const uint64_t base = resolve_base(gen);
+      const uint64_t base = DurableLog::NewestFullSnapshot(dir, gen);
       if (base == 0) {
         return util::Status::Internal(
             "no full snapshot at or below generation " + std::to_string(gen));
       }
-      auto reader = CheckpointReader::Open(dir + "/" + CheckpointFileName(base));
-      if (!reader.ok()) return reader.status();
-      if (reader->sequence() != base) {
-        return util::Status::Internal(
-            "checkpoint file names generation " +
-            std::to_string(reader->sequence()) + ", expected " +
-            std::to_string(base));
-      }
-      if (have_manifest) {
-        OBJALLOC_RETURN_IF_ERROR(
-            manifest_config.CheckMatches(reader->config()));
-      }
-      const DurableConfig config = reader->config();
-      ServiceOptions service_options;
-      service_options.num_shards = config.num_shards;
-      auto service =
-          Create(config.num_processors, config.cost_model, service_options);
-      if (!service.ok()) return service.status();
-      OBJALLOC_RETURN_IF_ERROR(
-          service->RestoreFromCheckpointStream(&*reader, &attempt));
-      for (uint64_t g = base + 1; g <= gen; ++g) {
-        auto delta =
-            CheckpointReader::Open(dir + "/" + DeltaCheckpointFileName(g));
-        if (!delta.ok()) return delta.status();
-        if (!delta->is_delta() || delta->sequence() != g ||
-            delta->parent() != g - 1) {
-          return util::Status::Internal(
-              DeltaCheckpointFileName(g) +
-              " does not chain onto generation " + std::to_string(g - 1));
+      util::StatusOr<ObjectService> service{
+          util::Status::Internal("unrestored")};
+      DurableConfig config;
+      for (uint64_t g = base; g <= gen; ++g) {
+        const bool delta = g > base;
+        const std::string name =
+            delta ? DeltaCheckpointFileName(g) : CheckpointFileName(g);
+        auto reader = CheckpointReader::Open(dir + "/" + name);
+        if (!reader.ok()) return reader.status();
+        if (reader->is_delta() != delta || reader->sequence() != g ||
+            (delta && reader->parent() != g - 1)) {
+          return util::Status::Internal(name + " is not the " +
+                                        (delta ? "delta" : "full snapshot") +
+                                        " of generation " + std::to_string(g));
         }
-        OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(delta->config()));
-        OBJALLOC_RETURN_IF_ERROR(
-            service->ApplyDeltaCheckpointStream(&*delta, &attempt));
-        attempt.delta_checkpoints_applied += 1;
+        if (!delta) {
+          config = reader->config();
+          if (have_manifest) {
+            OBJALLOC_RETURN_IF_ERROR(manifest_config.CheckMatches(config));
+          }
+          ServiceOptions service_options;
+          service_options.num_shards = config.num_shards;
+          service =
+              Create(config.num_processors, config.cost_model, service_options);
+          if (!service.ok()) return service.status();
+        }
+        OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(reader->config()));
+        OBJALLOC_RETURN_IF_ERROR(service->RestoreSnapshot(&*reader, &attempt));
       }
+      attempt.delta_checkpoints_applied = gen - base;
       if (!read_only && options.delta_chain_limit > 0) {
         // Arm page tracking *before* the WAL replay below: the next delta
         // must capture every page the replayed tail re-dirties on top of
         // this snapshot.
-        for (auto& shard : service->shards_) {
-          shard.EnableDirtyTracking();
-          shard.ClearDirty();
-        }
+        service->ResetDirtyTracking(true);
       }
       // Replay the WAL chain gen..top; only the final generation may carry
       // a torn tail.
-      size_t final_prefix = 0;
-      bool final_wal_exists = false;
+      std::optional<size_t> final_prefix;  // unset: the final WAL is missing
       for (uint64_t w = gen; w <= top; ++w) {
         auto wal_buffer = util::ReadFileToString(dir + "/" + WalFileName(w));
         if (!wal_buffer.ok()) {
@@ -1831,41 +1264,16 @@ util::StatusOr<ObjectService> ObjectService::RecoverInternal(
             *wal_buffer, w, config, /*is_last=*/w == top,
             options.replay_batch_events, &attempt, &prefix));
         attempt.wal_files_replayed += 1;
-        if (w == top) {
-          final_prefix = prefix;
-          final_wal_exists = true;
-        }
+        if (w == top) final_prefix = prefix;
       }
       if (!read_only) {
-        // Arm durability on generation `top`, physically truncating the
-        // torn tail (if any) so appending resumes at the last good record.
-        auto d = std::make_unique<Durability>();
-        d->dir = dir;
-        d->options = options;
-        d->config = config;
-        d->sequence = top;
-        // Force the next checkpoint to be full, whatever the chain policy:
-        // if this attempt fell back past a broken snapshot, chaining a
-        // delta onto the damaged generation would leave it load-bearing.
-        d->base_sequence = base;
-        d->delta_chain_length = options.delta_chain_limit;
-        auto wal = final_wal_exists
-                       ? WalWriter::Reopen(dir + "/" + WalFileName(top),
-                                           final_prefix)
-                       : WalWriter::Create(dir + "/" + WalFileName(top), top,
-                                           config);
-        if (!wal.ok()) return wal.status();
-        d->wal = std::make_unique<AsyncWalWriter>();
-        OBJALLOC_RETURN_IF_ERROR(
-            d->wal->Attach(std::move(*wal), AsyncWalOptionsFrom(options)));
-        d->events_since_checkpoint = attempt.events_replayed;
-        service->durability_ = std::move(d);
-        if (!have_manifest) {
-          // Republish the commit point the next recovery will need.
-          const uint64_t top_base = resolve_base(top);
-          OBJALLOC_RETURN_IF_ERROR(WriteManifest(
-              dir, Manifest{top, top_base == 0 ? top : top_base, config}));
-        }
+        // Arm durability on generation `top`, appending after its last
+        // good record.
+        auto log = DurableLog::Resume(dir, options, config, top, final_prefix,
+                                      attempt.events_replayed,
+                                      /*republish_manifest=*/!have_manifest);
+        if (!log.ok()) return log.status();
+        service->durability_ = std::move(*log);
       }
       return service;
     }();

@@ -76,48 +76,36 @@
 // RepairDegraded. The zero-fault chaos path is bit-identical to the plain
 // engine; the plain path pays one predicted-not-taken branch per batch.
 //
-// Durability (DESIGN.md §10, §13): EnableDurability attaches a write-ahead
-// log and checkpoint directory. Because serving is a pure function of
-// admission order, the WAL records *inputs* — one record per admitted
-// batch, registration, or fault-control call, appended before the operation
-// mutates shard state — and recovery (ObjectService::Recover) loads the
-// newest valid snapshot, replays the WAL tail through the very same
-// SubmitBatch core, truncates a torn final record, and reproduces
+// Durability (DESIGN.md §10, §13, §14): EnableDurability attaches a
+// write-ahead log and checkpoint directory. Because serving is a pure
+// function of admission order, the WAL records *inputs* — one record per
+// admitted batch, registration, or fault-control call, appended before the
+// operation mutates shard state — and recovery (ObjectService::Recover)
+// loads the newest valid snapshot, replays the WAL tail through the very
+// same SubmitBatch core, truncates a torn final record, and reproduces
 // bit-identical state (scheme CRCs and cost fingerprints — asserted by
-// tests/durability_test.cc).
+// tests/durability_test.cc). Logging is asynchronous group commit
+// (core/wal_writer.h); with sync_every_batch the service waits for each
+// batch's record to be durable before any of its effects externalize,
+// otherwise a crash may lose the un-synced suffix — never consistency,
+// since the on-disk log is always a record-aligned prefix of the admitted
+// history. A corrupt snapshot falls back to the previous generation, and
+// replay coalesces consecutive logged batches into super-batches
+// pipelined across the shard executor (replay_batch_events),
+// bit-identical to serial replay outside fault mode. Scrub() is the
+// offline fsck: per-file CRC verdicts plus a recovery dry run.
 //
-// Logging is asynchronous (core/wal_writer.h): the serve path appends the
-// encoded record to an in-memory buffer and keeps computing; a dedicated
-// log thread group-commits sealed buffers — one write + one sync covers
-// every record since the previous sync, bounded by the group_commit_*
-// knobs. With sync_every_batch the service waits for the batch's LSN to be
-// durable before any of its effects externalize (memory and disk never
-// diverge); by default results are released immediately and a crash may
-// lose the un-synced suffix — never consistency, since the on-disk log is
-// always a record-aligned prefix of the admitted history.
-//
-// Checkpoint() rotates generations: flush the WAL, write a snapshot
-// atomically — full, or (delta_chain_limit > 0) a *delta* holding only the
-// slab pages dirtied since the previous checkpoint, chained onto the last
-// full snapshot — open the next WAL, publish the manifest, GC old
-// generations. A corrupt snapshot degrades gracefully to the previous
-// generation (two WALs replayed instead of one); a corrupt manifest falls
-// back to full snapshots only. Replay coalesces consecutive logged batches
-// into super-batches pipelined across the shard executor
-// (replay_batch_events), bit-identical to serial replay because batch
-// boundaries are invisible to the engine outside fault mode. With
-// durability off the hot path pays one predicted-not-taken branch per
-// batch — the zero-allocation and golden-fingerprint contracts are
-// unchanged.
-//
-// Disk-failure policy (DESIGN.md §14): transient IO errors are retried
-// with bounded exponential backoff (WAL groups roll back to the group
-// boundary and rewrite; checkpoint/manifest writes rerun); a persistent
-// failure degrades durability — DurabilityState::kDegraded — instead of
-// stopping the service: serving continues undurably, the directory stays a
-// consistent prefix, and ReattachDurability() heals with a fresh
-// checkpoint + WAL generation once the disk recovers. Scrub() is the
-// offline fsck: per-file CRC-walk verdicts plus a recovery dry run.
+// The generation protocol — file names, manifest, WAL attach and rotation,
+// quarantine, GC, retry, the kDegraded transition and its counters — lives
+// in core/durable_log.h. EnableDurability, Checkpoint and
+// ReattachDurability all commit a generation through its one routine and
+// differ only in failure policy; the engine contributes one snapshot
+// writer (full or delta: every slot, or the slab pages dirtied since the
+// last commit) and one restore loop for both. A persistent IO failure
+// degrades durability instead of stopping the service, and
+// ReattachDurability() heals it once the disk recovers. With durability
+// off the hot path pays one predicted-not-taken branch per batch — the
+// zero-allocation and golden-fingerprint contracts are unchanged.
 
 #ifndef OBJALLOC_CORE_OBJECT_SERVICE_H_
 #define OBJALLOC_CORE_OBJECT_SERVICE_H_
@@ -128,11 +116,11 @@
 #include <vector>
 
 #include "objalloc/core/checkpoint.h"
+#include "objalloc/core/durable_log.h"
 #include "objalloc/core/fault_injector.h"
 #include "objalloc/core/object_shard.h"
 #include "objalloc/core/shard_executor.h"
 #include "objalloc/core/wal.h"
-#include "objalloc/core/wal_writer.h"
 #include "objalloc/util/flat_directory.h"
 #include "objalloc/workload/event_source.h"
 #include "objalloc/workload/multi_object.h"
@@ -184,20 +172,6 @@ struct StreamResult {
   int64_t unavailable = 0;  // fault mode: events refused (issuer crashed)
 };
 
-// Durability health of a service (DESIGN.md §14).
-//   kDetached  durability was never enabled (or was cleanly disabled).
-//   kDurable   every admitted operation is being logged; recovery
-//              reproduces the full history.
-//   kDegraded  a persistent IO failure stopped logging. The service keeps
-//              serving correctly in memory; the durable directory is frozen
-//              as a consistent prefix of history. ReattachDurability()
-//              heals the state with a fresh checkpoint + WAL generation.
-enum class DurabilityState : uint8_t {
-  kDetached = 0,
-  kDurable = 1,
-  kDegraded = 2,
-};
-
 // Live load signals (DESIGN.md §15), readable WITHOUT fencing the
 // pipeline: relaxed counter snapshots from the shard executor and the
 // async WAL writer. This is the backpressure surface a serving front-end
@@ -246,7 +220,7 @@ struct ServiceStats {
   WalCommitStats commit;
 };
 
-class ObjectService {
+class ObjectService : private DurableEngine {
  public:
   static constexpr size_t kDefaultBatchSize = 4096;
 
@@ -261,7 +235,7 @@ class ObjectService {
       const ServiceOptions& options = {});
 
   // Registers an object with its home shard. Same validation as
-  // ObjectManager::AddObject.
+  // ObjectManager::AddObject: only the paper's SA and DA are served.
   util::Status AddObject(ObjectId id, const ObjectConfig& config);
 
   // Pre-sizes every table a registration burst touches — the service route
@@ -271,8 +245,8 @@ class ObjectService {
   void ReserveObjects(size_t expected_total);
 
   // Total heap footprint of the serving state: route directory buckets,
-  // shard slab pages, fallback side tables, and batch scratch. Excludes
-  // durability buffers (bounded, not per-object).
+  // shard slab pages, and batch scratch. Excludes durability buffers
+  // (bounded, not per-object).
   size_t MemoryUsageBytes() const;
 
   bool HasObject(ObjectId id) const;
@@ -342,8 +316,7 @@ class ObjectService {
   // under `options` (validated against the processor count) and the
   // scripted `schedule` (sorted, in-range — the service-side twin of a
   // sim::FailurePlan). The live set resets to all-live and fault time and
-  // stats restart. FailedPrecondition if any registered object uses a
-  // non-inlined algorithm kind (no defined failure semantics).
+  // stats restart.
   util::Status EnableFaults(const FaultInjectorOptions& options,
                             FaultSchedule schedule = {});
 
@@ -386,16 +359,15 @@ class ObjectService {
   // the current state (an empty service or one mid-life — both work) plus a
   // fresh WAL. Durable files of a previous incarnation in `dir` are removed
   // — this call *starts* a durable history; Recover *continues* one.
-  // FailedPrecondition while a non-inlined (kAdaptive) object is registered:
-  // its opaque algorithm state cannot be snapshotted.
   //
   // IO failure policy (DESIGN.md §14): transient failures (EIO class) are
-  // retried with exponential backoff under DurabilityOptions::retry. A
-  // persistent failure (or retry exhaustion) does NOT stop the service:
-  // durability degrades to DurabilityState::kDegraded — the service keeps
-  // serving correctly in memory, the durable directory freezes as a
-  // consistent prefix of history, and SyncDurable/Checkpoint/Stats report
-  // the original error until ReattachDurability() heals it.
+  // retried with exponential backoff under DurabilityOptions::retry. Here a
+  // persistent failure is a clean error (durability never armed, the
+  // orphaned generation-1 files removed); once armed, one does NOT stop
+  // the service: durability degrades to DurabilityState::kDegraded — the
+  // service keeps serving correctly in memory, the durable directory
+  // freezes as a consistent prefix of history, and SyncDurable/Checkpoint/
+  // Stats report the original error until ReattachDurability() heals it.
   util::Status EnableDurability(const std::string& dir,
                                 const DurabilityOptions& options = {});
 
@@ -408,16 +380,15 @@ class ObjectService {
   // returns false here but durability_state() == kDegraded distinguishes it
   // from a service that never enabled durability.
   bool durability_enabled() const {
-    return durability_ != nullptr &&
-           durability_->state == DurabilityState::kDurable;
+    return durability_state() == DurabilityState::kDurable;
   }
   DurabilityState durability_state() const {
     return durability_ == nullptr ? DurabilityState::kDetached
-                                  : durability_->state;
+                                  : durability_->state();
   }
   // The failure that degraded durability; Ok in every other state.
   util::Status durability_error() const {
-    return durability_ != nullptr ? durability_->degraded_error
+    return durability_ != nullptr ? durability_->degraded_error()
                                   : util::Status::Ok();
   }
 
@@ -443,9 +414,10 @@ class ObjectService {
   // writer's stats mutex.
   ServiceLoad Load() const;
 
-  // Rotates the durable generation: syncs the current WAL, writes a full
-  // snapshot atomically, opens the next WAL, publishes the manifest, and
-  // garbage-collects generations beyond DurabilityOptions::keep_generations.
+  // Rotates the durable generation: syncs the current WAL, writes a
+  // snapshot atomically (a delta while the chain has room, else full),
+  // opens the next WAL, publishes the manifest, and garbage-collects
+  // generations beyond DurabilityOptions::keep_generations.
   // A crash at *any* point in this sequence recovers consistently (the
   // manifest is the atomic commit point). FailedPrecondition when
   // durability is off.
@@ -502,85 +474,35 @@ class ObjectService {
  private:
   size_t ShardOf(ObjectId id) const;
 
-  // Durability state (null when detached — the plain hot path pays one
-  // predicted branch per batch and never touches it). Survives IO failure:
-  // a persistent error flips `state` to kDegraded and the struct stays
-  // alive holding the error, the counters, and everything a reattach needs.
-  struct Durability {
-    std::string dir;
-    DurabilityOptions options;
-    DurableConfig config;
-    uint64_t sequence = 0;       // current generation
-    uint64_t base_sequence = 0;  // newest full snapshot generation
-    size_t delta_chain_length = 0;  // deltas since that full snapshot
-    // The async group-commit writer (unique_ptr: it owns a thread and is
-    // not movable). While degraded the writer is detached (log thread
-    // joined) but kept for its final Stats until reattach folds them in.
-    std::unique_ptr<AsyncWalWriter> wal;
-    size_t events_since_checkpoint = 0;
-
-    DurabilityState state = DurabilityState::kDurable;
-    util::Status degraded_error;  // the failure that degraded; Ok if kDurable
-    uint64_t checkpoint_retries = 0;
-    uint64_t degraded_batches = 0;
-    uint64_t reattach_count = 0;
-    // write_retries of writers already detached (folded in at reattach).
-    uint64_t wal_retries_detached = 0;
-  };
-
-  // Appends one admitted batch to the async WAL. With sync_every_batch the
-  // call waits for the record's LSN to be durable. A detected persistent
-  // failure (the async writer retried and gave up) *degrades* durability
-  // instead of failing the batch: the service enters
-  // DurabilityState::kDegraded, stops logging, and keeps serving — the
-  // batch proceeds, counted in degraded_batches. In the default mode an
-  // I/O error is asynchronous — it surfaces (and degrades) on a later
-  // logging call, sync, or checkpoint; the on-disk log is always a
-  // consistent prefix.
-  util::Status LogBatch(std::span<const workload::MultiObjectEvent> events);
-
-  // Appends a non-batch operation record; a persistent failure degrades
-  // durability (the operation still applies in memory and is captured by
-  // the next reattach checkpoint).
-  util::Status LogOp(WalRecordType type, std::string_view payload);
-
-  // Transition into kDegraded holding `status` (first failure wins — if
-  // already degraded the stored error is returned unchanged): detaches the
-  // async writer's log thread and stops all logging until reattach.
-  util::Status EnterDegraded(util::Status status);
-
   // Post-batch durability hook: auto-checkpoint when the configured event
-  // interval has elapsed. Inline no-op when durability is off.
-  util::Status FinishBatch() {
-    if (durability_ != nullptr) [[unlikely]] return FinishBatchDurable();
-    return util::Status::Ok();
+  // interval has elapsed. Inline no-op when durability is off. A failing
+  // auto-checkpoint degrades durability, never the batch that triggered
+  // it; the degradation is reported through Stats and the next explicit
+  // durability call.
+  void FinishBatch() {
+    if (durability_ != nullptr && durability_->CheckpointDue()) [[unlikely]] {
+      (void)Checkpoint();
+    }
   }
-  util::Status FinishBatchDurable();
 
-  // Streams the full service state into the checkpoint file for `sequence`
-  // (temp file + atomic publish): shard slot pages flow through bounded
-  // chunk records, so peak memory is O(chunk) however many objects live.
-  util::Status WriteCheckpointFile(const std::string& path,
-                                   uint64_t sequence) const;
-  // Streams a delta snapshot: per shard, only the slot ranges whose slab
-  // pages were dirtied since the last checkpoint (plus the footer, which
-  // always travels whole). Requires armed dirty tracking.
-  util::Status WriteDeltaCheckpointFile(const std::string& path,
-                                        uint64_t sequence) const;
+  // DurableEngine: streams the shards and the service state into a
+  // snapshot — per shard a header, bounded slot ranges ([0, span) for a
+  // full snapshot, the dirty pages for a delta) and the footer — so peak
+  // memory is O(chunk) however many objects live.
+  util::Status WriteSnapshot(CheckpointWriter* writer,
+                             bool delta) const override;
+  void ResetDirtyTracking(bool track) override;
+
   ServiceStateImage CaptureServiceState() const;
   util::Status RestoreServiceState(const ServiceStateImage& image);
 
-  // Restores shards + route directory + service state from an opened
-  // checkpoint stream; the service must be freshly constructed with the
-  // matching config.
-  util::Status RestoreFromCheckpointStream(CheckpointReader* reader,
-                                           RecoveryReport* report);
-
-  // Applies one delta snapshot stream on top of the current state (the
-  // chain walks base+1..g in order), folding new slots into the route
-  // directory and replacing the service state with the delta's image.
-  util::Status ApplyDeltaCheckpointStream(CheckpointReader* reader,
-                                          RecoveryReport* report);
+  // Restores one snapshot stream on top of the current state — a full
+  // snapshot into a freshly constructed service with the matching config,
+  // or a delta on top of its chain predecessor (base+1..g in order) —
+  // folding the slots beyond each shard's prior span into the route
+  // directory and replacing the service state with the snapshot's image.
+  util::Status RestoreSnapshot(CheckpointReader* reader,
+                               RecoveryReport* report);
 
   // Replays one WAL generation buffer into this service. `is_last` permits
   // (and accounts) a torn tail; earlier generations must end cleanly.
@@ -698,7 +620,10 @@ class ObjectService {
   std::vector<FaultEvent> fault_buffer_;
   std::vector<ProcessorSet> live_masks_;  // per event: live set
 
-  std::unique_ptr<Durability> durability_;
+  // Null when detached — the plain hot path pays one predicted branch per
+  // batch and never touches it. Survives IO failure: a persistent error
+  // degrades the log, which stays alive holding the error and counters.
+  std::unique_ptr<DurableLog> durability_;
 
   // One in-flight SubmitBatch per executor pipeline context: the caller's
   // result to finalize into and the sequence its ticket names (so a stale

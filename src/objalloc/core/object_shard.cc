@@ -61,6 +61,10 @@ ObjectShard::ObjectShard(int num_processors,
 
 util::Status ObjectShard::ValidateConfig(const ObjectConfig& config,
                                          int num_processors) {
+  if (!IsInlinableKind(config.algorithm)) {
+    return util::Status::InvalidArgument(
+        "the engine serves only static and dynamic allocation");
+  }
   if (config.initial_scheme.Empty() ||
       !config.initial_scheme.IsSubsetOf(
           ProcessorSet::FirstN(num_processors))) {
@@ -93,8 +97,6 @@ size_t ObjectShard::MemoryUsageBytes() const {
   bytes += free_slots_.capacity() * sizeof(uint32_t);
   bytes += cost_table_.capacity() * sizeof(CostEntry);
   bytes += directory_.MemoryUsageBytes();
-  bytes += fallback_index_.MemoryUsageBytes();
-  bytes += fallbacks_.capacity() * sizeof(fallbacks_[0]);
   bytes += degraded_.MemoryUsageBytes();
   bytes += degraded_list_.capacity() * sizeof(uint32_t);
   bytes += dirty_words_.capacity() * sizeof(uint64_t);
@@ -133,22 +135,10 @@ util::StatusOr<uint32_t> ObjectShard::AddObject(ObjectId id,
   record.id = id;
   record.scheme_mask = config.initial_scheme.mask();
   int32_t p = -1;
-  switch (config.algorithm) {
-    case AlgorithmKind::kStatic:
-      break;
-    case AlgorithmKind::kDynamic: {
-      ProcessorSet f;
-      DynamicAllocation::SplitScheme(config.initial_scheme, &f, &p);
-      record.f_mask = f.mask();
-      break;
-    }
-    default: {
-      auto fallback = CreateAlgorithm(config.algorithm, cost_model_);
-      fallback->Reset(num_processors_, config.initial_scheme);
-      fallback_index_.Insert(slot, static_cast<uint32_t>(fallbacks_.size()));
-      fallbacks_.push_back(std::move(fallback));
-      break;
-    }
+  if (config.algorithm == AlgorithmKind::kDynamic) {
+    ProcessorSet f;
+    DynamicAllocation::SplitScheme(config.initial_scheme, &f, &p);
+    record.f_mask = f.mask();
   }
   record.meta = SlotRecord::PackMeta(config.algorithm,
                                      config.initial_scheme.Size(), p,
@@ -166,81 +156,60 @@ double ObjectShard::ServeSlot(uint32_t slot, const Request& request,
   double cost;
   const AlgorithmKind kind = record.kind();
   const int32_t t = record.t();
-  switch (kind) {
-    case AlgorithmKind::kStatic: {
-      // StaticAllocation::Decide specialized per branch: the scheme never
-      // changes, so the breakdown is a pure function of membership.
-      const CostEntry& costs = CostsFor(kind, t);
-      const ProcessorSet scheme(record.scheme_mask);
-      if (request.is_read()) {
-        if (scheme.Contains(i)) {
-          breakdown.io_ops = 1;
-          cost = costs.read_local;
-        } else {
-          breakdown.control_messages = 1;
-          breakdown.data_messages = 1;
-          breakdown.io_ops = 1;
-          cost = costs.read_remote;
-        }
+  const CostEntry& costs = CostsFor(kind, t);
+  if (kind == AlgorithmKind::kStatic) {
+    // StaticAllocation::Decide specialized per branch: the scheme never
+    // changes, so the breakdown is a pure function of membership.
+    const ProcessorSet scheme(record.scheme_mask);
+    if (request.is_read()) {
+      if (scheme.Contains(i)) {
+        breakdown.io_ops = 1;
+        cost = costs.read_local;
       } else {
-        // X == Q: no invalidations, |Q \ {i}| transfers, |Q| outputs.
-        const bool member = scheme.Contains(i);
-        breakdown.data_messages = t - (member ? 1 : 0);
-        breakdown.io_ops = t;
-        cost = member ? costs.write_a : costs.write_b;
+        breakdown.control_messages = 1;
+        breakdown.data_messages = 1;
+        breakdown.io_ops = 1;
+        cost = costs.read_remote;
       }
-      break;
+    } else {
+      // X == Q: no invalidations, |Q \ {i}| transfers, |Q| outputs.
+      const bool member = scheme.Contains(i);
+      breakdown.data_messages = t - (member ? 1 : 0);
+      breakdown.io_ops = t;
+      cost = member ? costs.write_a : costs.write_b;
     }
-    case AlgorithmKind::kDynamic: {
-      const CostEntry& costs = CostsFor(kind, t);
-      ProcessorSet scheme(record.scheme_mask);
-      if (request.is_read()) {
-        if (scheme.Contains(i)) {
-          breakdown.io_ops = 1;
-          cost = costs.read_local;
-        } else {
-          // Saving-read via the round-robin F member: one request, one
-          // transfer, one input at the server plus the saving output at i.
-          // Which F member serves is invisible to cost and scheme, but the
-          // round-robin index is kept in lockstep with the reference class.
-          const uint32_t f_size = static_cast<uint32_t>(t - 1);
-          record.set_next_f((record.next_f() + 1) % f_size);
-          scheme.Insert(i);
-          record.scheme_mask = scheme.mask();
-          breakdown.control_messages = 1;
-          breakdown.data_messages = 1;
-          breakdown.io_ops = 2;
-          cost = costs.read_remote;
-        }
+  } else {
+    ProcessorSet scheme(record.scheme_mask);
+    if (request.is_read()) {
+      if (scheme.Contains(i)) {
+        breakdown.io_ops = 1;
+        cost = costs.read_local;
       } else {
-        const ProcessorSet x = DynamicAllocation::WriteSet(
-            ProcessorSet(record.f_mask), record.p(), i);
-        // Invalidations reach the stale copies other than the writer's own.
-        const int64_t control = scheme.Minus(x).WithErased(i).Size();
-        breakdown.control_messages = control;
-        breakdown.data_messages = t - 1;
-        breakdown.io_ops = t;
-        cost = (static_cast<double>(control) * cost_model_.control +
-                costs.write_a) +
-               costs.write_b;
-        record.scheme_mask = x.mask();
+        // Saving-read via the round-robin F member: one request, one
+        // transfer, one input at the server plus the saving output at i.
+        // Which F member serves is invisible to cost and scheme, but the
+        // round-robin index is kept in lockstep with the reference class.
+        const uint32_t f_size = static_cast<uint32_t>(t - 1);
+        record.set_next_f((record.next_f() + 1) % f_size);
+        scheme.Insert(i);
+        record.scheme_mask = scheme.mask();
+        breakdown.control_messages = 1;
+        breakdown.data_messages = 1;
+        breakdown.io_ops = 2;
+        cost = costs.read_remote;
       }
-      break;
-    }
-    default: {
-      // Virtual fallback for the non-inlined kinds.
-      Decision decision = FallbackAt(slot)->Step(request);
-      model::AllocatedRequest entry{request, decision.execution_set,
-                                    request.is_read() && decision.saving};
-      ProcessorSet scheme(record.scheme_mask);
-      breakdown = model::RequestBreakdown(entry, scheme);
-      scheme = model::NextScheme(scheme, entry);
-      OBJALLOC_CHECK_GE(scheme.Size(), t)
-          << "algorithm violated the availability threshold of object "
-          << record.id;
-      record.scheme_mask = scheme.mask();
-      cost = breakdown.Cost(cost_model_);
-      break;
+    } else {
+      const ProcessorSet x = DynamicAllocation::WriteSet(
+          ProcessorSet(record.f_mask), record.p(), i);
+      // Invalidations reach the stale copies other than the writer's own.
+      const int64_t control = scheme.Minus(x).WithErased(i).Size();
+      breakdown.control_messages = control;
+      breakdown.data_messages = t - 1;
+      breakdown.io_ops = t;
+      cost = (static_cast<double>(control) * cost_model_.control +
+              costs.write_a) +
+             costs.write_b;
+      record.scheme_mask = x.mask();
     }
   }
   record.requests += 1;
@@ -380,80 +349,71 @@ double ObjectShard::ServeSlotFaulty(uint32_t slot, const Request& request,
     RepairScheme(&record, slot, live, event_index, injector, &ordinal,
                  &breakdown, stats);
   }
-  switch (kind) {
-    case AlgorithmKind::kStatic: {
-      const ProcessorSet scheme(record.scheme_mask);
-      if (request.is_read()) {
-        if (scheme.Contains(i)) {
-          breakdown.io_ops += 1;
-        } else {
-          ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
-                         &breakdown, stats);
-          ChargeMessages(/*control=*/false, 1, event_index, injector,
-                         &ordinal, &breakdown, stats);
-          breakdown.io_ops += 1;
-        }
+  if (kind == AlgorithmKind::kStatic) {
+    const ProcessorSet scheme(record.scheme_mask);
+    if (request.is_read()) {
+      if (scheme.Contains(i)) {
+        breakdown.io_ops += 1;
       } else {
-        // X = the (live) scheme: the lazy scrub evicted crashed members and
-        // entry repair restored |Q| = t, so the full-replication write rule
-        // is unchanged — only its transmissions can be lost.
-        const bool member = scheme.Contains(i);
-        const int64_t copies = scheme.Size();
-        ChargeMessages(/*control=*/false, copies - (member ? 1 : 0),
-                       event_index, injector, &ordinal, &breakdown, stats);
-        breakdown.io_ops += copies;
-      }
-      break;
-    }
-    case AlgorithmKind::kDynamic: {
-      if (request.is_read()) {
-        ProcessorSet scheme(record.scheme_mask);
-        if (scheme.Contains(i)) {
-          breakdown.io_ops += 1;
-        } else {
-          // Saving-read, as in ServeSlot; the serving F member is live by
-          // the scheme ⊆ live invariant.
-          const uint32_t f_size = static_cast<uint32_t>(t - 1);
-          record.set_next_f((record.next_f() + 1) % f_size);
-          scheme.Insert(i);
-          record.scheme_mask = scheme.mask();
-          ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
-                         &breakdown, stats);
-          ChargeMessages(/*control=*/false, 1, event_index, injector,
-                         &ordinal, &breakdown, stats);
-          breakdown.io_ops += 2;
-        }
-      } else {
-        // The rule's execution set intersected with the live world: the
-        // floating processor p is not part of the scheme between writes, so
-        // it can be dead without a preceding scrub — drop it here.
-        const ProcessorSet scheme(record.scheme_mask);
-        const ProcessorSet x =
-            DynamicAllocation::WriteSet(ProcessorSet(record.f_mask),
-                                        record.p(), i)
-                .Intersect(live);
-        const int64_t control = scheme.Minus(x).WithErased(i).Size();
-        ChargeMessages(/*control=*/true, control, event_index, injector,
-                       &ordinal, &breakdown, stats);
-        ChargeMessages(/*control=*/false,
-                       static_cast<int64_t>(x.WithErased(i).Size()),
-                       event_index, injector, &ordinal, &breakdown, stats);
-        breakdown.io_ops += x.Size();
-        record.scheme_mask = x.mask();
-        // Exit repair: the write itself may have shrunk the scheme below t
-        // (dead floating processor). Re-replicate before the event ends so
-        // the invariant holds at every event boundary.
-        if (static_cast<int32_t>(x.Size()) < t) [[unlikely]] {
-          RepairScheme(&record, slot, live, event_index, injector, &ordinal,
+        ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
                        &breakdown, stats);
-        }
+        ChargeMessages(/*control=*/false, 1, event_index, injector,
+                       &ordinal, &breakdown, stats);
+        breakdown.io_ops += 1;
       }
-      break;
+    } else {
+      // X = the (live) scheme: the lazy scrub evicted crashed members and
+      // entry repair restored |Q| = t, so the full-replication write rule
+      // is unchanged — only its transmissions can be lost.
+      const bool member = scheme.Contains(i);
+      const int64_t copies = scheme.Size();
+      ChargeMessages(/*control=*/false, copies - (member ? 1 : 0),
+                     event_index, injector, &ordinal, &breakdown, stats);
+      breakdown.io_ops += copies;
     }
-    default:
-      OBJALLOC_CHECK(false)
-          << "fault injection supports only inlined algorithm kinds (object "
-          << record.id << ")";
+  } else {
+    if (request.is_read()) {
+      ProcessorSet scheme(record.scheme_mask);
+      if (scheme.Contains(i)) {
+        breakdown.io_ops += 1;
+      } else {
+        // Saving-read, as in ServeSlot; the serving F member is live by
+        // the scheme ⊆ live invariant.
+        const uint32_t f_size = static_cast<uint32_t>(t - 1);
+        record.set_next_f((record.next_f() + 1) % f_size);
+        scheme.Insert(i);
+        record.scheme_mask = scheme.mask();
+        ChargeMessages(/*control=*/true, 1, event_index, injector, &ordinal,
+                       &breakdown, stats);
+        ChargeMessages(/*control=*/false, 1, event_index, injector,
+                       &ordinal, &breakdown, stats);
+        breakdown.io_ops += 2;
+      }
+    } else {
+      // The rule's execution set intersected with the live world: the
+      // floating processor p is not part of the scheme between writes, so
+      // it can be dead without a preceding scrub — drop it here.
+      const ProcessorSet scheme(record.scheme_mask);
+      const ProcessorSet x =
+          DynamicAllocation::WriteSet(ProcessorSet(record.f_mask),
+                                      record.p(), i)
+              .Intersect(live);
+      const int64_t control = scheme.Minus(x).WithErased(i).Size();
+      ChargeMessages(/*control=*/true, control, event_index, injector,
+                     &ordinal, &breakdown, stats);
+      ChargeMessages(/*control=*/false,
+                     static_cast<int64_t>(x.WithErased(i).Size()),
+                     event_index, injector, &ordinal, &breakdown, stats);
+      breakdown.io_ops += x.Size();
+      record.scheme_mask = x.mask();
+      // Exit repair: the write itself may have shrunk the scheme below t
+      // (dead floating processor). Re-replicate before the event ends so
+      // the invariant holds at every event boundary.
+      if (static_cast<int32_t>(x.Size()) < t) [[unlikely]] {
+        RepairScheme(&record, slot, live, event_index, injector, &ordinal,
+                     &breakdown, stats);
+      }
+    }
   }
   if (check_invariant) {
     const util::Status avail = model::CheckSchemeAvailable(

@@ -25,11 +25,10 @@
 //     per-shard table of ≤ 3×65 entries, folded at construction in the
 //     *same association order* as before — (ctrl*cc + cd-term) + cio-term —
 //     so the factoring-out cannot perturb a single result bit.
-//   * The common algorithms (SA, DA) dispatch by a switch on the packed
-//     tag — no heap indirection, no virtual Step() call. The
-//     std::unique_ptr<DomAlgorithm> virtual path remains only as the
-//     fallback for the non-inlined kinds (kAdaptive) and lives on a side
-//     table keyed by slot, so the dense common case pays it nothing.
+//   * The engine serves the paper's two algorithms, SA and DA, and
+//     dispatches on the packed tag — no heap indirection, no virtual
+//     Step() call. Registration rejects every other AlgorithmKind; those
+//     run through the DomAlgorithm interface directly (core/runner.h).
 //   * The id → slot directory is optional: the ObjectService routes through
 //     its own global id → (shard, slot) table, so its shards skip the
 //     per-shard directory entirely (external-directory mode) instead of
@@ -109,8 +108,8 @@ class ObjectShard {
 
   // Registers an object and returns its dense slot. Fails on duplicate ids
   // (internal-directory mode only — an external directory owns that check),
-  // empty or out-of-range schemes, and algorithm/threshold mismatches (DA
-  // needs t >= 2).
+  // empty or out-of-range schemes, algorithms other than SA and DA, and
+  // algorithm/threshold mismatches (DA needs t >= 2).
   util::StatusOr<uint32_t> AddObject(ObjectId id, const ObjectConfig& config);
 
   // The validation half of AddObject, minus the duplicate-id check (that
@@ -131,7 +130,7 @@ class ObjectShard {
   int num_processors() const { return num_processors_; }
 
   // Heap bytes held by the shard: slab pages, directories, degraded
-  // registry, and fallback side table. The per-object cost of the engine is
+  // registry, and dirty bitmap. The per-object cost of the engine is
   // MemoryUsageBytes() / object_count() — bench/footprint_scaling budgets
   // it.
   size_t MemoryUsageBytes() const;
@@ -140,23 +139,17 @@ class ObjectShard {
   // resolve once, then serve through the slot without hashing.
   uint32_t SlotOf(ObjectId id) const { return directory_.Find(id); }
 
-  // Id stored at `slot`; requires slot < slot_span(). Handle validation
-  // cross-checks this against the handle's claimed id.
+  // Id stored at `slot`; requires slot < slot_span(). Restore reads it to
+  // rebuild the owning service's route directory.
   ObjectId IdAt(uint32_t slot) const { return Slot(slot).id; }
 
-  // Availability threshold / algorithm of the object at `slot` (degraded
-  // admission checks |live| >= t per event without re-hashing the id).
+  // Availability threshold of the object at `slot` (degraded admission
+  // checks |live| >= t per event without re-hashing the id).
   int32_t ThresholdAt(uint32_t slot) const { return Slot(slot).t(); }
-  AlgorithmKind KindAt(uint32_t slot) const { return Slot(slot).kind(); }
 
   // One past the highest slot ever allocated (free-list holes included);
   // the iteration bound for slot-addressed walks like the snapshot writer.
   uint32_t slot_span() const { return slot_count_; }
-
-  // True when any registered object runs through the virtual fallback
-  // (kAdaptive): those algorithms have no defined failure semantics, so the
-  // fault layer refuses to engage while one exists.
-  bool HasFallbackObjects() const { return !fallbacks_.empty(); }
 
   // Serves one request against one object, returning the request's cost.
   // Requests against the same object must arrive in stream order.
@@ -319,9 +312,8 @@ class ObjectShard {
   //   bits 18..24  next_f                    (round-robin F index, < t-1)
   //   bits 32..63  crash_log_pos             (applied crash-log prefix)
   //
-  // Cost scalars live in the shard-level (kind, t) table, and the virtual
-  // fallback for non-inlined kinds on a slot-keyed side table, so neither
-  // widens the record.
+  // Cost scalars live in the shard-level (kind, t) table, so they do not
+  // widen the record.
   struct SlotRecord {
     ObjectId id = -1;          // -1 marks a free-listed slot
     uint64_t scheme_mask = 0;  // current allocation scheme
@@ -396,11 +388,6 @@ class ObjectShard {
   // Pops a free-listed slot or appends one, growing the slab by whole
   // pages; never moves existing records.
   uint32_t AllocateSlot();
-
-  // The virtual-fallback algorithm of a non-inlined slot.
-  DomAlgorithm* FallbackAt(uint32_t slot) const {
-    return fallbacks_[fallback_index_.Find(slot)].get();
-  }
 
   // Registers `slot` as degraded (idempotent).
   void MarkDegraded(uint32_t slot);
@@ -482,10 +469,6 @@ class ObjectShard {
   std::vector<CostEntry> cost_table_;
 
   util::FlatDirectory<uint32_t> directory_;  // id → slot (internal mode)
-
-  // Non-inlined kinds (kAdaptive): slot → index into the fallback vector.
-  util::FlatDirectory<uint32_t> fallback_index_;
-  std::vector<std::unique_ptr<DomAlgorithm>> fallbacks_;
 
   model::CostBreakdown total_breakdown_;
   int64_t total_requests_ = 0;

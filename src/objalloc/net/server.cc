@@ -418,8 +418,9 @@ void Server::HandleRegister(Connection* conn, const Frame& frame) {
   RegisterRequest request;
   util::Status status = ParseRegister(frame.payload, &request);
   if (status.ok() &&
-      request.algorithm > static_cast<uint8_t>(core::AlgorithmKind::kAdaptive)) {
-    status = util::Status::InvalidArgument("unknown algorithm kind");
+      request.algorithm > static_cast<uint8_t>(core::AlgorithmKind::kDynamic)) {
+    status = util::Status::InvalidArgument(
+        "algorithm kind not served (static or dynamic only)");
   }
   if (status.ok() && draining_) {
     status = util::Status::Unavailable("server draining");

@@ -106,10 +106,10 @@ MultiObjectTrace TestTrace(size_t length, uint64_t seed = 99,
   return workload::GenerateMultiObjectTrace(options, seed);
 }
 
-ObjectConfig TestConfig(AlgorithmKind kind = AlgorithmKind::kDynamic) {
+ObjectConfig TestConfig() {
   ObjectConfig config;
   config.initial_scheme = ProcessorSet{0, 1};
-  config.algorithm = kind;
+  config.algorithm = AlgorithmKind::kDynamic;
   return config;
 }
 
@@ -537,23 +537,6 @@ TEST(DurabilityTest, FaultModeHistoryRecoversBitForBit) {
 }
 
 // --- Preconditions and edge cases ---------------------------------------
-
-TEST(DurabilityTest, AdaptiveObjectsRefuseDurability) {
-  const std::string dir = FreshDir("durability_adaptive");
-  ObjectService service(4, CostModel::StationaryComputing(0.25, 1.0));
-  ASSERT_TRUE(service.AddObject(1, TestConfig(AlgorithmKind::kAdaptive)).ok());
-  auto status = service.EnableDurability(dir);
-  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-
-  // And under durability, registering one is refused up front — it must
-  // never reach the WAL, where it would poison replay.
-  ObjectService clean(4, CostModel::StationaryComputing(0.25, 1.0));
-  ASSERT_TRUE(clean.EnableDurability(dir).ok());
-  EXPECT_EQ(clean.AddObject(1, TestConfig(AlgorithmKind::kAdaptive)).code(),
-            util::StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(clean.durability_enabled()) << "refusal must not detach";
-  ASSERT_TRUE(clean.AddObject(2, TestConfig()).ok());
-}
 
 TEST(DurabilityTest, RejectedRegistrationIsNotLogged) {
   const std::string dir = FreshDir("durability_bad_add");

@@ -416,16 +416,6 @@ TEST(FaultInjectionTest, RepairDegradedEagerlyHealsEveryObject) {
   EXPECT_EQ(stats->scheme, (ProcessorSet{0, 2}));
 }
 
-TEST(FaultInjectionTest, EnableFaultsRejectsFallbackKinds) {
-  ObjectService service(4, kModel);
-  ObjectConfig config;
-  config.algorithm = AlgorithmKind::kAdaptive;
-  config.initial_scheme = ProcessorSet{0, 1};
-  ASSERT_TRUE(service.AddObject(0, config).ok());
-  util::Status status = service.EnableFaults(FaultInjectorOptions{});
-  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-}
-
 TEST(FaultInjectionTest, FaultModeGuardsAndStatusBoundaries) {
   ObjectService service(4, kModel);
   // Fault controls require fault mode.
@@ -445,13 +435,9 @@ TEST(FaultInjectionTest, FaultModeGuardsAndStatusBoundaries) {
       {0, model::Request::Read(0)}};
   EXPECT_TRUE(service.ServeBatch(one).ok());
 
-  // Registration under fault mode: fallback kinds and schemes born on
-  // crashed processors are refused.
+  // Registration under fault mode: schemes born on crashed processors are
+  // refused.
   ASSERT_TRUE(service.Crash(3).ok());
-  ObjectConfig adaptive = config;
-  adaptive.algorithm = AlgorithmKind::kAdaptive;
-  EXPECT_EQ(service.AddObject(1, adaptive).code(),
-            util::StatusCode::kFailedPrecondition);
   ObjectConfig dead = config;
   dead.initial_scheme = ProcessorSet{0, 3};
   EXPECT_EQ(service.AddObject(1, dead).code(),

@@ -102,11 +102,12 @@ void RegisterObjects(ObjectService& service, int num_objects) {
   }
 }
 
-DurabilityOptions SweepOptions() {
+DurabilityOptions SweepOptions(size_t delta_chain_limit = 0) {
   DurabilityOptions options;
   options.sync_every_batch = true;  // memory and disk never diverge
   options.checkpoint_interval_events = 400;
   options.retry.initial_backoff_us = 10;  // virtual time anyway
+  options.delta_chain_limit = delta_chain_limit;
   return options;
 }
 
@@ -661,20 +662,23 @@ TEST(TraceIoEnvTest, TraceFilesRouteThroughTheEnv) {
 // yield a directory whose recovery is bit-identical again.
 
 struct SweepWorkload {
+  size_t delta_chain_limit = 0;
   MultiObjectTrace trace;
   StateImage golden;
   uint64_t fault_free_ops = 0;
 };
 
-SweepWorkload BuildSweepWorkload() {
+SweepWorkload BuildSweepWorkload(size_t delta_chain_limit) {
   SweepWorkload workload;
+  workload.delta_chain_limit = delta_chain_limit;
   workload.trace = TestTrace(1200);
   const std::string dir = FreshDir("sweep_fault_free");
   FaultyEnv faulty;
   util::ScopedEnv scoped(&faulty);
   ObjectService service(workload.trace.num_processors,
                         CostModel::StationaryComputing(0.25, 1.0));
-  EXPECT_TRUE(service.EnableDurability(dir, SweepOptions()).ok());
+  EXPECT_TRUE(
+      service.EnableDurability(dir, SweepOptions(delta_chain_limit)).ok());
   service.ReserveObjects(
       static_cast<size_t>(workload.trace.num_objects));
   for (int id = 0; id < workload.trace.num_objects; ++id) {
@@ -709,7 +713,8 @@ void SweepOne(const SweepWorkload& workload, const std::string& dir,
 
   ObjectService service(workload.trace.num_processors,
                         CostModel::StationaryComputing(0.25, 1.0));
-  const util::Status enabled = service.EnableDurability(dir, SweepOptions());
+  const DurabilityOptions options = SweepOptions(workload.delta_chain_limit);
+  const util::Status enabled = service.EnableDurability(dir, options);
   service.ReserveObjects(static_cast<size_t>(workload.trace.num_objects));
   for (int id = 0; id < workload.trace.num_objects; ++id) {
     ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
@@ -736,6 +741,10 @@ void SweepOne(const SweepWorkload& workload, const std::string& dir,
     ASSERT_TRUE(service.ReattachDurability().ok())
         << service.durability_error().ToString();
     ASSERT_EQ(service.durability_state(), DurabilityState::kDurable);
+    // One more generation on top of the reattach's full snapshot — with
+    // delta chains on, a delta — so recovery below restores through it.
+    ASSERT_TRUE(service.ServeBatch(events.subspan(100, 100)).ok());
+    ASSERT_TRUE(service.Checkpoint().ok());
   } else {
     ASSERT_EQ(service.durability_state(), DurabilityState::kDurable);
     faulty.ClearPlan();  // a lingering transient window must not outlive (a)
@@ -746,16 +755,15 @@ void SweepOne(const SweepWorkload& workload, const std::string& dir,
   ASSERT_TRUE(service.SyncDurable().ok());
   const StateImage expected = Capture(service);
   { ObjectService drop = std::move(service); }
-  auto recovered = ObjectService::Recover(dir, SweepOptions());
+  auto recovered = ObjectService::Recover(dir, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ASSERT_EQ(Capture(*recovered), expected);
 }
 
 TEST(IoFaultSweepTest, ErrorAtEveryOpEverySeed) {
-  const SweepWorkload workload = BuildSweepWorkload();
   const std::string dir = ::testing::TempDir() + "/sweep_run";
   // Kinds rotate per (index, seed): transient glitch, dead disk, full disk,
-  // tearing disk — every op index sees several, across >= 20 seeds.
+  // tearing disk — every op index sees each of them.
   struct KindCase {
     FaultKind kind;
     uint64_t count;
@@ -766,12 +774,27 @@ TEST(IoFaultSweepTest, ErrorAtEveryOpEverySeed) {
       {FaultKind::kEnospc, FaultPlan::kForever},
       {FaultKind::kTornWrite, FaultPlan::kForever},
   };
-  constexpr uint64_t kSeeds = 20;
-  for (uint64_t index = 0; index < workload.fault_free_ops; ++index) {
-    for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-      const KindCase& c = kinds[(index + seed) % std::size(kinds)];
-      SweepOne(workload, dir, index, c.kind, c.count, seed + 1);
-      if (::testing::Test::HasFatalFailure()) return;
+  // Full checkpoints only (>= 20 seeds), then delta chains: with
+  // delta_chain_limit = 3 the trace's three checkpoints (generations 2-4)
+  // are all deltas and the final recovery restores through every one of
+  // them, so a fault inside a delta write must leave the dirty pages
+  // marked for the retry and a failed delta's orphans removed. (With a
+  // limit of 2, generation 4 would be a full snapshot masking any damage
+  // in 2 and 3.)
+  struct SweepCase {
+    size_t delta_chain_limit;
+    uint64_t seeds;
+  };
+  for (const SweepCase& sweep : {SweepCase{0, 20}, SweepCase{3, 6}}) {
+    SCOPED_TRACE("delta_chain_limit " +
+                 std::to_string(sweep.delta_chain_limit));
+    const SweepWorkload workload = BuildSweepWorkload(sweep.delta_chain_limit);
+    for (uint64_t index = 0; index < workload.fault_free_ops; ++index) {
+      for (uint64_t seed = 0; seed < sweep.seeds; ++seed) {
+        const KindCase& c = kinds[(index + seed) % std::size(kinds)];
+        SweepOne(workload, dir, index, c.kind, c.count, seed + 1);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }

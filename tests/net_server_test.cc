@@ -126,6 +126,9 @@ TEST(NetServerTest, PingRegisterReadWrite) {
             util::StatusCode::kOutOfRange);
   EXPECT_EQ(client.Register(8, kSchemeMask, 77).code(),
             util::StatusCode::kInvalidArgument);
+  // The engine serves only SA (0) and DA (1); the adaptive kind is refused.
+  EXPECT_EQ(client.Register(8, kSchemeMask, /*algorithm=*/2).code(),
+            util::StatusCode::kInvalidArgument);
   EXPECT_TRUE(client.Ping().ok());
 
   harness.Shutdown();

@@ -81,8 +81,7 @@ void RegisterObjects(ObjectService& service, const MultiObjectTrace& trace,
 TEST(ServingEngineTest, InlineDispatchMatchesVirtualReference) {
   const MultiObjectTrace trace = TestTrace();
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  for (AlgorithmKind kind : {AlgorithmKind::kStatic, AlgorithmKind::kDynamic,
-                             AlgorithmKind::kAdaptive}) {
+  for (AlgorithmKind kind : {AlgorithmKind::kStatic, AlgorithmKind::kDynamic}) {
     SCOPED_TRACE(AlgorithmKindToString(kind));
     const ObjectConfig config = TestConfig(kind);
 
@@ -126,6 +125,23 @@ TEST(ServingEngineTest, InlineDispatchMatchesVirtualReference) {
       EXPECT_EQ(stats->breakdown, references[id].breakdown);
     }
   }
+}
+
+// The engine serves only the paper's SA and DA: every entry point refuses
+// any other kind at registration, so no fault-mode or durability path ever
+// meets one.
+TEST(ServingEngineTest, RegistrationAcceptsOnlySaAndDa) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const ObjectConfig adaptive = TestConfig(AlgorithmKind::kAdaptive);
+  ObjectShard shard(8, sc);
+  ObjectManager manager(8, sc);
+  ObjectService service(8, sc);
+  EXPECT_EQ(shard.AddObject(1, adaptive).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.AddObject(1, adaptive).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.AddObject(1, adaptive).code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 // Batched serving must be bit-identical to the serial ObjectManager for
