@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "objalloc/core/batch_pipeline.h"
 #include "objalloc/core/object_manager.h"
 #include "objalloc/core/object_service.h"
 #include "objalloc/util/crc32.h"
@@ -298,9 +299,9 @@ int main(int argc, char** argv) {
           << " diverged from the reference run: results must be "
              "byte-identical across every configuration";
 
-      // Pipelined path: SubmitBatch admits + logs batch n+1 while batch n
-      // is still on the shard workers; WaitBatch double-buffers the
-      // results. Same trace, same fingerprint requirement.
+      // Pipelined path: through a BatchPipeline, SubmitBatch admits + logs
+      // batch n+1 while batch n is still on the shard workers. Same trace,
+      // same fingerprint requirement.
       double pipelined_best = 0;
       Fingerprint pipelined_fingerprint;
       uint64_t queue_ops_peak = 0;
@@ -316,27 +317,24 @@ int main(int argc, char** argv) {
         for (int id = 0; id < objects; ++id) {
           OBJALLOC_CHECK(service.AddObject(id, ServiceConfig()).ok());
         }
-        core::BatchResult results[2];
-        core::BatchTicket tickets[2];
-        int cur = 0;
+        core::BatchPipeline<> pipeline(&service);
+        auto check = [](core::BatchPipeline<>::Slot&,
+                        const util::Status& status) {
+          OBJALLOC_CHECK(status.ok()) << status.ToString();
+        };
         auto start = std::chrono::steady_clock::now();
         std::span<const workload::MultiObjectEvent> all(trace.events);
         for (size_t pos = 0; pos < all.size(); pos += batch_size) {
-          if (!tickets[cur].completed) {
-            util::Status status = service.WaitBatch(&tickets[cur]);
-            OBJALLOC_CHECK(status.ok()) << status.ToString();
-          }
-          util::Status status = service.SubmitBatch(
+          util::Status status = pipeline.Submit(
               all.subspan(pos, std::min(batch_size, all.size() - pos)),
-              &results[cur], &tickets[cur]);
+              check);
           OBJALLOC_CHECK(status.ok()) << status.ToString();
           const core::ServiceLoad load = service.Load();
           queue_ops_peak = std::max(queue_ops_peak, load.executor_queued_ops);
           queue_ops_sum += load.executor_queued_ops;
           ++queue_samples;
-          if (!tickets[cur].completed) cur ^= 1;
         }
-        util::Status drained = service.DrainBatches();
+        util::Status drained = pipeline.Drain(check);
         OBJALLOC_CHECK(drained.ok()) << drained.ToString();
         auto stop = std::chrono::steady_clock::now();
         double seconds = std::chrono::duration<double>(stop - start).count();

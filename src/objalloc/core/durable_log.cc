@@ -1,7 +1,9 @@
 #include "objalloc/core/durable_log.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "objalloc/util/env.h"
 #include "objalloc/util/io.h"
@@ -301,6 +303,218 @@ size_t DurableLog::BacklogBytes() const {
 
 WalCommitStats DurableLog::CommitStats() const {
   return wal_ != nullptr ? wal_->Stats() : WalCommitStats();
+}
+
+namespace {
+
+// Replays WAL generation `sequence` from `buffer` into `target`. `is_last`
+// permits (and accounts) a torn tail; earlier generations must end cleanly.
+util::Status ReplayWal(std::string_view buffer, uint64_t sequence,
+                       const DurableConfig& config, bool is_last,
+                       RecoveryTarget* target, RecoveryReport* report,
+                       size_t* valid_prefix) {
+  const std::string name = WalFileName(sequence);
+  util::RecordCursor cursor(buffer);
+  util::RecordView record;
+  bool saw_header = false;
+  // Replay failures are reported against the file they came from.
+  auto in_wal = [&name](util::Status status) {
+    return status.ok() ? status
+                       : util::Status(status.code(),
+                                      name + ": " + status.message());
+  };
+  while (cursor.Next(&record)) {
+    const WalRecordType type = static_cast<WalRecordType>(record.type);
+    if (!saw_header) {
+      if (type != WalRecordType::kWalHeader) {
+        return util::Status::Internal(name +
+                                      ": first record is not a WAL header");
+      }
+      auto header = DecodeWalHeader(record.payload);
+      if (!header.ok()) return header.status();
+      if (header->sequence != sequence) {
+        return util::Status::Internal(
+            name + ": header names generation " +
+            std::to_string(header->sequence));
+      }
+      OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(header->config));
+      saw_header = true;
+    } else if (type == WalRecordType::kWalHeader) {
+      return util::Status::Internal(name + ": duplicate header record");
+    } else {
+      OBJALLOC_RETURN_IF_ERROR(
+          in_wal(target->Apply(type, record.payload, report)));
+    }
+    report->records_replayed += 1;
+  }
+  // A CRC failure inside the prefix is corruption, never a torn tail.
+  OBJALLOC_RETURN_IF_ERROR(cursor.status());
+  if (!saw_header) {
+    // Generations get a synced header before the manifest ever names them,
+    // so a header-less file in a committed chain is corruption.
+    return util::Status::Internal(name + ": no complete header record");
+  }
+  if (cursor.tail_bytes() > 0) {
+    if (!is_last) {
+      return util::Status::Internal(
+          name + ": torn tail in a non-final generation (" +
+          std::to_string(cursor.tail_bytes()) + " bytes) — " +
+          "this WAL was synced at checkpoint time and must be complete");
+    }
+    report->torn_tail = true;
+    report->torn_bytes_truncated += cursor.tail_bytes();
+  }
+  OBJALLOC_RETURN_IF_ERROR(in_wal(target->Flush()));
+  *valid_prefix = cursor.valid_prefix();
+  return util::Status::Ok();
+}
+
+}  // namespace
+
+util::Status DurableLog::Recover(const std::string& dir,
+                                const DurabilityOptions& options,
+                                bool read_only, RecoveryTarget* target,
+                                RecoveryReport* report) {
+  RecoveryReport local;
+  RecoveryReport& rep = report != nullptr ? *report : local;
+  rep = RecoveryReport();
+  OBJALLOC_RETURN_IF_ERROR(options.Validate());
+
+  // The manifest names the committed generation; when it is unreadable,
+  // fall back to scanning the directory for snapshot files (every candidate
+  // is still fully CRC-verified before use).
+  uint64_t top = 0;
+  std::vector<uint64_t> candidates;
+  DurableConfig manifest_config;
+  bool have_manifest = false;
+  auto manifest = ReadManifest(dir);
+  if (manifest.ok()) {
+    have_manifest = true;
+    manifest_config = manifest->config;
+    top = manifest->sequence;
+    rep.manifest_sequence = top;
+    candidates.push_back(top);
+    if (top > 1) candidates.push_back(top - 1);
+  } else {
+    if (manifest.status().code() == util::StatusCode::kNotFound) {
+      rep.manifest_missing = true;
+    } else {
+      rep.manifest_corrupt = true;
+    }
+    rep.warnings.push_back("manifest unreadable (" +
+                           manifest.status().ToString() +
+                           "); scanning the directory");
+    // Deltas count as candidates too: each one is an openable snapshot via
+    // its chain, and skipping them down to the newest full would silently
+    // drop the WAL generations in between.
+    auto fulls = ListCheckpointSequences(dir);
+    if (!fulls.ok()) return fulls.status();
+    auto deltas = ListDeltaCheckpointSequences(dir);
+    if (!deltas.ok()) return deltas.status();
+    candidates = std::move(*fulls);
+    candidates.insert(candidates.end(), deltas->begin(), deltas->end());
+    std::sort(candidates.rbegin(), candidates.rend());  // newest first
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    if (candidates.empty()) {
+      return util::Status::NotFound("no durable state in " + dir);
+    }
+    top = candidates.front();
+  }
+
+  util::Status last_error =
+      util::Status::Internal("no usable checkpoint generation in " + dir);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const uint64_t gen = candidates[c];
+    // Only the manifest verdict and the warnings are set so far.
+    RecoveryReport attempt = rep;
+    util::Status status = [&]() -> util::Status {
+      // Reconstruct generation `gen`'s snapshot: the newest full snapshot
+      // at or below it, then the delta chain base+1..gen in order.
+      const uint64_t base = NewestFullSnapshot(dir, gen);
+      if (base == 0) {
+        return util::Status::Internal(
+            "no full snapshot at or below generation " + std::to_string(gen));
+      }
+      DurableEngine* engine = nullptr;
+      DurableConfig config;
+      for (uint64_t g = base; g <= gen; ++g) {
+        const bool delta = g > base;
+        const std::string name =
+            delta ? DeltaCheckpointFileName(g) : CheckpointFileName(g);
+        auto reader = CheckpointReader::Open(dir + "/" + name);
+        if (!reader.ok()) return reader.status();
+        if (reader->is_delta() != delta || reader->sequence() != g ||
+            (delta && reader->parent() != g - 1)) {
+          return util::Status::Internal(name + " is not the " +
+                                        (delta ? "delta" : "full snapshot") +
+                                        " of generation " + std::to_string(g));
+        }
+        if (!delta) {
+          config = reader->config();
+          if (have_manifest) {
+            OBJALLOC_RETURN_IF_ERROR(manifest_config.CheckMatches(config));
+          }
+          auto built = target->Build(config);
+          if (!built.ok()) return built.status();
+          engine = *built;
+        }
+        OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(reader->config()));
+        OBJALLOC_RETURN_IF_ERROR(engine->RestoreSnapshot(&*reader, &attempt));
+      }
+      attempt.delta_checkpoints_applied = gen - base;
+      if (!read_only && options.delta_chain_limit > 0) {
+        // Arm page tracking *before* the WAL replay below: the next delta
+        // must capture every page the replayed tail re-dirties on top of
+        // this snapshot.
+        engine->ResetDirtyTracking(true);
+      }
+      // Replay the WAL chain gen..top; only the final generation may carry
+      // a torn tail.
+      std::optional<size_t> final_prefix;  // unset: the final WAL is missing
+      for (uint64_t w = gen; w <= top; ++w) {
+        auto wal_buffer = util::ReadFileToString(dir + "/" + WalFileName(w));
+        if (!wal_buffer.ok()) {
+          if (w == top &&
+              wal_buffer.status().code() == util::StatusCode::kNotFound) {
+            // The snapshot alone is a consistent state; recover to it and
+            // warn (a committed generation always has its WAL, so this
+            // means outside interference, not a crash window).
+            attempt.warnings.push_back(
+                WalFileName(w) + " missing; recovered from the snapshot alone");
+            break;
+          }
+          return wal_buffer.status();
+        }
+        size_t prefix = 0;
+        OBJALLOC_RETURN_IF_ERROR(ReplayWal(*wal_buffer, w, config,
+                                           /*is_last=*/w == top, target,
+                                           &attempt, &prefix));
+        attempt.wal_files_replayed += 1;
+        if (w == top) final_prefix = prefix;
+      }
+      if (!read_only) {
+        // Arm durability on generation `top`, appending after its last
+        // good record.
+        auto log = Resume(dir, options, config, top, final_prefix,
+                          attempt.events_replayed,
+                          /*republish_manifest=*/!have_manifest);
+        if (!log.ok()) return log.status();
+        engine->AttachLog(std::move(*log));
+      }
+      return util::Status::Ok();
+    }();
+    if (status.ok()) {
+      attempt.checkpoint_sequence = gen;
+      attempt.fell_back = c > 0;
+      rep = std::move(attempt);
+      return status;
+    }
+    last_error = status;
+    rep.warnings.push_back("generation " + std::to_string(gen) +
+                           " unusable: " + last_error.ToString());
+  }
+  return last_error;
 }
 
 namespace {

@@ -1,8 +1,8 @@
 // DurableLog — the durable-generation protocol behind ObjectService
 // durability (DESIGN.md §10, §13, §14): file names, the manifest, the async
 // WAL writer, quarantine, GC, retry of transient IO failures, the kDegraded
-// transition and its counters. The engine takes part only through
-// DurableEngine.
+// transition and its counters — and Recover, which reads that layout back.
+// The engine takes part only through DurableEngine's hooks.
 //
 // Every new generation — Start (generation 1), Checkpoint (g+1, full or
 // delta) and Reattach (g+1, full) — goes through one commit routine:
@@ -48,9 +48,14 @@ enum class DurabilityState : uint8_t {
   kDegraded = 2,
 };
 
-// The engine's half of a generation commit.
+class DurableLog;
+
+// The engine's half of a generation commit and of its recovery — hooks for
+// DurableLog alone.
 class DurableEngine {
- public:
+ protected:
+  ~DurableEngine() = default;
+
   // Streams the engine state into `writer`, which the log opened and will
   // finish: every slot, or for a delta only the pages dirtied since the
   // previous commit. Runs once per retry attempt.
@@ -58,9 +63,32 @@ class DurableEngine {
                                      bool delta) const = 0;
   // Starts a clean dirty-page window (tracking off unless `track`).
   virtual void ResetDirtyTracking(bool track) = 0;
+  // Restores one snapshot stream: a full snapshot into a freshly built
+  // engine, or a delta on top of its chain predecessor.
+  virtual util::Status RestoreSnapshot(CheckpointReader* reader,
+                                       RecoveryReport* report) = 0;
+  // Installs the log that continues the recovered generation.
+  virtual void AttachLog(std::unique_ptr<DurableLog> log) = 0;
+
+ private:
+  friend class DurableLog;
+};
+
+// The caller's half of a recovery walk (DurableLog::Recover).
+class RecoveryTarget {
+ public:
+  // A fresh engine for a chain whose full snapshot has `config`, replacing
+  // the one an earlier, failed candidate built.
+  virtual util::StatusOr<DurableEngine*> Build(const DurableConfig& config) = 0;
+  // Applies one logged record (never a WAL header). It passed validation
+  // when it was logged, so a failure is corruption.
+  virtual util::Status Apply(WalRecordType type, std::string_view payload,
+                             RecoveryReport* report) = 0;
+  // End of a WAL file: everything applied so far is served.
+  virtual util::Status Flush() = 0;
 
  protected:
-  ~DurableEngine() = default;
+  ~RecoveryTarget() = default;
 };
 
 class DurableLog {
@@ -71,20 +99,19 @@ class DurableLog {
       const std::string& dir, const DurabilityOptions& options,
       const DurableConfig& config, DurableEngine& engine);
 
-  // Continues recovered generation `sequence`: reopens its WAL truncated to
-  // `wal_prefix` bytes (creates it when missing), then republishes the
-  // manifest if asked. The next checkpoint is forced full, so no delta
-  // chains onto a generation recovery may have fallen back past.
-  static util::StatusOr<std::unique_ptr<DurableLog>> Resume(
-      const std::string& dir, const DurabilityOptions& options,
-      const DurableConfig& config, uint64_t sequence,
-      std::optional<size_t> wal_prefix, size_t events_since_checkpoint,
-      bool republish_manifest);
-
-  // Newest full snapshot generation at or below `sequence` in `dir` (0 when
-  // none): the bottom of the delta chain that reconstructs `sequence`.
-  static uint64_t NewestFullSnapshot(const std::string& dir,
-                                     uint64_t sequence);
+  // Recovery's read of the layout this class writes (DESIGN.md §13). Tries
+  // the committed generations newest first — the manifest's and its
+  // predecessor, or without a readable manifest every snapshot on disk —
+  // and keeps the first that reconstructs: its full snapshot and delta
+  // chain restored into target->Build's engine, then the WALs from that
+  // generation on replayed through `target`, only the newest allowed a
+  // torn tail. Unless `read_only`, dirty tracking is armed before the
+  // replay and the engine gets a log resumed after the last good record.
+  // `report` (optional) gets the account of the attempt that succeeded.
+  static util::Status Recover(const std::string& dir,
+                              const DurabilityOptions& options,
+                              bool read_only, RecoveryTarget* target,
+                              RecoveryReport* report);
 
   // Append one admitted batch / one non-batch record. Never fail: with
   // sync_every_batch they wait the record out, otherwise they only probe
@@ -134,6 +161,21 @@ class DurableLog {
  private:
   DurableLog(const std::string& dir, const DurabilityOptions& options,
              const DurableConfig& config);
+
+  // Continues recovered generation `sequence`: reopens its WAL truncated to
+  // `wal_prefix` bytes (creates it when missing), then republishes the
+  // manifest if asked. The next checkpoint is forced full, so no delta
+  // chains onto a generation recovery may have fallen back past.
+  static util::StatusOr<std::unique_ptr<DurableLog>> Resume(
+      const std::string& dir, const DurabilityOptions& options,
+      const DurableConfig& config, uint64_t sequence,
+      std::optional<size_t> wal_prefix, size_t events_since_checkpoint,
+      bool republish_manifest);
+
+  // Newest full snapshot generation at or below `sequence` in `dir` (0 when
+  // none): the bottom of the delta chain that reconstructs `sequence`.
+  static uint64_t NewestFullSnapshot(const std::string& dir,
+                                     uint64_t sequence);
 
   // The one generation commit (steps (1)-(4) above) and its bookkeeping.
   util::Status CommitNext(DurableEngine& engine, bool delta);

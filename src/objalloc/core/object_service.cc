@@ -4,8 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <optional>
 
+#include "objalloc/core/batch_pipeline.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/parallel.h"
 
@@ -590,51 +590,28 @@ util::StatusOr<StreamResult> ObjectService::ServeStream(
   }
   // One buffer, recycled for the whole stream: SubmitBatch copies every
   // event it needs at admission, so the buffer can be refilled while the
-  // previous batch is still in flight. Results and tickets are doubled —
-  // the one thing that must stay untouched until WaitBatch is the result a
-  // pipelined batch writes into. The loop body is allocation-free in
-  // steady state.
+  // previous batch is still in flight in the pipeline. Every exit drains
+  // it; events of earlier batches stay served. The loop body is
+  // allocation-free in steady state.
   std::vector<workload::MultiObjectEvent> buffer(batch_size);
-  BatchResult batches[2];
-  BatchTicket tickets[2];
+  BatchPipeline<> pipeline(this);
   StreamResult result;
-  int cur = 0;
-  auto accumulate = [&result](const BatchResult& batch) {
-    result.breakdown += batch.breakdown;
-    result.unavailable += batch.unavailable;
-  };
-  auto fail = [this](util::Status status) -> util::Status {
-    // Leave the service quiescent; events of earlier batches stay served.
-    (void)DrainBatches();
-    return status;
+  auto accumulate = [&result](BatchPipeline<>::Slot& slot,
+                              const util::Status&) {
+    result.breakdown += slot.result.breakdown;
+    result.unavailable += slot.result.unavailable;
   };
   while (true) {
     auto filled = source.FillBatch(buffer);
-    if (!filled.ok()) return fail(filled.status());
+    if (!filled.ok()) return filled.status();
     if (*filled == 0) break;
-    if (!tickets[cur].completed) {
-      util::Status status = WaitBatch(&tickets[cur]);
-      if (!status.ok()) return fail(status);
-      accumulate(batches[cur]);
-    }
-    util::Status status = SubmitBatch(
+    OBJALLOC_RETURN_IF_ERROR(pipeline.Submit(
         std::span<const workload::MultiObjectEvent>(buffer.data(), *filled),
-        &batches[cur], &tickets[cur]);
-    if (!status.ok()) return fail(status);
+        accumulate));
     result.events += static_cast<int64_t>(*filled);
     result.batches += 1;
-    if (tickets[cur].completed) {
-      accumulate(batches[cur]);  // synchronous path: final already
-    } else {
-      cur ^= 1;  // pipelined: flip so batch n+1 overlaps batch n
-    }
   }
-  for (int i = 0; i < 2; ++i) {
-    if (tickets[i].completed) continue;
-    util::Status status = WaitBatch(&tickets[i]);
-    if (!status.ok()) return fail(status);
-    accumulate(batches[i]);
-  }
+  OBJALLOC_RETURN_IF_ERROR(pipeline.Drain(accumulate));
   result.cost = result.breakdown.Cost(cost_model_);
   return result;
 }
@@ -973,334 +950,6 @@ util::Status ObjectService::RestoreSnapshot(CheckpointReader* reader,
   // journal and injector cursor are small and snapshotted whole in every
   // generation, full or delta.
   return RestoreServiceState(state);
-}
-
-util::Status ObjectService::ReplayWalBuffer(std::string_view buffer,
-                                            uint64_t sequence,
-                                            const DurableConfig& config,
-                                            bool is_last,
-                                            size_t replay_batch_events,
-                                            RecoveryReport* report,
-                                            size_t* valid_prefix) {
-  const std::string name = WalFileName(sequence);
-  util::RecordCursor cursor(buffer);
-  util::RecordView record;
-  bool saw_header = false;
-  std::vector<workload::MultiObjectEvent> batch;
-  // Logged batches replay through the pipelined engine, double-buffered:
-  // batch n+1 is decoded and admitted while batch n is still on the shard
-  // workers, so recovering a large log uses every executor thread. Two
-  // result slots alternate; a slot is waited out before reuse. To amortize
-  // per-batch admission over the original run's (often small) batch sizes,
-  // consecutive logged batches are coalesced into super-batches of up to
-  // `replay_batch_events` events before submission — legal because batch
-  // boundaries are invisible to the engine outside fault mode (per-object
-  // order is all that matters, and concatenation preserves it). Coalescing
-  // stops dead while the fault injector is armed: there, a batch is the
-  // admission/rejection unit. Non-batch records (registrations, fault
-  // controls) flush the coalesce buffer and fence the pipeline internally,
-  // which keeps replay order exactly the admission order of the original
-  // run. The serve outcome is re-derived state — results are write-only.
-  BatchResult results[2];
-  BatchTicket tickets[2];
-  int cur = 0;
-  std::vector<workload::MultiObjectEvent> pending;
-  auto submit = [&](std::span<const workload::MultiObjectEvent> events)
-      -> util::Status {
-    OBJALLOC_RETURN_IF_ERROR(WaitBatch(&tickets[cur]));
-    util::Status status = SubmitBatch(events, &results[cur], &tickets[cur]);
-    // UNAVAILABLE is a *replayed rejection* — the original run logged the
-    // batch because it consumed fault-time windows; the replay consumes
-    // the same windows and rejects identically.
-    if (!status.ok() && status.code() != util::StatusCode::kUnavailable) {
-      return util::Status::Internal(
-          name + ": logged batch failed on replay: " + status.ToString());
-    }
-    cur ^= 1;
-    return util::Status::Ok();
-  };
-  auto flush_pending = [&]() -> util::Status {
-    if (pending.empty()) return util::Status::Ok();
-    util::Status status = submit(pending);
-    pending.clear();
-    return status;
-  };
-  util::Status replay_status = [&]() -> util::Status {
-  while (cursor.Next(&record)) {
-    const WalRecordType type = static_cast<WalRecordType>(record.type);
-    if (!saw_header) {
-      if (type != WalRecordType::kWalHeader) {
-        return util::Status::Internal(name +
-                                      ": first record is not a WAL header");
-      }
-      auto header = DecodeWalHeader(record.payload);
-      if (!header.ok()) return header.status();
-      if (header->sequence != sequence) {
-        return util::Status::Internal(
-            name + ": header names generation " +
-            std::to_string(header->sequence));
-      }
-      OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(header->config));
-      saw_header = true;
-      report->records_replayed += 1;
-      continue;
-    }
-    // Any non-batch record is an ordering point against the events logged
-    // before it: submit the coalesce buffer first so e.g. a replayed
-    // EnableFaults applies after exactly the events it followed on the
-    // original run.
-    if (type != WalRecordType::kBatch) {
-      OBJALLOC_RETURN_IF_ERROR(flush_pending());
-    }
-    // The logged operation passed validation on the original run, so a
-    // failure to apply it now is corruption.
-    util::Status applied = util::Status::Ok();
-    switch (type) {
-      case WalRecordType::kWalHeader:
-        return util::Status::Internal(name + ": duplicate header record");
-      case WalRecordType::kAddObject: {
-        auto decoded = DecodeAddObject(record.payload);
-        if (!decoded.ok()) return decoded.status();
-        applied = AddObject(decoded->id, decoded->config);
-        break;
-      }
-      case WalRecordType::kBatch: {
-        OBJALLOC_RETURN_IF_ERROR(DecodeBatch(record.payload, &batch));
-        report->batches_replayed += 1;
-        report->events_replayed += batch.size();
-        if (injector_ != nullptr || replay_batch_events == 0) {
-          // Fault mode makes batch boundaries observable (a batch is the
-          // rejection unit), so replay each logged batch exactly as
-          // admitted. SubmitBatch copies the events; `batch` and `pending`
-          // are free to take the next record immediately.
-          OBJALLOC_RETURN_IF_ERROR(flush_pending());
-          OBJALLOC_RETURN_IF_ERROR(submit(batch));
-        } else {
-          pending.insert(pending.end(), batch.begin(), batch.end());
-          if (pending.size() >= replay_batch_events) {
-            OBJALLOC_RETURN_IF_ERROR(flush_pending());
-          }
-        }
-        break;
-      }
-      case WalRecordType::kEnableFaults: {
-        auto decoded = DecodeEnableFaults(record.payload);
-        if (!decoded.ok()) return decoded.status();
-        applied = EnableFaults(decoded->options, std::move(decoded->schedule));
-        break;
-      }
-      case WalRecordType::kDisableFaults:
-        DisableFaults();
-        break;
-      case WalRecordType::kCrash:
-      case WalRecordType::kRecover: {
-        auto processor = DecodeProcessor(record.payload);
-        if (!processor.ok()) return processor.status();
-        applied = type == WalRecordType::kCrash ? Crash(*processor)
-                                                : Recover(*processor);
-        break;
-      }
-      case WalRecordType::kRepairDegraded:
-        RepairDegraded();
-        break;
-      default:
-        return util::Status::Internal(name + ": unknown record type " +
-                                      std::to_string(record.type));
-    }
-    if (!applied.ok()) {
-      return util::Status::Internal(name + ": logged record type " +
-                                    std::to_string(record.type) +
-                                    " failed on replay: " + applied.ToString());
-    }
-    report->records_replayed += 1;
-  }
-  // A CRC failure inside the prefix is corruption, never a torn tail.
-  OBJALLOC_RETURN_IF_ERROR(cursor.status());
-  if (!saw_header) {
-    // Generations get a synced header before the manifest ever names them,
-    // so a header-less file in a committed chain is corruption.
-    return util::Status::Internal(name + ": no complete header record");
-  }
-  if (cursor.tail_bytes() > 0) {
-    if (!is_last) {
-      return util::Status::Internal(
-          name + ": torn tail in a non-final generation (" +
-          std::to_string(cursor.tail_bytes()) + " bytes) — " +
-          "this WAL was synced at checkpoint time and must be complete");
-    }
-    report->torn_tail = true;
-    report->torn_bytes_truncated += cursor.tail_bytes();
-  }
-  OBJALLOC_RETURN_IF_ERROR(flush_pending());
-  *valid_prefix = cursor.valid_prefix();
-  return util::Status::Ok();
-  }();
-  // The in-flight tail still references the local result slots above —
-  // fence the pipeline before they go out of scope, whatever the loop
-  // decided.
-  FenceAsync();
-  return replay_status;
-}
-
-util::StatusOr<ObjectService> ObjectService::RecoverInternal(
-    const std::string& dir, const DurabilityOptions& options,
-    RecoveryReport* report, bool read_only) {
-  RecoveryReport local;
-  RecoveryReport& rep = report != nullptr ? *report : local;
-  rep = RecoveryReport();
-  OBJALLOC_RETURN_IF_ERROR(options.Validate());
-
-  // The manifest names the committed generation; when it is unreadable,
-  // fall back to scanning the directory for snapshot files (every candidate
-  // is still fully CRC-verified before use).
-  uint64_t top = 0;
-  std::vector<uint64_t> candidates;
-  DurableConfig manifest_config;
-  bool have_manifest = false;
-  auto manifest = ReadManifest(dir);
-  if (manifest.ok()) {
-    have_manifest = true;
-    manifest_config = manifest->config;
-    top = manifest->sequence;
-    rep.manifest_sequence = top;
-    candidates.push_back(top);
-    if (top > 1) candidates.push_back(top - 1);
-  } else {
-    if (manifest.status().code() == util::StatusCode::kNotFound) {
-      rep.manifest_missing = true;
-    } else {
-      rep.manifest_corrupt = true;
-    }
-    rep.warnings.push_back("manifest unreadable (" +
-                           manifest.status().ToString() +
-                           "); scanning the directory");
-    // Deltas count as candidates too: each one is an openable snapshot via
-    // its chain, and skipping them down to the newest full would silently
-    // drop the WAL generations in between.
-    auto fulls = ListCheckpointSequences(dir);
-    if (!fulls.ok()) return fulls.status();
-    auto deltas = ListDeltaCheckpointSequences(dir);
-    if (!deltas.ok()) return deltas.status();
-    candidates = std::move(*fulls);
-    candidates.insert(candidates.end(), deltas->begin(), deltas->end());
-    std::sort(candidates.rbegin(), candidates.rend());  // newest first
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    if (candidates.empty()) {
-      return util::Status::NotFound("no durable state in " + dir);
-    }
-    top = candidates.front();
-  }
-
-  util::Status last_error =
-      util::Status::Internal("no usable checkpoint generation in " + dir);
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const uint64_t gen = candidates[c];
-    // Only the manifest verdict and the warnings are set so far.
-    RecoveryReport attempt = rep;
-    auto attempt_service = [&]() -> util::StatusOr<ObjectService> {
-      // Reconstruct generation `gen`'s snapshot: the newest full snapshot
-      // at or below it, then the delta chain base+1..gen in order.
-      const uint64_t base = DurableLog::NewestFullSnapshot(dir, gen);
-      if (base == 0) {
-        return util::Status::Internal(
-            "no full snapshot at or below generation " + std::to_string(gen));
-      }
-      util::StatusOr<ObjectService> service{
-          util::Status::Internal("unrestored")};
-      DurableConfig config;
-      for (uint64_t g = base; g <= gen; ++g) {
-        const bool delta = g > base;
-        const std::string name =
-            delta ? DeltaCheckpointFileName(g) : CheckpointFileName(g);
-        auto reader = CheckpointReader::Open(dir + "/" + name);
-        if (!reader.ok()) return reader.status();
-        if (reader->is_delta() != delta || reader->sequence() != g ||
-            (delta && reader->parent() != g - 1)) {
-          return util::Status::Internal(name + " is not the " +
-                                        (delta ? "delta" : "full snapshot") +
-                                        " of generation " + std::to_string(g));
-        }
-        if (!delta) {
-          config = reader->config();
-          if (have_manifest) {
-            OBJALLOC_RETURN_IF_ERROR(manifest_config.CheckMatches(config));
-          }
-          ServiceOptions service_options;
-          service_options.num_shards = config.num_shards;
-          service =
-              Create(config.num_processors, config.cost_model, service_options);
-          if (!service.ok()) return service.status();
-        }
-        OBJALLOC_RETURN_IF_ERROR(config.CheckMatches(reader->config()));
-        OBJALLOC_RETURN_IF_ERROR(service->RestoreSnapshot(&*reader, &attempt));
-      }
-      attempt.delta_checkpoints_applied = gen - base;
-      if (!read_only && options.delta_chain_limit > 0) {
-        // Arm page tracking *before* the WAL replay below: the next delta
-        // must capture every page the replayed tail re-dirties on top of
-        // this snapshot.
-        service->ResetDirtyTracking(true);
-      }
-      // Replay the WAL chain gen..top; only the final generation may carry
-      // a torn tail.
-      std::optional<size_t> final_prefix;  // unset: the final WAL is missing
-      for (uint64_t w = gen; w <= top; ++w) {
-        auto wal_buffer = util::ReadFileToString(dir + "/" + WalFileName(w));
-        if (!wal_buffer.ok()) {
-          if (w == top &&
-              wal_buffer.status().code() == util::StatusCode::kNotFound) {
-            // The snapshot alone is a consistent state; recover to it and
-            // warn (a committed generation always has its WAL, so this
-            // means outside interference, not a crash window).
-            attempt.warnings.push_back(
-                WalFileName(w) + " missing; recovered from the snapshot alone");
-            break;
-          }
-          return wal_buffer.status();
-        }
-        size_t prefix = 0;
-        OBJALLOC_RETURN_IF_ERROR(service->ReplayWalBuffer(
-            *wal_buffer, w, config, /*is_last=*/w == top,
-            options.replay_batch_events, &attempt, &prefix));
-        attempt.wal_files_replayed += 1;
-        if (w == top) final_prefix = prefix;
-      }
-      if (!read_only) {
-        // Arm durability on generation `top`, appending after its last
-        // good record.
-        auto log = DurableLog::Resume(dir, options, config, top, final_prefix,
-                                      attempt.events_replayed,
-                                      /*republish_manifest=*/!have_manifest);
-        if (!log.ok()) return log.status();
-        service->durability_ = std::move(*log);
-      }
-      return service;
-    }();
-    if (attempt_service.ok()) {
-      attempt.checkpoint_sequence = gen;
-      attempt.fell_back = c > 0;
-      rep = std::move(attempt);
-      return attempt_service;
-    }
-    last_error = attempt_service.status();
-    rep.warnings.push_back("generation " + std::to_string(gen) +
-                           " unusable: " + last_error.ToString());
-  }
-  return last_error;
-}
-
-util::StatusOr<ObjectService> ObjectService::Recover(
-    const std::string& dir, const DurabilityOptions& options,
-    RecoveryReport* report) {
-  return RecoverInternal(dir, options, report, /*read_only=*/false);
-}
-
-util::Status ObjectService::VerifyDurableDir(const std::string& dir,
-                                             RecoveryReport* report) {
-  auto service =
-      RecoverInternal(dir, DurabilityOptions{}, report, /*read_only=*/true);
-  return service.ok() ? util::Status::Ok() : service.status();
 }
 
 }  // namespace objalloc::core

@@ -18,8 +18,9 @@
 // still works on batch n; WaitBatch (or DrainBatches) finalizes the
 // ticket's result. Everything else wraps that pair: ServeBatchInto is
 // SubmitBatch + WaitBatch, ServeBatch is ServeBatchInto on a fresh result,
-// ServeStream double-buffers SubmitBatch over an EventSource, and WAL
-// replay (Recover) drives the same pair. Admission stays all-or-nothing —
+// and every caller that keeps batches in flight — ServeStream over an
+// EventSource, WAL replay (Recover), net::Server — drives it through one
+// BatchPipeline (core/batch_pipeline.h). Admission stays all-or-nothing —
 // validation reads only registration-time state (routes, processor
 // bounds), which in-flight batches never mutate — and the WAL append
 // happens at submit, ahead of any serve, preserving log→serve order.
@@ -80,28 +81,26 @@
 // write-ahead log and checkpoint directory. Because serving is a pure
 // function of admission order, the WAL records *inputs* — one record per
 // admitted batch, registration, or fault-control call, appended before the
-// operation mutates shard state — and recovery (ObjectService::Recover)
-// loads the newest valid snapshot, replays the WAL tail through the very
-// same SubmitBatch core, truncates a torn final record, and reproduces
-// bit-identical state (scheme CRCs and cost fingerprints — asserted by
+// operation mutates shard state — and recovery (Recover) restores the
+// newest valid snapshot and replays the WAL tail through the public
+// serving API (service_recovery.cc), reproducing bit-identical state
+// (scheme CRCs and cost fingerprints — asserted by
 // tests/durability_test.cc). Logging is asynchronous group commit
 // (core/wal_writer.h); with sync_every_batch the service waits for each
 // batch's record to be durable before any of its effects externalize,
 // otherwise a crash may lose the un-synced suffix — never consistency,
 // since the on-disk log is always a record-aligned prefix of the admitted
-// history. A corrupt snapshot falls back to the previous generation, and
-// replay coalesces consecutive logged batches into super-batches
-// pipelined across the shard executor (replay_batch_events),
-// bit-identical to serial replay outside fault mode. Scrub() is the
-// offline fsck: per-file CRC verdicts plus a recovery dry run.
+// history. Scrub() is the offline fsck: per-file CRC verdicts plus a
+// recovery dry run.
 //
 // The generation protocol — file names, manifest, WAL attach and rotation,
-// quarantine, GC, retry, the kDegraded transition and its counters — lives
-// in core/durable_log.h. EnableDurability, Checkpoint and
-// ReattachDurability all commit a generation through its one routine and
-// differ only in failure policy; the engine contributes one snapshot
-// writer (full or delta: every slot, or the slab pages dirtied since the
-// last commit) and one restore loop for both. A persistent IO failure
+// quarantine, GC, retry, the kDegraded transition and its counters — and
+// the recovery walk over that layout live in core/durable_log.h.
+// EnableDurability, Checkpoint and ReattachDurability all commit a
+// generation through its one routine and differ only in failure policy;
+// the engine contributes one snapshot writer (full or delta: every slot,
+// or the slab pages dirtied since the last commit), one restore loop for
+// both, and the log install recovery ends with. A persistent IO failure
 // degrades durability instead of stopping the service, and
 // ReattachDurability() heals it once the disk recovers. With durability
 // off the hot path pays one predicted-not-taken branch per batch — the
@@ -220,7 +219,7 @@ struct ServiceStats {
   WalCommitStats commit;
 };
 
-class ObjectService : private DurableEngine {
+class ObjectService : public DurableEngine {
  public:
   static constexpr size_t kDefaultBatchSize = 4096;
 
@@ -302,11 +301,11 @@ class ObjectService : private DurableEngine {
 
   // Streaming path: drains `source` through the batch engine in buffers of
   // `batch_size` events — bounded memory for unbounded traces, one buffer
-  // and two recycled BatchResults. Batches are pipelined through
-  // SubmitBatch double-buffered: batch n+1 is admitted and enqueued while
-  // batch n is still being served, overlapping admission with shard work.
-  // Stops and returns the error on the first failed batch or source error
-  // (events of earlier batches stay served; admission is atomic per batch).
+  // and a BatchPipeline's two recycled BatchResults: batch n+1 is admitted
+  // and enqueued while batch n is still being served, overlapping admission
+  // with shard work. Stops and returns the error on the first failed batch
+  // or source error, with the pipeline drained (events of earlier batches
+  // stay served; admission is atomic per batch).
   util::StatusOr<StreamResult> ServeStream(
       workload::EventSource& source, size_t batch_size = kDefaultBatchSize);
 
@@ -502,24 +501,10 @@ class ObjectService : private DurableEngine {
   // folding the slots beyond each shard's prior span into the route
   // directory and replacing the service state with the snapshot's image.
   util::Status RestoreSnapshot(CheckpointReader* reader,
-                               RecoveryReport* report);
-
-  // Replays one WAL generation buffer into this service. `is_last` permits
-  // (and accounts) a torn tail; earlier generations must end cleanly.
-  // Consecutive logged batches are coalesced into super-batches of up to
-  // `replay_batch_events` events (0 = one submit per logged batch) and
-  // pipelined through the shard executor; coalescing stops at non-batch
-  // records and whenever the fault injector is armed (batch granularity is
-  // observable there).
-  util::Status ReplayWalBuffer(std::string_view buffer, uint64_t sequence,
-                               const DurableConfig& config, bool is_last,
-                               size_t replay_batch_events,
-                               RecoveryReport* report, size_t* valid_prefix);
-
-  // Shared engine behind Recover / VerifyDurableDir.
-  static util::StatusOr<ObjectService> RecoverInternal(
-      const std::string& dir, const DurabilityOptions& options,
-      RecoveryReport* report, bool read_only);
+                               RecoveryReport* report) override;
+  void AttachLog(std::unique_ptr<DurableLog> log) override {
+    durability_ = std::move(log);
+  }
 
   // Admission pass of SubmitBatch: validates every event, resolves its
   // route into routes_, sizes `*result`, and — when `context` is non-null

@@ -29,7 +29,7 @@
 // only order the DOM algorithms observe) is exactly the submission order.
 // The ObjectService drives this either synchronously (Submit then Wait — the
 // plain ServeBatch contract) or pipelined (SubmitBatch/WaitBatch tickets,
-// ServeStream's double buffer), and fences the pipeline (DrainAll) before
+// kept in flight by core/batch_pipeline.h), and fences the pipeline before
 // anything that must observe or mutate quiesced shards: registrations,
 // stats reads, checkpoints, fault-mode arming.
 //

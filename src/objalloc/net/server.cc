@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstring>
 #include <ctime>
+#include <functional>
 
 #include "objalloc/net/signal_drain.h"
 #include "objalloc/util/crc32.h"
@@ -88,7 +89,7 @@ util::Status ServerOptions::Validate() const {
 }
 
 Server::Server(core::ObjectService* service, const ServerOptions& options)
-    : service_(service), options_(options) {
+    : service_(service), options_(options), pipeline_(service) {
   OBJALLOC_CHECK(service != nullptr) << "Server requires a service";
 }
 
@@ -165,9 +166,7 @@ util::Status Server::Start() {
     }
   }
 
-  for (BatchSlot& slot : slots_) {
-    slot.events.reserve(options_.batch_max_events);
-  }
+  batch_events_.reserve(options_.batch_max_events);
   next_connection_id_ = kFirstConnectionId;  // ids above the fd tags
   started_ = true;
   return util::Status::Ok();
@@ -267,7 +266,7 @@ int Server::WaitForEvents(epoll_event* events, int max_events) {
   // sweep need a timer. The window is armed only while a slot is free to
   // take the batch — with both in flight, a completion wakes the loop.
   const TimePoint now = Clock::now();
-  const bool window_open = !pending_.empty() && !slots_[next_slot_].submitted;
+  const bool window_open = !pending_.empty() && !pipeline_.full();
   TimePoint wake = min_deadline_;
   if (window_open) {
     wake = std::min(wake, oldest_pending_ + std::chrono::microseconds(
@@ -442,7 +441,7 @@ void Server::HandleRegister(Connection* conn, const Frame& frame) {
 void Server::HandleStats(Connection* conn, const Frame& frame) {
   // Engine aggregates need a quiet pipeline; finish what is in flight
   // first (stats is a rare, diagnostic op — the stall is the price).
-  FinalizeAllSlots();
+  DrainPipeline();
   WireStats wire;
   wire.objects = service_->object_count();
   wire.total_requests = service_->TotalRequests();
@@ -646,14 +645,9 @@ void Server::SweepDeadlines(TimePoint now) {
 }
 
 void Server::MaybeSubmit(TimePoint now, bool force) {
-  // Finalize, oldest first, the slots whose batches already landed (the
-  // completion fd woke us for them), so replies flow and slots free up.
-  // next_slot_ is the oldest slot when both are in flight.
-  for (int k = 0; k < 2; ++k) {
-    BatchSlot* slot = &slots_[(next_slot_ + k) % 2];
-    if (slot->submitted && !service_->BatchDone(slot->ticket)) break;
-    FinalizeSlot(slot);
-  }
+  // Retire, oldest first, the batches that already landed (the completion
+  // fd woke us for them), so replies flow and slots free up.
+  (void)pipeline_.Reap(std::bind_front(&Server::FinalizeBatch, this));
 
   while (!pending_.empty()) {
     const bool window_full = pending_events_.size() >= options_.batch_max_events;
@@ -661,112 +655,74 @@ void Server::MaybeSubmit(TimePoint now, bool force) {
         now - oldest_pending_ >=
         std::chrono::microseconds(options_.batch_max_delay_us);
     if (!force && !window_full && !window_stale) return;
-    BatchSlot* slot = &slots_[next_slot_];
-    if (slot->submitted) {
-      if (!force) return;  // both slots in flight; a completion wakes us
-      FinalizeSlot(slot);
-    }
+    // Both slots in flight: a completion wakes us (the drain path instead
+    // lets Submit wait the oldest out).
+    if (!force && pipeline_.full()) return;
     SubmitPending(now);
-    if (force) {
-      // Drain path: serve to completion immediately, then keep cutting.
-      FinalizeAllSlots();
-    }
   }
+  if (force) DrainPipeline();
 }
 
 void Server::SubmitPending(TimePoint now) {
-  BatchSlot* slot = &slots_[next_slot_];
-  OBJALLOC_CHECK(!slot->submitted);
-  slot->events.clear();
-  slot->replies.clear();
-
+  batch_events_.clear();
+  batch_requests_.clear();
   while (!pending_.empty() &&
-         slot->events.size() < options_.batch_max_events) {
+         batch_events_.size() < options_.batch_max_events) {
     Pending& front = pending_.front();
     if (!front.expired &&
-        slot->events.size() + front.events > options_.batch_max_events) {
+        batch_events_.size() + front.events > options_.batch_max_events) {
       break;  // batch full; the request waits whole for the next batch
     }
-    if (front.expired) {
-      pending_events_.erase(pending_events_.begin(),
-                            pending_events_.begin() + front.events);
-      pending_.pop_front();
-      continue;
+    if (!front.expired) {
+      batch_requests_.push_back(front);
+      batch_events_.insert(batch_events_.end(), pending_events_.begin(),
+                           pending_events_.begin() + front.events);
     }
-    ReplyRef ref;
-    ref.connection = front.connection;
-    ref.request_id = front.request_id;
-    ref.type = front.type;
-    ref.first = static_cast<uint32_t>(slot->events.size());
-    ref.events = front.events;
-    slot->replies.push_back(ref);
-    slot->events.insert(slot->events.end(), pending_events_.begin(),
-                        pending_events_.begin() + front.events);
     pending_events_.erase(pending_events_.begin(),
                           pending_events_.begin() + front.events);
     pending_.pop_front();
   }
   if (!pending_.empty()) oldest_pending_ = now;
-  if (slot->events.empty()) return;  // everything at the front had expired
+  if (batch_events_.empty()) return;  // everything at the front had expired
 
-  util::Status status = service_->SubmitBatch(
-      std::span<const workload::MultiObjectEvent>(slot->events),
-      &slot->result, &slot->ticket);
+  (void)pipeline_.Submit(batch_events_, batch_requests_,
+                         std::bind_front(&Server::FinalizeBatch, this));
   Count(&ServerStats::batches_submitted);
-  if (!status.ok()) {
-    // Should be unreachable — every event was pre-validated — but a reply
-    // is owed regardless; never leave a client hanging.
-    for (const ReplyRef& ref : slot->replies) {
-      auto it = connections_.find(ref.connection);
-      if (it == connections_.end()) continue;
-      it->second->inflight_events -= ref.events;
-      ReplyStatus(it->second.get(), ref.type, ref.request_id, status);
-    }
-    global_inflight_ -= slot->events.size();
-    slot->events.clear();
-    slot->replies.clear();
-    return;
-  }
-  slot->submitted = true;
-  next_slot_ = (next_slot_ + 1) % 2;
   // Without a completion fd nothing would wake the loop for a pipelined
   // batch, so serve it to completion now.
-  if (slot->ticket.completed || completion_fd_ < 0) FinalizeSlot(slot);
+  if (completion_fd_ < 0) DrainPipeline();
 }
 
-void Server::FinalizeSlot(BatchSlot* slot) {
-  if (!slot->submitted) return;
-  util::Status status = service_->WaitBatch(&slot->ticket);
-  slot->submitted = false;
-  global_inflight_ -= slot->events.size();
-
-  const std::span<const double> costs(slot->result.costs);
-  for (const ReplyRef& ref : slot->replies) {
-    auto it = connections_.find(ref.connection);
+void Server::FinalizeBatch(Pipeline::Slot& slot, const util::Status& status) {
+  // A refused batch (unreachable: every event was pre-validated) still
+  // replies its error — never leave a client hanging.
+  size_t first = 0;
+  for (const Pending& request : slot.tag) {
+    const size_t begin = first;
+    first += request.events;
+    global_inflight_ -= request.events;
+    auto it = connections_.find(request.connection);
     if (it == connections_.end()) continue;  // peer gone; reply discarded
     Connection* conn = it->second.get();
-    conn->inflight_events -= ref.events;
+    conn->inflight_events -= request.events;
     if (!status.ok()) {
-      ReplyStatus(conn, ref.type, ref.request_id, status);
+      ReplyStatus(conn, request.type, request.request_id, status);
       continue;
     }
     encode_scratch_.clear();
-    if (ref.type == MsgType::kBatch) {
-      EncodeCosts(costs.subspan(ref.first, ref.events), &encode_scratch_);
+    if (request.type == MsgType::kBatch) {
+      EncodeCosts(std::span<const double>(slot.result.costs)
+                      .subspan(begin, request.events),
+                  &encode_scratch_);
     } else {
-      EncodeCost(costs[ref.first], &encode_scratch_);
+      EncodeCost(slot.result.costs[begin], &encode_scratch_);
     }
-    ReplyOk(conn, ref.type, ref.request_id, encode_scratch_);
+    ReplyOk(conn, request.type, request.request_id, encode_scratch_);
   }
-  slot->events.clear();
-  slot->replies.clear();
 }
 
-void Server::FinalizeAllSlots() {
-  // Oldest first: next_slot_ points at the next slot to fill, so the slot
-  // after it (mod 2) was submitted earlier.
-  FinalizeSlot(&slots_[next_slot_ % 2]);
-  FinalizeSlot(&slots_[(next_slot_ + 1) % 2]);
+void Server::DrainPipeline() {
+  (void)pipeline_.Drain(std::bind_front(&Server::FinalizeBatch, this));
 }
 
 void Server::ReplyStatus(Connection* conn, MsgType request_type,
@@ -893,7 +849,6 @@ void Server::DrainAndExit() {
   // kTimeout replies via the sweep), then quiesce the engine.
   SweepDeadlines(Clock::now());
   MaybeSubmit(Clock::now(), /*force=*/true);
-  FinalizeAllSlots();
   OBJALLOC_CHECK_EQ(global_inflight_, 0u);
 
   if (service_->Load().durability == core::DurabilityState::kDurable) {

@@ -13,9 +13,9 @@
 // across connections — per-connection pipelining composes into
 // cross-connection batches). A batch is cut when it holds
 // `batch_max_events` events or the oldest queued request has waited
-// `batch_max_delay_us`, and handed to SubmitBatch; while the shards serve
-// it the loop keeps reading sockets and admits the next batch
-// (double-buffered, like ObjectService::ServeStream). The loop sleeps until
+// `batch_max_delay_us`, and handed to SubmitBatch through a
+// core::BatchPipeline; while the shards serve it the loop keeps reading
+// sockets and admits the next batch. The loop sleeps until
 // an fd or a timer asks for work: socket readiness, the engine's
 // completion eventfd (ObjectService::CompletionFd), the drain eventfd, or
 // the earliest of the batching window, a queued deadline and the idle
@@ -72,6 +72,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "objalloc/core/batch_pipeline.h"
 #include "objalloc/core/object_service.h"
 #include "objalloc/net/wire.h"
 #include "objalloc/util/status.h"
@@ -198,24 +199,9 @@ class Server {
     bool expired = false;
   };
 
-  // A reply owed by an in-flight engine batch: request `request_id` on
-  // `connection` covers result events [first, first + events).
-  struct ReplyRef {
-    uint64_t connection = 0;
-    uint64_t request_id = 0;
-    MsgType type = MsgType::kRead;
-    uint32_t first = 0;
-    uint32_t events = 0;
-  };
-
-  // Double-buffered engine submission slot.
-  struct BatchSlot {
-    std::vector<workload::MultiObjectEvent> events;
-    std::vector<ReplyRef> replies;
-    core::BatchResult result;
-    core::BatchTicket ticket;
-    bool submitted = false;
-  };
+  // An engine batch's pipeline tag: the requests it answers, in order —
+  // each owns the next `events` results.
+  using Pipeline = core::BatchPipeline<std::vector<Pending>>;
 
   util::Status RunLoop();
   // epoll_pwait2 until an fd is ready or the next timer is due.
@@ -245,11 +231,14 @@ class Server {
   // Expires queued requests whose deadline passed (kTimeout replies).
   void SweepDeadlines(TimePoint now);
   // Cuts and submits an engine batch from the pending queue when the
-  // window or drain policy says so; finalizes completed slots.
+  // window or drain policy says so; retires the batches that landed (with
+  // `force`, everything: the queue is served to completion).
   void MaybeSubmit(TimePoint now, bool force);
   void SubmitPending(TimePoint now);
-  void FinalizeSlot(BatchSlot* slot);
-  void FinalizeAllSlots();
+  // The pipeline's retire callback: replies for one finished engine batch.
+  void FinalizeBatch(Pipeline::Slot& slot, const util::Status& status);
+  // Serves every in-flight engine batch to completion and replies.
+  void DrainPipeline();
   void MarkDirty(Connection* conn);
   // One FlushConnection per dirty connection; the only reply flush path.
   void FlushDirty();
@@ -287,8 +276,11 @@ class Server {
   TimePoint oldest_pending_;       // arrival of pending_.front()
   TimePoint min_deadline_ = TimePoint::max();
 
-  BatchSlot slots_[2];
-  int next_slot_ = 0;
+  Pipeline pipeline_;
+  // The next engine batch, built from the queue: SubmitBatch copies the
+  // events, the requests swap into the pipeline as its tag.
+  std::vector<workload::MultiObjectEvent> batch_events_;
+  std::vector<Pending> batch_requests_;
 
   std::string encode_scratch_;  // reply payload build buffer
 

@@ -9,6 +9,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -19,10 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include "objalloc/core/batch_pipeline.h"
 #include "objalloc/core/object_service.h"
 #include "objalloc/core/shard_executor.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/util/spsc_queue.h"
+#include "objalloc/workload/event_source.h"
 #include "objalloc/workload/multi_object.h"
 
 namespace objalloc::core {
@@ -480,6 +483,166 @@ TEST(ServicePipelineStressTest, CompletionFdSignalsEveryPipelinedBatch) {
                           ServiceOptions{.num_shards = 1});
   ScopedThreads parallel(4);
   EXPECT_EQ(one_shard.CompletionFd(), -1);
+}
+
+// ----------------------------------------------------------- BatchPipeline
+
+// Batches of 10^5 events from this trace are still on the workers when
+// the submitting thread looks again.
+MultiObjectTrace PipelineTrace(size_t length) {
+  workload::MultiObjectOptions options;
+  options.num_processors = 8;
+  options.num_objects = 4096;
+  options.length = length;
+  return workload::GenerateMultiObjectTrace(options, 123);
+}
+
+// A 4-shard service with every object of `trace` registered.
+ObjectService PipelineService(const MultiObjectTrace& trace) {
+  ObjectService service(trace.num_processors,
+                        model::CostModel::StationaryComputing(0.25, 1.0),
+                        ServiceOptions{.num_shards = 4});
+  for (int id = 0; id < trace.num_objects; ++id) {
+    EXPECT_TRUE(service.AddObject(id, TestConfig()).ok());
+  }
+  return service;
+}
+
+int PipelineThreads() {
+  return std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+// Reap retires tickets oldest first and only those already done: a Reap
+// loop over large pipelined batches keeps returning with a batch still in
+// flight (it never waits one out), and the retire order is the submit
+// order whether a batch retires in Reap or inside a later Submit.
+TEST(BatchPipelineTest, ReapRetiresOldestFirstWithoutBlocking) {
+  const MultiObjectTrace trace = PipelineTrace(400000);
+  ScopedThreads threads(PipelineThreads());
+  ObjectService service = PipelineService(trace);
+
+  BatchPipeline<int> pipeline(&service);
+  std::vector<int> retired;
+  auto retire = [&retired](BatchPipeline<int>::Slot& slot,
+                           const util::Status& status) {
+    EXPECT_TRUE(status.ok());
+    retired.push_back(slot.tag);
+  };
+  constexpr size_t kBatch = 100000;
+  std::span<const MultiObjectEvent> all(trace.events);
+  int submitted = 0;
+  int reaps = 0;
+  for (size_t pos = 0; pos < all.size(); pos += kBatch) {
+    int tag = submitted++;
+    ASSERT_TRUE(pipeline.Submit(all.subspan(pos, kBatch), tag, retire).ok());
+    if (submitted % 2 == 1) continue;  // two in flight, then reap them
+    while (retired.size() < static_cast<size_t>(submitted)) {
+      ASSERT_TRUE(pipeline.Reap(retire).ok());
+      ++reaps;
+    }
+  }
+  ASSERT_EQ(retired.size(), static_cast<size_t>(submitted));
+  for (int i = 0; i < submitted; ++i) EXPECT_EQ(retired[i], i);
+  // A blocking Reap would empty the pipeline in one call per pair.
+  EXPECT_GT(reaps, submitted / 2)
+      << "Reap never returned with a batch in flight";
+  EXPECT_EQ(service.TotalRequests(), static_cast<int64_t>(all.size()));
+}
+
+// Scope exit with batches in flight: the destructor waits them out, so the
+// service is quiescent and every submitted event served.
+TEST(BatchPipelineTest, DestructorDrainLeavesServiceQuiescent) {
+  const MultiObjectTrace trace = PipelineTrace(200000);
+  ScopedThreads threads(PipelineThreads());
+  ObjectService service = PipelineService(trace);
+  ObjectService reference = PipelineService(trace);
+  std::span<const MultiObjectEvent> all(trace.events);
+  {
+    BatchPipeline<> pipeline(&service);
+    auto ignore = [](BatchPipeline<>::Slot&, const util::Status&) {};
+    ASSERT_TRUE(pipeline.Submit(all.first(100000), ignore).ok());
+    ASSERT_TRUE(pipeline.Submit(all.subspan(100000), ignore).ok());
+  }
+  const ServiceLoad load = service.Load();
+  EXPECT_EQ(load.inflight_batches, 0u);
+  EXPECT_EQ(load.executor_queued_ops, 0u);
+  ASSERT_TRUE(reference.ServeBatch(all).ok());
+  EXPECT_EQ(service.TotalRequests(), static_cast<int64_t>(all.size()));
+  EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+}
+
+// Fault mode completes every batch inside SubmitBatch: each one retires
+// within its own Submit, in the same slot (no flip), after the pipelined
+// batch that was in flight when faults were enabled.
+TEST(BatchPipelineTest, SynchronousBatchesRetireInPlace) {
+  const MultiObjectTrace trace = PipelineTrace(20000);
+  ScopedThreads threads(PipelineThreads());
+  ObjectService service = PipelineService(trace);
+
+  BatchPipeline<int> pipeline(&service);
+  std::vector<int> retired;
+  std::vector<const BatchResult*> slots;
+  auto retire = [&](BatchPipeline<int>::Slot& slot, const util::Status&) {
+    retired.push_back(slot.tag);
+    slots.push_back(&slot.result);
+  };
+  std::span<const MultiObjectEvent> all(trace.events);
+  int tag = 0;
+  ASSERT_TRUE(pipeline.Submit(all.first(1000), tag, retire).ok());
+  ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
+  for (int i = 1; i < 20; ++i) {
+    tag = i;
+    ASSERT_TRUE(
+        pipeline.Submit(all.subspan(size_t(i) * 1000, 1000), tag, retire)
+            .ok());
+    ASSERT_EQ(retired.size(), static_cast<size_t>(i + 1)) << "batch " << i;
+  }
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(retired[i], i);
+  // Batch 0 was pipelined into one slot; every fault-mode batch after it
+  // reused the other one.
+  for (size_t i = 2; i < slots.size(); ++i) EXPECT_EQ(slots[i], slots[1]);
+  EXPECT_NE(slots[0], slots[1]);
+  EXPECT_EQ(service.TotalRequests(), 20000);
+}
+
+// A source that yields `full_batches` full batches of its trace, then
+// fails.
+class FailingSource : public workload::EventSource {
+ public:
+  FailingSource(const MultiObjectTrace& trace, size_t full_batches)
+      : inner_(trace), remaining_(full_batches) {}
+  int num_processors() const override { return inner_.num_processors(); }
+  util::StatusOr<size_t> FillBatch(std::span<MultiObjectEvent> out) override {
+    if (remaining_ == 0) return util::Status::Internal("source broke");
+    --remaining_;
+    return inner_.FillBatch(out);
+  }
+
+ private:
+  workload::TraceEventSource inner_;
+  size_t remaining_;
+};
+
+// ServeStream over a source that fails after k full batches, with the k-th
+// still pipelined on the executor: the source's error comes back, the
+// pipeline is drained, and exactly the k admitted batches were served.
+TEST(ServicePipelineStressTest, StreamFailingMidwayDrains) {
+  const MultiObjectTrace trace = PipelineTrace(100000);
+  constexpr size_t kBatch = 8192;
+  constexpr size_t kFullBatches = 5;
+  for (int threads : {1, PipelineThreads()}) {
+    ScopedThreads scope(threads);
+    ObjectService service = PipelineService(trace);
+    FailingSource source(trace, kFullBatches);
+    auto result = service.ServeStream(source, kBatch);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInternal);
+    EXPECT_EQ(result.status().message(), "source broke");
+    EXPECT_EQ(service.Load().inflight_batches, 0u) << "threads " << threads;
+    EXPECT_EQ(service.TotalRequests(),
+              static_cast<int64_t>(kFullBatches * kBatch))
+        << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "objalloc/core/batch_pipeline.h"
 #include "objalloc/core/dom_algorithm.h"
 #include "objalloc/core/object_manager.h"
 #include "objalloc/core/object_service.h"
@@ -224,8 +225,9 @@ TEST(ServingEngineTest, SteadyStateBatchesDoNotAllocate) {
 
 // The same contract on the shard-executor path (threads > 1): once the
 // worker pool is up and every pipeline context has served the maximal
-// batch, both the synchronous entry and the pipelined SubmitBatch/WaitBatch
-// entry are allocation-free — the per-shard op lists, the per-context
+// batch, both the synchronous entry and the pipelined entry — driven
+// through BatchPipeline, whose slots and callbacks are part of the
+// contract — are allocation-free: the per-shard op lists, the per-context
 // scratch, and the SPSC rings are all warm fixed-capacity storage.
 TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   const MultiObjectTrace trace = TestTrace(2048);
@@ -238,8 +240,11 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
 
   std::span<const MultiObjectEvent> id_span(trace.events);
   BatchResult result;
-  BatchResult results[2];
-  BatchTicket tickets[2];
+  BatchPipeline<> pipeline(&service);
+  int64_t retired = 0;
+  auto retire = [&retired](BatchPipeline<>::Slot&, const util::Status&) {
+    ++retired;
+  };
   // Warm-up: spin up the executor, then cycle every pipeline context
   // twice through the maximal batch on both entries so each context's
   // per-shard op lists reach steady capacity (contexts are visited
@@ -248,29 +253,21 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   const size_t rounds = 2 * ShardExecutor::kDefaultDepth;
   for (size_t round = 0; round < rounds; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    const int cur = static_cast<int>(round % 2);
-    if (!tickets[cur].completed) {
-      ASSERT_TRUE(service.WaitBatch(&tickets[cur]).ok());
-    }
-    ASSERT_TRUE(
-        service.SubmitBatch(id_span, &results[cur], &tickets[cur]).ok());
+    ASSERT_TRUE(pipeline.Submit(id_span, retire).ok());
   }
-  ASSERT_TRUE(service.DrainBatches().ok());
+  ASSERT_TRUE(pipeline.Drain(retire).ok());
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
-    const int cur = round % 2;
-    if (!tickets[cur].completed) {
-      ASSERT_TRUE(service.WaitBatch(&tickets[cur]).ok());
-    }
-    ASSERT_TRUE(
-        service.SubmitBatch(id_span, &results[cur], &tickets[cur]).ok());
+    ASSERT_TRUE(pipeline.Submit(id_span, retire).ok());
+    ASSERT_TRUE(pipeline.Reap(retire).ok());
   }
-  ASSERT_TRUE(service.DrainBatches().ok());
+  ASSERT_TRUE(pipeline.Drain(retire).ok());
   const int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
       << "steady-state executor batches must not touch the heap";
+  EXPECT_EQ(retired, static_cast<int64_t>(rounds) + 10);
 }
 
 // ReserveObjects pre-sizes every table a registration touches — the route
