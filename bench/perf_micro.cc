@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "objalloc/core/adaptive_allocation.h"
+#include "objalloc/core/batch_pipeline.h"
 #include "objalloc/core/dynamic_allocation.h"
 #include "objalloc/core/object_service.h"
 #include "objalloc/core/runner.h"
@@ -257,6 +258,52 @@ void BM_ExecutorBatchHandoff(benchmark::State& state) {
                           static_cast<int64_t>(shards_n));
 }
 BENCHMARK(BM_ExecutorBatchHandoff)->Arg(4)->Arg(16);
+
+// SubmitBatch's dispatch rule as a pipelining caller sees it: 16 shards,
+// 4 threads, two batches in flight through a BatchPipeline. Batches below
+// kInlineBatchEvents are served in place on this thread, larger ones on
+// the executor, so the rates at kInlineBatchEvents - 1 and
+// kInlineBatchEvents check the constant's derivation: a step between them
+// means the crossover lies elsewhere. Wall-clock rates, since the
+// executor's work runs on other threads. Arg: batch size.
+void BM_SubmitBatchDispatch(benchmark::State& state) {
+  util::ScopedThreads threads(4);
+  const size_t batch = static_cast<size_t>(state.range(0));
+  const workload::MultiObjectTrace trace = ServiceTrace(8192);
+  core::ServiceOptions options;
+  options.num_shards = 16;
+  core::ObjectService service(
+      16, model::CostModel::StationaryComputing(0.25, 1.0), options);
+  service.ReserveObjects(256);
+  for (int id = 0; id < 256; ++id) {
+    if (!service.AddObject(id, InlineConfig(core::AlgorithmKind::kDynamic))
+             .ok()) {
+      std::abort();
+    }
+  }
+  core::BatchPipeline<> pipeline(&service);
+  auto retire = [](core::BatchPipeline<>::Slot& slot,
+                   const util::Status& status) {
+    if (!status.ok()) std::abort();
+    benchmark::DoNotOptimize(slot.result.cost);
+  };
+  const std::span<const workload::MultiObjectEvent> all(trace.events);
+  size_t pos = 0;
+  for (auto _ : state) {
+    if (pos + batch > all.size()) pos = 0;
+    if (!pipeline.Submit(all.subspan(pos, batch), retire).ok()) std::abort();
+    pos += batch;
+  }
+  if (!pipeline.Drain(retire).ok()) std::abort();
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+}
+BENCHMARK(BM_SubmitBatchDispatch)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(core::ObjectService::kInlineBatchEvents - 1)
+    ->Arg(core::ObjectService::kInlineBatchEvents)
+    ->Arg(4096)
+    ->UseRealTime();
 
 // Bulk registration cost with and without ReserveObjects: reserved
 // registration does O(1) amortized rehashes across every internal table.

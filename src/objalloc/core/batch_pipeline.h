@@ -6,8 +6,10 @@
 //   * every submitted batch retires exactly once, oldest first, through
 //     `retire(slot, status)` — status is SubmitBatch's refusal, else
 //     WaitBatch's;
-//   * a batch completed synchronously (serial path, fault mode) retires
-//     inside Submit and does not flip the slot;
+//   * a batch completed synchronously (served in place: below
+//     ObjectService::kInlineBatchEvents, or on the serial path; or in fault
+//     mode) retires inside Submit, after any older batch, and does not
+//     flip the slot;
 //   * every exit drains: a refused Submit retires the rest before
 //     returning, the destructor waits out what is left (without calling
 //     back), so no batch outlives its result.

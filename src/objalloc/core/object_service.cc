@@ -251,12 +251,13 @@ util::Status ObjectService::SubmitBatch(
     BatchTicket* ticket) {
   *ticket = BatchTicket{};  // completed until proven pipelined
   // With one worker (or one shard, or when already inside a parallel
-  // worker) the executor would be pure overhead: the batch is served in
-  // place, in submission order, and never touches a queue. Per-object
-  // request order — the only order the algorithms observe — is the same
-  // either way, and breakdown counts are integers, so both modes are
-  // bit-identical.
-  const bool parallel = ParallelServing();
+  // worker), or for a batch below kInlineBatchEvents, the executor would be
+  // pure overhead: the batch is served in place, in submission order, and
+  // never touches a queue. Per-object request order — the only order the
+  // algorithms observe — is the same either way, and breakdown counts are
+  // integers, so both modes are bit-identical.
+  const bool parallel =
+      ParallelServing() && events.size() >= kInlineBatchEvents;
   const bool faulty = injector_ != nullptr;
   if (!parallel || faulty) [[unlikely]] {
     // This thread is about to touch shard state directly (the in-place

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -228,16 +229,17 @@ TEST(ShardExecutorStressTest, ShutdownRacesSubmittedWork) {
 
 // The full stack under threads: pipelined SubmitBatch/WaitBatch against the
 // synchronous ServeBatch path over the same trace must agree on every
-// aggregate. Small batches maximize handoff frequency (the racy part).
+// aggregate. The smallest batches that still go to the executor maximize
+// handoff frequency (the racy part): 313 handoffs.
 TEST(ServicePipelineStressTest, PipelinedEqualsSynchronous) {
+  constexpr size_t kBatch = ObjectService::kInlineBatchEvents;
   workload::MultiObjectOptions options;
   options.num_processors = 8;
   options.num_objects = 64;
-  options.length = 20000;
+  options.length = 313 * kBatch;
   const MultiObjectTrace trace =
       workload::GenerateMultiObjectTrace(options, 77);
   const model::CostModel sc = model::CostModel::StationaryComputing(0.25, 1.0);
-  constexpr size_t kBatch = 64;
 
   ScopedThreads threads(4);
   ServiceOptions service_options;
@@ -305,25 +307,26 @@ TEST(ServicePipelineStressTest, PipelinedEqualsSynchronous) {
 // Recover rebuilds from the directory must equal a 1-thread service fed the
 // same calls.
 TEST(ServicePipelineStressTest, MixedSyncPipelinedDurableMatchesSerial) {
+  // 125 batches of the smallest size the executor takes.
+  constexpr size_t kBatch = ObjectService::kInlineBatchEvents;
   workload::MultiObjectOptions options;
   options.num_processors = 8;
   options.num_objects = 64;
-  options.length = 6000;
+  options.length = 125 * kBatch;
   const MultiObjectTrace trace =
       workload::GenerateMultiObjectTrace(options, 5);
   const model::CostModel sc = model::CostModel::StationaryComputing(0.25, 1.0);
   ServiceOptions service_options;
   service_options.num_shards = 16;
 
-  // The call sequence: batches of 48 events; of every four, two are
+  // The call sequence: batches of kBatch events; of every four, two are
   // submitted and left in flight, one is served synchronously, and one is
-  // split into one-event ServeBatch calls.
+  // split into one-event ServeBatch calls (served in place).
   enum class Entry { kSubmit, kServeInto, kServeOne };
   struct Call {
     std::span<const MultiObjectEvent> events;
     Entry entry;
   };
-  constexpr size_t kBatch = 48;
   std::vector<Call> calls;
   std::span<const MultiObjectEvent> all(trace.events);
   for (size_t pos = 0, n = 0; pos < all.size(); pos += kBatch, ++n) {
@@ -367,7 +370,8 @@ TEST(ServicePipelineStressTest, MixedSyncPipelinedDurableMatchesSerial) {
 
   const std::string dir = ::testing::TempDir() + "/executor_mixed_durable";
   DurabilityOptions durability;
-  durability.checkpoint_interval_events = 500;
+  // About one auto-checkpoint every ten batches.
+  durability.checkpoint_interval_events = 10 * kBatch;
   ScopedThreads threads(4);
   {
     ObjectService service(trace.num_processors, sc, service_options);
@@ -426,14 +430,15 @@ TEST(ServicePipelineStressTest, MixedSyncPipelinedDurableMatchesSerial) {
 // returns without blocking. The fd survives an executor rebuild (thread
 // count change), and the serial path has none.
 TEST(ServicePipelineStressTest, CompletionFdSignalsEveryPipelinedBatch) {
+  // The smallest batch the executor takes, 100 times.
+  constexpr size_t kBatch = ObjectService::kInlineBatchEvents;
   workload::MultiObjectOptions options;
   options.num_processors = 8;
   options.num_objects = 64;
-  options.length = 6400;
+  options.length = 100 * kBatch;
   const MultiObjectTrace trace =
       workload::GenerateMultiObjectTrace(options, 91);
   const model::CostModel sc = model::CostModel::StationaryComputing(0.25, 1.0);
-  constexpr size_t kBatch = 64;
   ServiceOptions service_options;
   service_options.num_shards = 16;
 
@@ -483,6 +488,91 @@ TEST(ServicePipelineStressTest, CompletionFdSignalsEveryPipelinedBatch) {
                           ServiceOptions{.num_shards = 1});
   ScopedThreads parallel(4);
   EXPECT_EQ(one_shard.CompletionFd(), -1);
+}
+
+// The dispatch rule under threads: batches of sizes {1, k−1, k, 4k}
+// (k = kInlineBatchEvents) in a seeded order, two in flight through a
+// BatchPipeline. Only batches of at least k go to the executor (the others
+// complete inside SubmitBatch, so they retire inside their own Submit), and
+// a small batch served in place right behind a large one still on the
+// workers must see every object in submission order: per-batch results,
+// totals and schemes equal a 1-thread service fed the same batches.
+TEST(ServicePipelineStressTest, DispatchSwitchMatchesSerial) {
+  constexpr size_t k = ObjectService::kInlineBatchEvents;
+  constexpr size_t kSizes[] = {1, k - 1, k, 4 * k};
+  std::mt19937 rng(2024);
+  std::vector<size_t> sizes(48);
+  size_t length = 0;
+  for (size_t& size : sizes) {
+    size = kSizes[rng() % 4];
+    length += size;
+  }
+  workload::MultiObjectOptions options;
+  options.num_processors = 8;
+  options.num_objects = 64;
+  options.length = length;
+  const MultiObjectTrace trace =
+      workload::GenerateMultiObjectTrace(options, 17);
+  const model::CostModel sc = model::CostModel::StationaryComputing(0.25, 1.0);
+  ServiceOptions service_options;
+  service_options.num_shards = 16;
+  std::vector<std::span<const MultiObjectEvent>> batches;
+  std::span<const MultiObjectEvent> all(trace.events);
+  for (size_t pos = 0, b = 0; b < sizes.size(); pos += sizes[b++]) {
+    batches.push_back(all.subspan(pos, sizes[b]));
+  }
+
+  ScopedThreads serial(1);
+  ObjectService reference(trace.num_processors, sc, service_options);
+  std::vector<BatchResult> want;
+  for (int id = 0; id < trace.num_objects; ++id) {
+    ASSERT_TRUE(reference.AddObject(id, TestConfig()).ok());
+  }
+  for (std::span<const MultiObjectEvent> batch : batches) {
+    auto result = reference.ServeBatch(batch);
+    ASSERT_TRUE(result.ok());
+    want.push_back(*std::move(result));
+  }
+
+  ScopedThreads threads(4);
+  ObjectService service(trace.num_processors, sc, service_options);
+  for (int id = 0; id < trace.num_objects; ++id) {
+    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
+  }
+  std::vector<BatchResult> got(batches.size());
+  std::vector<bool> in_place(batches.size(), false);
+  size_t submitting = 0;
+  {
+    BatchPipeline<size_t> pipeline(&service);
+    auto retire = [&](BatchPipeline<size_t>::Slot& slot,
+                      const util::Status& status) {
+      ASSERT_TRUE(status.ok());
+      got[slot.tag] = slot.result;
+      in_place[slot.tag] = slot.tag == submitting;
+    };
+    for (size_t b = 0; b < batches.size(); ++b) {
+      submitting = b;
+      size_t tag = b;
+      ASSERT_TRUE(pipeline.Submit(batches[b], tag, retire).ok());
+    }
+    submitting = batches.size();
+    ASSERT_TRUE(pipeline.Drain(retire).ok());
+  }
+
+  for (size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_EQ(in_place[b], sizes[b] < k) << "batch " << b << " of "
+                                         << sizes[b] << " events";
+    ASSERT_EQ(got[b].costs, want[b].costs) << "batch " << b;
+    ASSERT_EQ(got[b].breakdown, want[b].breakdown) << "batch " << b;
+    ASSERT_EQ(got[b].cost, want[b].cost) << "batch " << b;
+  }
+  EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+  EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
+  for (int id = 0; id < trace.num_objects; ++id) {
+    EXPECT_EQ(service.StatsFor(id)->scheme.mask(),
+              reference.StatsFor(id)->scheme.mask())
+        << "object " << id;
+  }
 }
 
 // ----------------------------------------------------------- BatchPipeline
@@ -575,7 +665,9 @@ TEST(BatchPipelineTest, DestructorDrainLeavesServiceQuiescent) {
 // within its own Submit, in the same slot (no flip), after the pipelined
 // batch that was in flight when faults were enabled.
 TEST(BatchPipelineTest, SynchronousBatchesRetireInPlace) {
-  const MultiObjectTrace trace = PipelineTrace(20000);
+  // Batch 0 must be large enough to go to the executor.
+  constexpr size_t kBatch = ObjectService::kInlineBatchEvents;
+  const MultiObjectTrace trace = PipelineTrace(20 * kBatch);
   ScopedThreads threads(PipelineThreads());
   ObjectService service = PipelineService(trace);
 
@@ -588,12 +680,12 @@ TEST(BatchPipelineTest, SynchronousBatchesRetireInPlace) {
   };
   std::span<const MultiObjectEvent> all(trace.events);
   int tag = 0;
-  ASSERT_TRUE(pipeline.Submit(all.first(1000), tag, retire).ok());
+  ASSERT_TRUE(pipeline.Submit(all.first(kBatch), tag, retire).ok());
   ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
   for (int i = 1; i < 20; ++i) {
     tag = i;
     ASSERT_TRUE(
-        pipeline.Submit(all.subspan(size_t(i) * 1000, 1000), tag, retire)
+        pipeline.Submit(all.subspan(size_t(i) * kBatch, kBatch), tag, retire)
             .ok());
     ASSERT_EQ(retired.size(), static_cast<size_t>(i + 1)) << "batch " << i;
   }
@@ -602,7 +694,7 @@ TEST(BatchPipelineTest, SynchronousBatchesRetireInPlace) {
   // reused the other one.
   for (size_t i = 2; i < slots.size(); ++i) EXPECT_EQ(slots[i], slots[1]);
   EXPECT_NE(slots[0], slots[1]);
-  EXPECT_EQ(service.TotalRequests(), 20000);
+  EXPECT_EQ(service.TotalRequests(), static_cast<int64_t>(20 * kBatch));
 }
 
 // A source that yields `full_batches` full batches of its trace, then
