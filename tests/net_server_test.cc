@@ -27,6 +27,7 @@
 #include "objalloc/net/server.h"
 #include "objalloc/net/wire.h"
 #include "objalloc/util/crc32.h"
+#include "objalloc/util/parallel.h"
 #include "objalloc/util/status.h"
 #include "objalloc/workload/multi_object.h"
 
@@ -62,6 +63,28 @@ uint32_t SchemeCrcOf(const ObjectService& service) {
     crc = util::Crc32(&mask, sizeof(mask), crc);
   }
   return crc;
+}
+
+// One connection's traffic: `count` seeded reads and writes (one in three
+// a write) over the objects [first_object, first_object + objects).
+std::vector<workload::MultiObjectEvent> ConnectionTraffic(int64_t first_object,
+                                                          int64_t objects,
+                                                          size_t count,
+                                                          uint64_t seed) {
+  std::vector<workload::MultiObjectEvent> events;
+  uint64_t state = seed;
+  for (size_t i = 0; i < count; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    workload::MultiObjectEvent event;
+    event.object = first_object + static_cast<int64_t>((state >> 33) %
+                                                       objects);
+    const auto processor =
+        static_cast<model::ProcessorId>((state >> 13) % kProcessors);
+    event.request = (state >> 7) % 3 == 0 ? model::Request::Write(processor)
+                                          : model::Request::Read(processor);
+    events.push_back(event);
+  }
+  return events;
 }
 
 // Starts the server on an ephemeral loopback port and runs its loop on a
@@ -172,28 +195,11 @@ TEST(NetServerTest, BatchIsAllOrNothing) {
 // interleaving the server happens to pick cannot perturb the fingerprint.
 TEST(NetServerTest, WireTrafficMatchesInProcessFingerprint) {
   constexpr int64_t kObjectsPerConn = 8;
-  constexpr int kEventsPerConn = 600;
-
-  auto events_for = [](int64_t first_object, uint64_t seed) {
-    std::vector<workload::MultiObjectEvent> events;
-    uint64_t state = seed;
-    for (int i = 0; i < kEventsPerConn; ++i) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      workload::MultiObjectEvent event;
-      event.object = first_object + static_cast<int64_t>((state >> 33) %
-                                                         kObjectsPerConn);
-      const auto processor =
-          static_cast<model::ProcessorId>((state >> 13) % kProcessors);
-      event.request = (state >> 7) % 3 == 0
-                          ? model::Request::Write(processor)
-                          : model::Request::Read(processor);
-      events.push_back(event);
-    }
-    return events;
-  };
-  const std::vector<workload::MultiObjectEvent> conn1 = events_for(0, 11);
+  constexpr size_t kEventsPerConn = 600;
+  const std::vector<workload::MultiObjectEvent> conn1 =
+      ConnectionTraffic(0, kObjectsPerConn, kEventsPerConn, 11);
   const std::vector<workload::MultiObjectEvent> conn2 =
-      events_for(kObjectsPerConn, 22);
+      ConnectionTraffic(kObjectsPerConn, kObjectsPerConn, kEventsPerConn, 22);
 
   // In-process reference: one service, both sequences (order across
   // connections is irrelevant — the objects are disjoint).
@@ -256,6 +262,158 @@ TEST(NetServerTest, WireTrafficMatchesInProcessFingerprint) {
   t2.join();
   harness.Shutdown();
   ASSERT_TRUE(harness.run_status().ok());
+
+  EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
+  EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+  EXPECT_EQ(SchemeCrcOf(service), SchemeCrcOf(reference));
+}
+
+// The same bar with engine batches on the shard executor, in two phases
+// over one service. Every wire batch carries kInlineBatchEvents items and
+// is never split across engine batches, so at 4 threads every engine
+// batch is served by the executor. Phase one cuts one engine batch per
+// wire batch: the loop retires them through the completion fd, with up to
+// two in flight. In phase two the window never closes on its own, so the
+// drain submits the queued batch to the executor and must answer it.
+TEST(NetServerTest, ExecutorBatchesMatchInProcessAndDrainAnswersAll) {
+  constexpr size_t kItems = ObjectService::kInlineBatchEvents;
+  constexpr int64_t kObjectsPerConn = 8;
+  constexpr size_t kBatchesPerConn = 8;
+  constexpr size_t kWindow = 2;  // wire batches outstanding per connection
+  constexpr uint32_t kNeverStaleUs = 30'000'000;
+  util::ScopedThreads scope(4);
+
+  const std::vector<workload::MultiObjectEvent> traffic[2] = {
+      ConnectionTraffic(0, kObjectsPerConn, kBatchesPerConn * kItems, 33),
+      ConnectionTraffic(kObjectsPerConn, kObjectsPerConn,
+                        kBatchesPerConn * kItems, 44)};
+
+  // Serial in-process reference: per-event costs depend only on the
+  // object's own history, and the two connections' objects are disjoint.
+  std::vector<double> reference_costs[2];
+  ObjectService reference = MakeService();
+  {
+    util::ScopedThreads serial(1);
+    for (int64_t id = 0; id < 2 * kObjectsPerConn; ++id) {
+      ASSERT_TRUE(reference.AddObject(id, TestConfig()).ok());
+    }
+    for (int conn = 0; conn < 2; ++conn) {
+      util::StatusOr<core::BatchResult> result = reference.ServeBatch(
+          std::span<const workload::MultiObjectEvent>(traffic[conn]));
+      ASSERT_TRUE(result.ok());
+      reference_costs[conn] = result->costs;
+    }
+  }
+
+  ObjectService service = MakeService();
+  ASSERT_GE(service.CompletionFd(), 0) << "the executor path is off";
+  for (int64_t id = 0; id < 2 * kObjectsPerConn; ++id) {
+    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
+  }
+  auto wire_batch = [&](int conn, size_t batch) {
+    BatchRequest request;
+    for (size_t i = 0; i < kItems; ++i) {
+      const workload::MultiObjectEvent& event =
+          traffic[conn][batch * kItems + i];
+      request.items.push_back(
+          {event.object, static_cast<uint32_t>(event.request.processor),
+           static_cast<uint8_t>(event.request.is_write() ? 1 : 0)});
+    }
+    return request;
+  };
+  // The current client's request ids, in send order, for the connection's
+  // wire batches from `base` on (ids restart with each client).
+  std::vector<uint64_t> ids[2];
+  size_t base[2] = {0, 0};
+  size_t answered[2] = {0, 0};
+  auto expect_reply = [&](int conn, const Client::Reply& reply) {
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    const auto it =
+        std::find(ids[conn].begin(), ids[conn].end(), reply.request_id);
+    ASSERT_NE(it, ids[conn].end()) << "reply to unknown id";
+    const size_t first =
+        (base[conn] + static_cast<size_t>(it - ids[conn].begin())) * kItems;
+    ASSERT_EQ(reply.costs.size(), kItems);
+    for (size_t i = 0; i < kItems; ++i) {
+      ASSERT_EQ(reply.costs[i], reference_costs[conn][first + i])
+          << "connection " << conn << " event " << first + i;
+    }
+    ++answered[conn];
+  };
+
+  // Phase one: a window of exactly one wire batch that never goes stale.
+  // Connection 0 keeps its last batch for phase two.
+  {
+    ServerOptions options;
+    options.batch_max_events = kItems;
+    options.max_batch_items = kItems;
+    options.batch_max_delay_us = kNeverStaleUs;
+    ServerHarness harness(&service, options);
+    ASSERT_TRUE(harness.start_status().ok());
+    auto drive = [&](int conn) {
+      Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
+      const size_t batches = conn == 0 ? kBatchesPerConn - 1 : kBatchesPerConn;
+      for (size_t batch = 0; batch < batches; ++batch) {
+        while (client.outstanding() >= kWindow) {
+          util::StatusOr<Client::Reply> reply = client.WaitReply(10000);
+          ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+          expect_reply(conn, *reply);
+        }
+        util::StatusOr<uint64_t> id = client.SendBatch(wire_batch(conn, batch));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        ids[conn].push_back(*id);
+      }
+      while (client.outstanding() > 0) {
+        util::StatusOr<Client::Reply> reply = client.WaitReply(10000);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        expect_reply(conn, *reply);
+      }
+    };
+    std::thread t1(drive, 0);
+    std::thread t2(drive, 1);
+    t1.join();
+    t2.join();
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    EXPECT_EQ(harness.server().Stats().batches_submitted,
+              2 * kBatchesPerConn - 1);
+    harness.Shutdown();
+    ASSERT_TRUE(harness.run_status().ok());
+  }
+
+  // Phase two: connection 0's last wire batch waits in a window that
+  // neither fills nor goes stale until the drain submits it. (An open
+  // window also stops the loop reading sockets, so one batch is all the
+  // drain can be sure to find.)
+  ServerOptions options;
+  options.batch_max_delay_us = kNeverStaleUs;
+  ServerHarness harness(&service, options);
+  ASSERT_TRUE(harness.start_status().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
+  util::StatusOr<uint64_t> id =
+      client.SendBatch(wire_batch(0, kBatchesPerConn - 1));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ids[0] = {*id};
+  base[0] = kBatchesPerConn - 1;
+  // Drain stops reading sockets: wait until the batch is admitted.
+  const auto admit_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (harness.server().Stats().admitted_events < kItems &&
+         std::chrono::steady_clock::now() < admit_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(harness.server().Stats().admitted_events, kItems);
+  EXPECT_EQ(harness.server().Stats().batches_submitted, 0u);
+  harness.Shutdown();
+  ASSERT_TRUE(harness.run_status().ok());
+  EXPECT_EQ(harness.server().Stats().batches_submitted, 1u);
+  util::StatusOr<Client::Reply> reply = client.WaitReply(2000);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  expect_reply(0, *reply);
+  for (int conn = 0; conn < 2; ++conn) {
+    EXPECT_EQ(answered[conn], kBatchesPerConn) << "connection " << conn;
+  }
 
   EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
   EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());

@@ -49,7 +49,8 @@ void RegisterObjects(ObjectService& service, const MultiObjectTrace& trace,
 }
 
 TEST(ObjectServiceTest, ShardedBatchedMatchesSerialBitForBit) {
-  const MultiObjectTrace trace = TestTrace();
+  constexpr size_t k = ObjectService::kInlineBatchEvents;
+  const MultiObjectTrace trace = TestTrace(k + 2000);
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   const ObjectConfig config = TestConfig();
 
@@ -75,10 +76,12 @@ TEST(ObjectServiceTest, ShardedBatchedMatchesSerialBitForBit) {
       ObjectService service(trace.num_processors, sc, options);
       RegisterObjects(service, trace, config);
 
-      // Serve in a few differently sized batches to cross batch boundaries.
+      // Serve in a few differently sized batches to cross batch boundaries
+      // and, at threads > 1, both dispatch paths: batches of at least k
+      // events go to the shard executor, smaller ones are served in place.
       std::vector<double> costs;
       size_t position = 0;
-      for (size_t batch_size : {1000u, 700u, 1u, 1299u}) {
+      for (size_t batch_size : {k, size_t{700}, size_t{1}, size_t{1299}}) {
         auto result = service.ServeBatch(
             std::span<const MultiObjectEvent>(trace.events)
                 .subspan(position, batch_size));
