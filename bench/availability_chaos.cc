@@ -77,16 +77,6 @@ core::ObjectConfig ServiceConfig() {
   return config;
 }
 
-uint32_t SchemeCrc(const core::ObjectService& service) {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
-}
-
 uint32_t LatencyCrc(std::vector<double> samples) {
   // Sample *order* depends on the shard/thread configuration; the multiset
   // does not — fingerprint the sorted sequence.
@@ -253,7 +243,7 @@ int main(int argc, char** argv) {
     }
     plain.breakdown = service.TotalBreakdown();
     plain.requests = service.TotalRequests();
-    plain.scheme_crc = SchemeCrc(service);
+    plain.scheme_crc = service.SchemeCrc();
   }
 
   std::vector<RateResult> results;
@@ -298,7 +288,7 @@ int main(int argc, char** argv) {
           const core::FaultStats& stats = service.fault_stats();
           fingerprint.breakdown = service.TotalBreakdown();
           fingerprint.requests = service.TotalRequests();
-          fingerprint.scheme_crc = SchemeCrc(service);
+          fingerprint.scheme_crc = service.SchemeCrc();
           fingerprint.crashes = stats.crashes;
           fingerprint.recoveries = stats.recoveries;
           fingerprint.repairs = stats.repairs;

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "objalloc/core/object_service.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/zipf_objects.h"
@@ -77,16 +76,6 @@ core::ObjectConfig ConfigFor(
                          ? core::AlgorithmKind::kStatic
                          : core::AlgorithmKind::kDynamic;
   return config;
-}
-
-uint32_t SchemeCrc(const core::ObjectService& service) {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
 }
 
 std::vector<long long> ParseCountList(const std::string& arg,
@@ -229,7 +218,7 @@ int main(int argc, char** argv) {
         Fingerprint fingerprint;
         fingerprint.breakdown = service.TotalBreakdown();
         fingerprint.requests = service.TotalRequests();
-        fingerprint.scheme_crc = SchemeCrc(service);
+        fingerprint.scheme_crc = service.SchemeCrc();
         if (!have_reference) {
           reference = fingerprint;
           have_reference = true;
@@ -324,7 +313,7 @@ int main(int argc, char** argv) {
     row.checkpoint_bytes = static_cast<size_t>(std::filesystem::file_size(
         std::filesystem::path(durable_dir) / "checkpoint-1.ckpt"));
     OBJALLOC_CHECK(service.DisableDurability().ok());
-    const uint32_t before_crc = SchemeCrc(service);
+    const uint32_t before_crc = service.SchemeCrc();
 
     start = std::chrono::steady_clock::now();
     auto recovered = core::ObjectService::Recover(durable_dir);
@@ -333,7 +322,7 @@ int main(int argc, char** argv) {
     row.recover_seconds = Seconds(start, stop);
     OBJALLOC_CHECK_EQ(recovered->object_count(),
                       static_cast<size_t>(objects));
-    OBJALLOC_CHECK_EQ(SchemeCrc(*recovered), before_crc)
+    OBJALLOC_CHECK_EQ(recovered->SchemeCrc(), before_crc)
         << "recovery changed the allocation state";
     std::filesystem::remove_all(durable_dir);
 

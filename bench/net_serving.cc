@@ -47,7 +47,6 @@
 #include "objalloc/net/client.h"
 #include "objalloc/net/server.h"
 #include "objalloc/net/wire.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/rng.h"
 #include "objalloc/util/stats.h"
@@ -507,12 +506,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  uint32_t replay_crc = 0;
-  for (core::ObjectId id : replay.SortedObjectIds()) {
-    const uint64_t mask = replay.StatsFor(id)->scheme.mask();
-    replay_crc = util::Crc32(&id, sizeof(id), replay_crc);
-    replay_crc = util::Crc32(&mask, sizeof(mask), replay_crc);
-  }
   const model::CostBreakdown replay_breakdown = replay.TotalBreakdown();
   OBJALLOC_CHECK_EQ(wire_stats.admitted_events, total_admitted)
       << "server admitted counter disagrees with client-side ok replies";
@@ -524,7 +517,7 @@ int main(int argc, char** argv) {
                  wire_stats.io_ops == replay_breakdown.io_ops)
       << "cost breakdown diverged from the in-process replay: the wire "
          "must add no semantics";
-  OBJALLOC_CHECK_EQ(wire_stats.scheme_crc, replay_crc)
+  OBJALLOC_CHECK_EQ(wire_stats.scheme_crc, replay.SchemeCrc())
       << "scheme table diverged from the in-process replay";
   std::printf("fingerprint parity: %llu admitted events replayed "
               "in-process, bit-identical (requests=%lld control=%lld "

@@ -9,10 +9,14 @@
 // and check the artifact into the repo root so the perf trajectory
 // accumulates across PRs (see also bench/parallel_scaling.cc).
 
+#include <cstdint>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "objalloc/core/adaptive_allocation.h"
 #include "objalloc/core/batch_pipeline.h"
+#include "objalloc/core/checkpoint.h"
 #include "objalloc/core/dynamic_allocation.h"
 #include "objalloc/core/object_service.h"
 #include "objalloc/core/runner.h"
@@ -22,7 +26,9 @@
 #include "objalloc/opt/interval_opt.h"
 #include "objalloc/opt/relaxation_lower_bound.h"
 #include "objalloc/sim/simulator.h"
+#include "objalloc/util/crc32.h"
 #include "objalloc/util/parallel.h"
+#include "objalloc/util/rng.h"
 #include "objalloc/util/spsc_queue.h"
 #include "objalloc/workload/multi_object.h"
 #include "objalloc/workload/uniform.h"
@@ -328,6 +334,30 @@ void BM_ServiceRegistration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kObjects);
 }
 BENCHMARK(BM_ServiceRegistration)->Arg(0)->Arg(1);
+
+// ---- Integrity checksum ---------------------------------------------------
+
+// util::Crc32 over the spans the serving path checksums. A frame's CRC
+// covers its 12 header bytes after the CRC field plus the payload: 28 bytes
+// for a kRead request, 436 for a 32-event kBatch request (8 + 32 × 13
+// payload bytes); a checkpoint chunk is CheckpointWriter::kChunkBytes.
+// Arg: bytes per call.
+void BM_Crc32(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  std::vector<unsigned char> buffer(size);
+  util::Rng rng(1234);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng.Next());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = util::Crc32(buffer.data(), buffer.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
+}
+BENCHMARK(BM_Crc32)
+    ->Arg(28)
+    ->Arg(436)
+    ->Arg(core::CheckpointWriter::kChunkBytes);
 
 void BM_SimulatorRequests(benchmark::State& state) {
   const bool dynamic = state.range(0) != 0;

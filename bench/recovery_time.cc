@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "objalloc/core/object_service.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/io.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/workload/multi_object.h"
@@ -55,13 +54,7 @@ Fingerprint Capture(const core::ObjectService& service) {
   Fingerprint fingerprint;
   fingerprint.breakdown = service.TotalBreakdown();
   fingerprint.requests = service.TotalRequests();
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  fingerprint.scheme_crc = crc;
+  fingerprint.scheme_crc = service.SchemeCrc();
   return fingerprint;
 }
 

@@ -50,7 +50,6 @@
 #include "objalloc/core/batch_pipeline.h"
 #include "objalloc/core/object_manager.h"
 #include "objalloc/core/object_service.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/multi_object.h"
@@ -77,16 +76,6 @@ core::ObjectConfig ServiceConfig() {
   config.initial_scheme = model::ProcessorSet{0, 1};
   config.algorithm = core::AlgorithmKind::kDynamic;
   return config;
-}
-
-uint32_t SchemeCrc(const core::ObjectService& service) {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
 }
 
 // High-water RSS of this process so far (ru_maxrss is KiB on Linux).
@@ -287,7 +276,7 @@ int main(int argc, char** argv) {
         if (r == 0 || seconds < best) best = seconds;
         fingerprint.breakdown = service.TotalBreakdown();
         fingerprint.requests = service.TotalRequests();
-        fingerprint.scheme_crc = SchemeCrc(service);
+        fingerprint.scheme_crc = service.SchemeCrc();
         memory_bytes = service.MemoryUsageBytes();
       }
       if (!have_reference) {
@@ -341,7 +330,7 @@ int main(int argc, char** argv) {
         if (r == 0 || seconds < pipelined_best) pipelined_best = seconds;
         pipelined_fingerprint.breakdown = service.TotalBreakdown();
         pipelined_fingerprint.requests = service.TotalRequests();
-        pipelined_fingerprint.scheme_crc = SchemeCrc(service);
+        pipelined_fingerprint.scheme_crc = service.SchemeCrc();
       }
       OBJALLOC_CHECK(pipelined_fingerprint == reference)
           << "shards=" << shards << " threads=" << threads

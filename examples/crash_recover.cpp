@@ -42,7 +42,6 @@
 
 #include "objalloc/core/object_service.h"
 #include "objalloc/net/signal_drain.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/workload/multi_object.h"
 
 namespace {
@@ -182,12 +181,7 @@ int main(int argc, char** argv) {
     position += n;
   }
 
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
+  const uint32_t crc = service.SchemeCrc();
   const model::CostBreakdown total = service.TotalBreakdown();
   std::printf("complete: %zu events  control=%lld data=%lld io=%lld "
               "scheme_crc=%u\n",

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "objalloc/core/batch_pipeline.h"
+#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 #include "objalloc/util/parallel.h"
 
@@ -649,6 +650,16 @@ std::vector<ObjectId> ObjectService::SortedObjectIds() const {
   }
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+uint32_t ObjectService::SchemeCrc() const {
+  uint32_t crc = 0;
+  for (ObjectId id : SortedObjectIds()) {
+    const uint64_t mask = StatsFor(id)->scheme.mask();
+    crc = util::Crc32(&id, sizeof(id), crc);
+    crc = util::Crc32(&mask, sizeof(mask), crc);
+  }
+  return crc;
 }
 
 // --- Durability ---------------------------------------------------------

@@ -487,6 +487,10 @@ class ObjectService : public DurableEngine {
   // order for per-object reports.
   std::vector<ObjectId> SortedObjectIds() const;
 
+  // CRC-32 of every object's (id, scheme mask) in ascending id order: the
+  // scheme-table fingerprint that the determinism goldens pin.
+  uint32_t SchemeCrc() const;
+
  private:
   size_t ShardOf(ObjectId id) const;
 

@@ -16,7 +16,6 @@
 #include <functional>
 
 #include "objalloc/net/signal_drain.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/logging.h"
 
 namespace objalloc::net {
@@ -449,7 +448,7 @@ void Server::HandleStats(Connection* conn, const Frame& frame) {
   wire.control_messages = breakdown.control_messages;
   wire.data_messages = breakdown.data_messages;
   wire.io_ops = breakdown.io_ops;
-  wire.scheme_crc = SchemeCrc();
+  wire.scheme_crc = service_->SchemeCrc();
   wire.durability_state = static_cast<uint8_t>(last_load_.durability);
   // The loop thread is the only writer: plain reads are current.
   wire.admitted_events = stats_.admitted_events;
@@ -464,16 +463,6 @@ void Server::HandleStats(Connection* conn, const Frame& frame) {
   encode_scratch_.clear();
   EncodeStats(wire, &encode_scratch_);
   ReplyOk(conn, frame.type, frame.request_id, encode_scratch_);
-}
-
-uint32_t Server::SchemeCrc() const {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service_->SortedObjectIds()) {
-    const uint64_t mask = service_->StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
 }
 
 util::Status Server::CheckAdmission(const Connection& conn, size_t events,

@@ -248,7 +248,6 @@ class Server {
   void SweepIdle(TimePoint now);
   void DrainAndExit();
   void Count(uint64_t ServerStats::*counter, uint64_t n = 1);
-  uint32_t SchemeCrc() const;
 
   core::ObjectService* service_;
   ServerOptions options_;

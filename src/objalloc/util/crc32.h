@@ -1,5 +1,7 @@
-// CRC-32 (IEEE 802.3 polynomial, table-driven) for on-disk record
-// integrity checks.
+// CRC-32 (IEEE 802.3 polynomial) for on-disk record and wire-frame
+// integrity checks. Slicing-by-8: eight bytes per step through eight
+// 256-entry tables, the same IEEE values as the bytewise table loop.
+// Requires a little-endian host.
 
 #ifndef OBJALLOC_UTIL_CRC32_H_
 #define OBJALLOC_UTIL_CRC32_H_

@@ -26,7 +26,6 @@
 #include "objalloc/net/client.h"
 #include "objalloc/net/server.h"
 #include "objalloc/net/wire.h"
-#include "objalloc/util/crc32.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/util/status.h"
 #include "objalloc/workload/multi_object.h"
@@ -53,16 +52,6 @@ core::ObjectConfig TestConfig() {
   config.initial_scheme = model::ProcessorSet(kSchemeMask);
   config.algorithm = core::AlgorithmKind::kDynamic;
   return config;
-}
-
-uint32_t SchemeCrcOf(const ObjectService& service) {
-  uint32_t crc = 0;
-  for (core::ObjectId id : service.SortedObjectIds()) {
-    const uint64_t mask = service.StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
 }
 
 // One connection's traffic: `count` seeded reads and writes (one in three
@@ -265,7 +254,7 @@ TEST(NetServerTest, WireTrafficMatchesInProcessFingerprint) {
 
   EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
   EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
-  EXPECT_EQ(SchemeCrcOf(service), SchemeCrcOf(reference));
+  EXPECT_EQ(service.SchemeCrc(), reference.SchemeCrc());
 }
 
 // The same bar with engine batches on the shard executor, in two phases
@@ -417,7 +406,7 @@ TEST(NetServerTest, ExecutorBatchesMatchInProcessAndDrainAnswersAll) {
 
   EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
   EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
-  EXPECT_EQ(SchemeCrcOf(service), SchemeCrcOf(reference));
+  EXPECT_EQ(service.SchemeCrc(), reference.SchemeCrc());
 }
 
 // Replies are coalesced: a window's worth of pipelined reads on one
