@@ -10,6 +10,8 @@
 // accumulates across PRs (see also bench/parallel_scaling.cc).
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -32,6 +34,7 @@
 #include "objalloc/util/spsc_queue.h"
 #include "objalloc/workload/multi_object.h"
 #include "objalloc/workload/uniform.h"
+#include "objalloc/workload/zipf_objects.h"
 
 namespace {
 
@@ -310,6 +313,69 @@ BENCHMARK(BM_SubmitBatchDispatch)
     ->Arg(core::ObjectService::kInlineBatchEvents)
     ->Arg(4096)
     ->UseRealTime();
+
+// The serve path on a working set larger than the caches, shaped like the
+// perfbench inproc_engine workload: 2^22 objects (~360 MB of slot records
+// and route directory) over 16 processors and 16 shards, Zipf theta 0.6
+// object popularity, 4096-event batches pipelined through a BatchPipeline.
+// Nearly every event misses cache on its route bucket and its slot record,
+// which the hot-object benchmarks above (256 objects) never do — this is
+// the benchmark ObjectShard::kPrefetchDistance is chosen on. The service
+// is built once and shared by both Args; wall-clock rates, since at 3
+// threads the serving runs on executor workers. Arg: threads.
+struct ColdObjects {
+  static constexpr int64_t kObjects = int64_t{1} << 22;
+  static constexpr size_t kPoolEvents = size_t{1} << 20;
+  static constexpr size_t kBatch = 4096;
+
+  ColdObjects() {
+    core::ServiceOptions options;
+    options.num_shards = 16;
+    service = std::make_unique<core::ObjectService>(
+        16, model::CostModel::StationaryComputing(0.25, 1.0), options);
+    workload::ZipfObjectOptions zipf;
+    zipf.num_processors = 16;
+    zipf.num_objects = kObjects;
+    zipf.skew = 0.6;
+    workload::ZipfObjectGenerator generator(zipf, 0x5eed);
+    service->ReserveObjects(static_cast<size_t>(kObjects));
+    core::ObjectConfig config;
+    config.algorithm = core::AlgorithmKind::kDynamic;
+    for (int64_t id = 0; id < kObjects; ++id) {
+      config.initial_scheme = generator.PersonalityFor(id).HomeSet();
+      if (!service->AddObject(id, config).ok()) std::abort();
+    }
+    pool.resize(kPoolEvents);
+    for (workload::MultiObjectEvent& event : pool) event = generator.Next();
+  }
+
+  std::unique_ptr<core::ObjectService> service;
+  std::vector<workload::MultiObjectEvent> pool;
+};
+
+void BM_ServiceBatchColdObjects(benchmark::State& state) {
+  static ColdObjects cold;
+  util::ScopedThreads threads(static_cast<int>(state.range(0)));
+  core::BatchPipeline<> pipeline(cold.service.get());
+  auto retire = [](core::BatchPipeline<>::Slot& slot,
+                   const util::Status& status) {
+    if (!status.ok()) std::abort();
+    benchmark::DoNotOptimize(slot.result.cost);
+  };
+  const std::span<const workload::MultiObjectEvent> all(cold.pool);
+  size_t pos = 0;
+  for (auto _ : state) {
+    if (pos + ColdObjects::kBatch > all.size()) pos = 0;
+    if (!pipeline.Submit(all.subspan(pos, ColdObjects::kBatch), retire).ok()) {
+      std::abort();
+    }
+    pos += ColdObjects::kBatch;
+  }
+  if (!pipeline.Drain(retire).ok()) std::abort();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ColdObjects::kBatch));
+}
+BENCHMARK(BM_ServiceBatchColdObjects)->Arg(1)->Arg(3)->UseRealTime();
 
 // Bulk registration cost with and without ReserveObjects: reserved
 // registration does O(1) amortized rehashes across every internal table.

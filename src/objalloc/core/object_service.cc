@@ -176,6 +176,10 @@ util::Status ObjectService::AdmitBatch(
   // n+1 while batch n is still being served safe.
   routes_.resize(events.size());
   for (size_t i = 0; i < events.size(); ++i) {
+    if (i + ObjectShard::kPrefetchDistance < events.size()) {
+      route_directory_.Prefetch(
+          events[i + ObjectShard::kPrefetchDistance].object);
+    }
     const workload::MultiObjectEvent& event = events[i];
     const uint32_t route = route_directory_.Find(event.object);
     if (route == util::FlatDirectory<uint32_t>::kNotFound) {
@@ -311,6 +315,7 @@ util::Status ObjectService::SubmitBatch(
   } else if (context == nullptr) {
     // In-place serve: one pass, costs and traffic accumulated directly.
     for (size_t i = 0; i < events.size(); ++i) {
+      PrefetchRoute(i + ObjectShard::kPrefetchDistance);
       const uint32_t route = routes_[i];
       result->costs[i] = shards_[RouteShard(route)].ServeSlot(
           RouteSlot(route), events[i].request, &result->breakdown);
@@ -436,6 +441,7 @@ util::Status ObjectService::FaultPass(
       context->ops[RouteShard(route)].push_back(ShardOp{
           static_cast<uint32_t>(i), RouteSlot(route), events[i].request});
     } else {
+      PrefetchRoute(i + ObjectShard::kPrefetchDistance);
       result->costs[i] = shards_[RouteShard(route)].ServeSlotFaulty(
           RouteSlot(route), events[i].request, base_index + i,
           live_masks_[i], crash_log_, *injector_, &result->breakdown,

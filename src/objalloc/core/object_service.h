@@ -35,6 +35,10 @@
 //     the same pass that validates the event and — on the executor path —
 //     partitions it into its shard's op list; serving then indexes the
 //     dense slot directly.
+//   * Prefetch: admission, the in-place serve loops and the executor's
+//     RunTask each fetch the route bucket or slot record
+//     ObjectShard::kPrefetchDistance events ahead of its use, so a batch
+//     over a working set larger than the caches overlaps its misses.
 //   * All batch scratch (the per-event route array, the executor's
 //     per-shard op lists and CostBreakdown deltas) is owned by the service
 //     or its executor and recycled across batches: after warming every
@@ -595,6 +599,13 @@ class ObjectService : public DurableEngine {
     return static_cast<size_t>(uint64_t{route} >> route_slot_bits_);
   }
   uint32_t RouteSlot(uint32_t route) const { return route & route_slot_mask_; }
+  // Fetches the record that the admitted event `i` routes to, when the batch
+  // has an event `i` (the in-place serve loops look kPrefetchDistance ahead).
+  // Always inlined, like ObjectShard::PrefetchSlot, or GCC deletes the call.
+  [[gnu::always_inline]] void PrefetchRoute(size_t i) const {
+    if (i >= routes_.size()) return;
+    shards_[RouteShard(routes_[i])].PrefetchSlot(RouteSlot(routes_[i]));
+  }
   // Service-level id → packed route directory, the single source of truth
   // for object residency (shards run in external-directory mode and keep no
   // id map of their own). Admission routes through this one table in one

@@ -19,7 +19,8 @@
 //     scheme and DA core-set masks, and a meta word holding the dispatch
 //     tag, availability threshold, DA floating processor and round-robin
 //     index, and the crash-log cursor, beside the per-object request count
-//     and cost breakdown — exactly 64 bytes, one cache line per object.
+//     and cost breakdown — exactly 64 bytes, and alignas(64) so the aligned
+//     new[] of every slab page puts each record on its own cache line.
 //   * The per-request cost scalars previously stored per object are a pure
 //     function of (kind, t) and the shard's cost model, so they live in one
 //     per-shard table of ≤ 3×65 entries, folded at construction in the
@@ -164,6 +165,24 @@ class ObjectShard {
   double ServeSlot(uint32_t slot, const Request& request,
                    model::CostBreakdown* delta);
 
+  // How many events ahead of the one being served a batch loop fetches the
+  // next record (and, in admission, the next route-directory bucket). The
+  // per-event work is a few dozen ns while a cold record costs a miss of
+  // ~100 ns, so the fetch must be issued several events early. On
+  // BM_ServiceBatchColdObjects (EXPERIMENTS.md E11), 4 is clearly slower
+  // and 8, 16 and 32 are within noise of each other; 16 sits mid-plateau,
+  // and a shorter distance leaves fewer events at the head of each batch
+  // or sub-batch unfetched. Every batch loop uses this one constant.
+  static constexpr size_t kPrefetchDistance = 16;
+
+  // Starts loading the record at `slot` for write, ahead of its ServeSlot /
+  // ServeSlotFaulty call. `slot` must be a valid slot (< slot_span()). A
+  // hint only: no state changes, no effect on any result. Always inlined,
+  // like util::FlatDirectory::Prefetch, or GCC deletes the calls.
+  [[gnu::always_inline]] void PrefetchSlot(uint32_t slot) const {
+    __builtin_prefetch(&Slot(slot), /*rw=*/1);
+  }
+
   // Liveness-aware twin of ServeSlot for the fault-injection path. The
   // caller guarantees the issuer is live and |live| >= t for this object
   // (degraded admission), and that `crash_log` holds every applied crash at
@@ -302,7 +321,7 @@ class ObjectShard {
 
  private:
   // One dense slot of the serving engine: the full inline SA/DA machine in
-  // exactly 64 bytes (one cache line). The dispatch tag, availability
+  // exactly 64 bytes, aligned to one cache line. The dispatch tag, availability
   // threshold, DA floating processor / round-robin index, and crash-log
   // cursor are bit-packed into one meta word:
   //
@@ -314,7 +333,7 @@ class ObjectShard {
   //
   // Cost scalars live in the shard-level (kind, t) table, so they do not
   // widen the record.
-  struct SlotRecord {
+  struct alignas(64) SlotRecord {
     ObjectId id = -1;          // -1 marks a free-listed slot
     uint64_t scheme_mask = 0;  // current allocation scheme
     uint64_t f_mask = 0;       // DA: core set F
@@ -356,6 +375,10 @@ class ObjectShard {
   };
   static_assert(sizeof(SlotRecord) == 64,
                 "SlotRecord is budgeted at one cache line per object");
+  // Without it a slab page is only 8-aligned (glibc hands 128 KiB arrays
+  // out at mmap base + 16), and most records then straddle two lines.
+  static_assert(alignof(SlotRecord) == 64,
+                "every SlotRecord must start on a cache line");
 
   // Per-(kind, t) cost scalars, shared by every object of that shape.
   struct CostEntry {

@@ -202,13 +202,19 @@ void ShardExecutor::RunTask(uint32_t context_index, uint32_t shard_index) {
   ObjectShard& shard = shards_[shard_index];
   model::CostBreakdown& delta = context.deltas[shard_index];
   const std::vector<ShardOp>& ops = context.ops[shard_index];
+  // Both branches fetch the record kPrefetchDistance ops ahead of the serve.
+  constexpr size_t kAhead = ObjectShard::kPrefetchDistance;
   if (!context.faulty) {
-    for (const ShardOp& op : ops) {
+    for (size_t k = 0; k < ops.size(); ++k) {
+      if (k + kAhead < ops.size()) shard.PrefetchSlot(ops[k + kAhead].slot);
+      const ShardOp& op = ops[k];
       context.costs[op.index] = shard.ServeSlot(op.slot, op.request, &delta);
     }
   } else {
     FaultStats& stats = context.fault_stats[shard_index];
-    for (const ShardOp& op : ops) {
+    for (size_t k = 0; k < ops.size(); ++k) {
+      if (k + kAhead < ops.size()) shard.PrefetchSlot(ops[k + kAhead].slot);
+      const ShardOp& op = ops[k];
       context.costs[op.index] = shard.ServeSlotFaulty(
           op.slot, op.request, context.base_index + op.index,
           context.live_masks[op.index], *context.crash_log, *context.injector,

@@ -12,8 +12,9 @@
 // factor is capped at 3/4. Splitting keys from values keeps a bucket at
 // 8 + sizeof(Value) bytes — 12 for the uint32 directories — which is what
 // lets a million-object route table fit a ~25-byte/object budget
-// (DESIGN.md §12). Lookups are 1-2 cache lines in the common case and
-// allocation-free always.
+// (DESIGN.md §12). A lookup touches 2 cache lines in the common case (the
+// home bucket's value line and its key line; Prefetch loads both ahead of
+// a batch's probes) and allocates never.
 //
 // Growth is *incremental*: when the load cap trips, the full table is not
 // rehashed in one stop-the-world sweep. Instead the current arrays are
@@ -110,6 +111,18 @@ class FlatDirectory {
   }
 
   bool Contains(int64_t key) const { return Find(key) != kNotFound; }
+
+  // Starts loading the home bucket of `key` in the live table — both its
+  // values[] and keys[] lines, which the split arrays keep apart — so a
+  // Find(key) issued a few keys later hits cache. A hint only: no state
+  // changes, no effect on any result. Always inlined: GCC deems a function
+  // whose only effect is a prefetch side-effect free and deletes the calls.
+  [[gnu::always_inline]] void Prefetch(int64_t key) const {
+    if (live_.keys.empty()) return;
+    const size_t i = Mix(key) & live_.mask;
+    __builtin_prefetch(live_.values.data() + i);
+    __builtin_prefetch(live_.keys.data() + i);
+  }
 
   // Inserts key → value. The key must be absent and the value legal; both
   // are programming errors of the caller, checked fatally. Amortizes the

@@ -1,9 +1,9 @@
 // The devirtualized serving engine's contracts (DESIGN.md §8): the inline
 // SA/DA dispatch in ObjectShard is bit-identical to the virtual reference
 // classes, the batch path is bit-identical to the serial ObjectManager for
-// every shard x thread configuration, and the steady-state batch path
-// performs zero heap allocations (asserted through a global operator-new
-// counting hook).
+// every shard x thread configuration (also at every batch size around the
+// prefetch look-ahead), and the steady-state batch path performs zero heap
+// allocations (asserted through a global operator-new counting hook).
 
 #include <atomic>
 #include <cstdlib>
@@ -39,9 +39,24 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size ? size : 1);
 }
 
+// Over-aligned types (the 64-byte-aligned slab records) allocate through
+// the aligned forms; they count too.
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  if (void* ptr = std::aligned_alloc(alignment, rounded ? rounded : alignment))
+    return ptr;
+  throw std::bad_alloc();
+}
+
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
 void operator delete(void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
   std::free(ptr);
 }
 
@@ -194,6 +209,84 @@ TEST(ServingEngineTest, BatchPathMatchesManagerBitForBit) {
       for (int id = 0; id < trace.num_objects; ++id) {
         EXPECT_EQ(service.StatsFor(id)->scheme.mask(),
                   reference.StatsFor(id)->scheme.mask());
+      }
+    }
+  }
+}
+
+// Every batch loop fetches records ObjectShard::kPrefetchDistance events
+// ahead (admission, the in-place serve loops, both executor branches). The
+// look-ahead must stop at the end of the batch or sub-batch, and must never
+// change a result: batches of every size around the distance and around
+// kInlineBatchEvents, served largest first so each smaller batch runs over
+// a routes_ / op-list buffer still holding the larger batch's stale tail,
+// must match a serial one-event-per-batch reference on per-event costs,
+// per-object scheme and breakdown, and SchemeCrc. Covered in place at one
+// thread and on the executor at 3 threads over 16 shards, each plain and
+// in zero-crash-rate fault mode.
+TEST(ServingEngineTest, PrefetchBoundaryBatchesMatchSerialReference) {
+  constexpr size_t kDistance = ObjectShard::kPrefetchDistance;
+  constexpr size_t kInline = ObjectService::kInlineBatchEvents;
+  std::vector<size_t> sizes = {kInline + kDistance, kInline, kInline - 1};
+  for (size_t n = 2 * kDistance + 1;; --n) {
+    sizes.push_back(n);
+    if (n == 0) break;
+  }
+  size_t total = 0;
+  for (size_t n : sizes) total += n;
+  const MultiObjectTrace trace = TestTrace(total, 2024);
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const ObjectConfig config = TestConfig();
+  const std::span<const MultiObjectEvent> events(trace.events);
+
+  // Serial reference: one shard, one thread, one event per batch — no
+  // batch ever has an event kDistance ahead.
+  ScopedThreads serial(1);
+  ObjectService reference(trace.num_processors, sc);
+  RegisterObjects(reference, trace, config);
+  std::vector<double> reference_costs;
+  for (size_t i = 0; i < events.size(); ++i) {
+    auto batch = reference.ServeBatch(events.subspan(i, 1));
+    ASSERT_TRUE(batch.ok());
+    reference_costs.push_back(batch->costs[0]);
+  }
+
+  struct Setup {
+    int threads;
+    int shards;
+  };
+  for (const Setup setup : {Setup{1, 4}, Setup{3, 16}}) {
+    for (bool faulty : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(setup.threads) +
+                   " shards=" + std::to_string(setup.shards) +
+                   (faulty ? " fault mode" : " plain"));
+      ScopedThreads scope(setup.threads);
+      ObjectService service(trace.num_processors, sc,
+                            ServiceOptions{.num_shards = setup.shards});
+      RegisterObjects(service, trace, config);
+      if (faulty) {
+        ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
+      }
+      size_t pos = 0;
+      for (size_t n : sizes) {
+        SCOPED_TRACE("batch size " + std::to_string(n));
+        auto batch = service.ServeBatch(events.subspan(pos, n));
+        ASSERT_TRUE(batch.ok());
+        ASSERT_EQ(batch->costs.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(batch->costs[i], reference_costs[pos + i]);
+        }
+        pos += n;
+      }
+      EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+      EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
+      EXPECT_EQ(service.SchemeCrc(), reference.SchemeCrc());
+      for (int id = 0; id < trace.num_objects; ++id) {
+        auto stats = service.StatsFor(id);
+        auto expected = reference.StatsFor(id);
+        ASSERT_TRUE(stats.ok() && expected.ok());
+        EXPECT_EQ(stats->scheme.mask(), expected->scheme.mask());
+        EXPECT_EQ(stats->breakdown, expected->breakdown);
       }
     }
   }
