@@ -16,9 +16,10 @@
 // Per object-count row: register the population (Zipf workload
 // personalities pick each object's kind and initial scheme), read
 // ObjectService::MemoryUsageBytes() — the page-level accounting walk, not
-// an RSS guess — serve a Zipf event stream, then stream a checkpoint to
-// disk and recover from it, timing both directions. 10^7 objects is
-// opt-in via --objects; the default sweep tops out at 10^6.
+// an RSS guess — and the process's huge-page-backed bytes (huge_page_bytes,
+// from /proc/self/smaps_rollup), serve a Zipf event stream, then stream a
+// checkpoint to disk and recover from it, timing both directions. 10^7
+// objects is opt-in via --objects; the default sweep tops out at 10^6.
 //
 // --max_bytes_per_object is the CI footprint gate: rows with >= 10^6
 // objects (where per-object cost dominates fixed overhead and slab-page
@@ -63,6 +64,21 @@ size_t PeakRssBytes() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<size_t>(usage.ru_maxrss) * 1024;
+}
+
+// Bytes of the process's anonymous memory on transparent huge pages right
+// now: the AnonHugePages line of /proc/self/smaps_rollup (read-only), or 0
+// where the kernel has no such file. Shows that the engine's large tables
+// (route directory, reserved slab runs) really sit on 2 MiB pages.
+size_t HugePageBytes() {
+  std::ifstream rollup("/proc/self/smaps_rollup");
+  const std::string key = "AnonHugePages:";
+  for (std::string line; std::getline(rollup, line);) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return static_cast<size_t>(std::stoull(line.substr(key.size()))) * 1024;
+    }
+  }
+  return 0;
 }
 
 // Registration config from the object's workload personality: read-mostly
@@ -110,6 +126,7 @@ struct Row {
   double register_per_sec = 0;
   size_t memory_bytes = 0;
   double bytes_per_object = 0;
+  size_t huge_page_bytes = 0;
   double events_per_sec = 0;
   double checkpoint_seconds = 0;
   size_t checkpoint_bytes = 0;
@@ -292,6 +309,7 @@ int main(int argc, char** argv) {
     row.memory_bytes = service.MemoryUsageBytes();
     row.bytes_per_object =
         static_cast<double>(row.memory_bytes) / static_cast<double>(objects);
+    row.huge_page_bytes = HugePageBytes();
 
     workload::ZipfEventSource source(options, kSeed + 1);
     start = std::chrono::steady_clock::now();
@@ -328,10 +346,11 @@ int main(int argc, char** argv) {
 
     row.peak_rss_bytes = PeakRssBytes();
     rows.push_back(row);
-    std::printf("objects=%-9lld %8.1f B/obj  %10.0f reg/sec  "
-                "%10.0f events/sec  ckpt %6.3fs (%zu MB)  recover %6.3fs  "
-                "peak rss %zu MB\n",
-                row.objects, row.bytes_per_object, row.register_per_sec,
+    std::printf("objects=%-9lld %8.1f B/obj  huge pages %4zu MB  "
+                "%10.0f reg/sec  %10.0f events/sec  ckpt %6.3fs (%zu MB)  "
+                "recover %6.3fs  peak rss %zu MB\n",
+                row.objects, row.bytes_per_object, row.huge_page_bytes >> 20,
+                row.register_per_sec,
                 row.events_per_sec, row.checkpoint_seconds,
                 row.checkpoint_bytes >> 20, row.recover_seconds,
                 row.peak_rss_bytes >> 20);
@@ -370,6 +389,7 @@ int main(int argc, char** argv) {
     out << "    {\"objects\": " << r.objects
         << ", \"memory_bytes\": " << r.memory_bytes
         << ", \"bytes_per_object\": " << r.bytes_per_object
+        << ", \"huge_page_bytes\": " << r.huge_page_bytes
         << ", \"register_per_sec\": " << r.register_per_sec
         << ", \"events_per_sec\": " << r.events_per_sec
         << ", \"checkpoint_seconds\": " << r.checkpoint_seconds

@@ -29,6 +29,7 @@
 #include "objalloc/opt/relaxation_lower_bound.h"
 #include "objalloc/sim/simulator.h"
 #include "objalloc/util/crc32.h"
+#include "objalloc/util/flat_directory.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/util/rng.h"
 #include "objalloc/util/spsc_queue.h"
@@ -376,6 +377,57 @@ void BM_ServiceBatchColdObjects(benchmark::State& state) {
                           static_cast<int64_t>(ColdObjects::kBatch));
 }
 BENCHMARK(BM_ServiceBatchColdObjects)->Arg(1)->Arg(3)->UseRealTime();
+
+// The route-directory layer alone, cold: admission's id → route probe on a
+// table far larger than the caches. 2^22 keys (2^23 12-byte buckets, a
+// 96 MiB table on 2 MiB pages), probed by uniformly random keys in
+// 4096-key batches. Each key is hashed once, kPrefetchDistance keys ahead
+// of its probe: the hash starts the bucket's prefetch and then addresses
+// the probe, as ObjectService::AdmitBatch does.
+void BM_FlatDirectoryFindCold(benchmark::State& state) {
+  using Directory = util::FlatDirectory<uint32_t>;
+  constexpr int64_t kKeys = int64_t{1} << 22;
+  constexpr size_t kBatch = 4096;
+  constexpr size_t kAhead = core::ObjectShard::kPrefetchDistance;
+  static const Directory* directory = [] {
+    auto* table = new Directory();
+    table->Reserve(static_cast<size_t>(kKeys));
+    for (int64_t key = 0; key < kKeys; ++key) {
+      table->Insert(key, static_cast<uint32_t>(key));
+    }
+    return table;
+  }();
+  static const std::vector<int64_t> probes = [] {
+    std::vector<int64_t> keys(size_t{1} << 20);
+    util::Rng rng(0xd1ec);
+    for (int64_t& key : keys) {
+      key = static_cast<int64_t>(rng.NextBounded(kKeys));
+    }
+    return keys;
+  }();
+  size_t pos = 0;
+  uint64_t hashes[kAhead] = {};
+  for (auto _ : state) {
+    if (pos + kBatch > probes.size()) pos = 0;
+    const int64_t* batch = probes.data() + pos;
+    pos += kBatch;
+    const auto hash_ahead = [&](size_t i) {
+      const uint64_t hash = Directory::Hash(batch[i]);
+      directory->PrefetchHash(hash);
+      hashes[i % kAhead] = hash;
+    };
+    for (size_t i = 0; i < kAhead; ++i) hash_ahead(i);
+    uint64_t sum = 0;
+    for (size_t i = 0; i < kBatch; ++i) {
+      const uint64_t hash = hashes[i % kAhead];
+      if (i + kAhead < kBatch) hash_ahead(i + kAhead);
+      sum += directory->FindHashed(batch[i], hash);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kBatch));
+}
+BENCHMARK(BM_FlatDirectoryFindCold);
 
 // Bulk registration cost with and without ReserveObjects: reserved
 // registration does O(1) amortized rehashes across every internal table.

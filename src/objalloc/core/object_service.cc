@@ -174,15 +174,26 @@ util::Status ObjectService::AdmitBatch(
   // registration-time state (the route directory, processor bounds) that
   // in-flight batches never mutate — which is what makes admitting batch
   // n+1 while batch n is still being served safe.
+  //
+  // Each id is hashed once, kPrefetchDistance events ahead of its probe:
+  // the hash starts the bucket's prefetch, waits in a ring, and then
+  // addresses the probe itself.
+  constexpr size_t kAhead = ObjectShard::kPrefetchDistance;
+  static_assert((kAhead & (kAhead - 1)) == 0, "the hash ring is masked");
+  uint64_t hashes[kAhead] = {};
+  const auto hash_ahead = [&](size_t i) {
+    const uint64_t hash = RouteDirectory::Hash(events[i].object);
+    route_directory_.PrefetchHash(hash);
+    hashes[i & (kAhead - 1)] = hash;
+  };
+  for (size_t i = 0; i < kAhead && i < events.size(); ++i) hash_ahead(i);
   routes_.resize(events.size());
   for (size_t i = 0; i < events.size(); ++i) {
-    if (i + ObjectShard::kPrefetchDistance < events.size()) {
-      route_directory_.Prefetch(
-          events[i + ObjectShard::kPrefetchDistance].object);
-    }
+    const uint64_t hash = hashes[i & (kAhead - 1)];
+    if (i + kAhead < events.size()) hash_ahead(i + kAhead);
     const workload::MultiObjectEvent& event = events[i];
-    const uint32_t route = route_directory_.Find(event.object);
-    if (route == util::FlatDirectory<uint32_t>::kNotFound) {
+    const uint32_t route = route_directory_.FindHashed(event.object, hash);
+    if (route == RouteDirectory::kNotFound) {
       return util::Status::NotFound("batch event " + std::to_string(i) +
                                     ": unknown object " +
                                     std::to_string(event.object));
@@ -627,7 +638,7 @@ util::StatusOr<StreamResult> ObjectService::ServeStream(
 util::StatusOr<ObjectStats> ObjectService::StatsFor(ObjectId id) const {
   FenceAsync();  // per-object accounting is serve-mutated state
   const uint32_t route = route_directory_.Find(id);
-  if (route == util::FlatDirectory<uint32_t>::kNotFound) {
+  if (route == RouteDirectory::kNotFound) {
     return util::Status::NotFound("unknown object " + std::to_string(id));
   }
   return shards_[RouteShard(route)].StatsAt(RouteSlot(route));

@@ -31,14 +31,17 @@
 //
 // Hot-path engineering (DESIGN.md §8):
 //   * Routing: admission resolves each ObjectId → packed (shard, dense
-//     slot) route through the service's route directory in one probe, in
-//     the same pass that validates the event and — on the executor path —
-//     partitions it into its shard's op list; serving then indexes the
-//     dense slot directly.
+//     slot) route through the service's route directory in one probe of
+//     one 12-byte bucket (one cache line, on 2 MiB pages once the table
+//     reaches 2 MiB), in the same pass that validates the event and — on
+//     the executor path — partitions it into its shard's op list; serving
+//     then indexes the dense slot directly.
 //   * Prefetch: admission, the in-place serve loops and the executor's
 //     RunTask each fetch the route bucket or slot record
 //     ObjectShard::kPrefetchDistance events ahead of its use, so a batch
 //     over a working set larger than the caches overlaps its misses.
+//     Admission hashes each id once: the hash that starts the bucket's
+//     prefetch is kept in a ring and addresses the probe.
 //   * All batch scratch (the per-event route array, the executor's
 //     per-shard op lists and CostBreakdown deltas) is owned by the service
 //     or its executor and recycled across batches: after warming every
@@ -610,7 +613,8 @@ class ObjectService : public DurableEngine {
   // for object residency (shards run in external-directory mode and keep no
   // id map of their own). Admission routes through this one table in one
   // probe — per-event cost independent of the shard count.
-  util::FlatDirectory<uint32_t> route_directory_;
+  using RouteDirectory = util::FlatDirectory<uint32_t>;
+  RouteDirectory route_directory_;
   // Batch scratch arena, recycled across batches (see header comment).
   // Per-shard partition scratch lives inside the executor's BatchContexts.
   std::vector<uint32_t> routes_;  // per event: packed shard/slot

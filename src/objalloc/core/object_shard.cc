@@ -80,18 +80,26 @@ util::Status ObjectShard::ValidateConfig(const ObjectConfig& config,
 
 void ObjectShard::Reserve(size_t expected_objects) {
   if (owns_directory_) directory_.Reserve(expected_objects);
-  const size_t pages_needed =
-      (expected_objects + kPageSlots - 1) >> kPageShift;
-  if (pages_needed > pages_.size()) {
-    pages_.reserve(pages_needed);
-    while (pages_.size() < pages_needed) {
-      pages_.push_back(std::make_unique<SlotRecord[]>(kPageSlots));
+  GrowPages((expected_objects + kPageSlots - 1) >> kPageShift);
+}
+
+void ObjectShard::GrowPages(size_t pages_needed) {
+  if (pages_needed <= pages_.size()) return;
+  const size_t grow = pages_needed - pages_.size();
+  const size_t run_pages = grow >= kMinRunPages ? grow : 1;
+  if (grow > 1) pages_.reserve(pages_needed);
+  while (pages_.size() < pages_needed) {
+    runs_.emplace_back(run_pages * kPageSlots, SlotRecord{});
+    SlotRecord* run = runs_.back().data();
+    for (size_t page = 0; page < run_pages; ++page) {
+      pages_.push_back(run + page * kPageSlots);
     }
   }
 }
 
 size_t ObjectShard::MemoryUsageBytes() const {
-  size_t bytes = pages_.capacity() * sizeof(pages_[0]) +
+  size_t bytes = runs_.capacity() * sizeof(runs_[0]) +
+                 pages_.capacity() * sizeof(pages_[0]) +
                  pages_.size() * static_cast<size_t>(kPageSlots) *
                      sizeof(SlotRecord);
   bytes += free_slots_.capacity() * sizeof(uint32_t);
@@ -114,7 +122,7 @@ uint32_t ObjectShard::AllocateSlot() {
   // tombstone), so the slab tops out just below them.
   OBJALLOC_CHECK_LT(slot_count_, 0xFFFFFFFEu) << "shard slot space exhausted";
   if ((slot_count_ >> kPageShift) == pages_.size()) {
-    pages_.push_back(std::make_unique<SlotRecord[]>(kPageSlots));
+    GrowPages(pages_.size() + 1);
   }
   return slot_count_++;
 }
@@ -911,11 +919,7 @@ util::Status ObjectShard::RestoreDeltaChunk(std::string_view chunk,
       }
       // Grow the slab to the delta's span: the new slots were allocated
       // during the delta window and arrive inside its dirty ranges.
-      const size_t pages_needed =
-          (static_cast<size_t>(span) + kPageSlots - 1) >> kPageShift;
-      while (pages_.size() < pages_needed) {
-        pages_.push_back(std::make_unique<SlotRecord[]>(kPageSlots));
-      }
+      GrowPages((static_cast<size_t>(span) + kPageSlots - 1) >> kPageShift);
       slot_count_ = static_cast<uint32_t>(span);
       d.header_done = true;
       committed = data.size() - reader.remaining();

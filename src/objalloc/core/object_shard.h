@@ -10,17 +10,22 @@
 // millions of objects under an explicit footprint budget (DESIGN.md §12):
 //
 //   * Object state lives in fixed-size slab pages of 64-byte SlotRecords
-//     indexed by *slot*. Pages are allocated one at a time and never moved,
-//     so growing to the N-th object allocates O(page) — no vector-doubling
-//     copy of the whole shard, and a slot's address is stable for the
-//     shard's lifetime. Freed slots go on a free list for reuse (no
-//     removal API exists yet; the slab is built for one).
+//     indexed by *slot*. Pages are never moved, so growing to the N-th
+//     object allocates O(page) — no vector-doubling copy of the whole
+//     shard, and a slot's address is stable for the shard's lifetime.
+//     Registration grows the slab one 128 KiB page at a time; a Reserve or
+//     snapshot restore that needs kMinRunPages or more pages at once gets
+//     them as one run on 2 MiB pages (util/huge_pages.h), so random
+//     accesses into a large slab do not also miss the TLB. Freed slots go
+//     on a free list for reuse (no removal API exists yet; the slab is
+//     built for one).
 //   * A SlotRecord bit-packs the full inline SA/DA machine: identity, the
 //     scheme and DA core-set masks, and a meta word holding the dispatch
 //     tag, availability threshold, DA floating processor and round-robin
 //     index, and the crash-log cursor, beside the per-object request count
-//     and cost breakdown — exactly 64 bytes, and alignas(64) so the aligned
-//     new[] of every slab page puts each record on its own cache line.
+//     and cost breakdown — exactly 64 bytes, and alignas(64) so every slab
+//     page (aligned new, or a 2 MiB-aligned run) puts each record on its
+//     own cache line.
 //   * The per-request cost scalars previously stored per object are a pure
 //     function of (kind, t) and the shard's cost model, so they live in one
 //     per-shard table of ≤ 3×65 entries, folded at construction in the
@@ -62,7 +67,6 @@
 #define OBJALLOC_CORE_OBJECT_SHARD_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +75,7 @@
 #include "objalloc/core/fault_injector.h"
 #include "objalloc/model/cost_evaluator.h"
 #include "objalloc/util/flat_directory.h"
+#include "objalloc/util/huge_pages.h"
 #include "objalloc/util/record_io.h"
 #include "objalloc/util/status.h"
 
@@ -103,9 +108,12 @@ class ObjectShard {
   ObjectShard(int num_processors, const model::CostModel& cost_model,
               bool external_directory = false);
 
-  // Movable so ObjectService can hold shards by value.
+  // Movable so ObjectService can hold shards by value; a move keeps every
+  // slot's address. Not copyable: pages_ points into the shard's own runs.
   ObjectShard(ObjectShard&&) = default;
   ObjectShard& operator=(ObjectShard&&) = default;
+  ObjectShard(const ObjectShard&) = delete;
+  ObjectShard& operator=(const ObjectShard&) = delete;
 
   // Registers an object and returns its dense slot. Fails on duplicate ids
   // (internal-directory mode only — an external directory owns that check),
@@ -122,7 +130,8 @@ class ObjectShard {
 
   // Sizes every internal table ahead of a bulk registration: the id → slot
   // directory rehashes once and the slab pages for `expected_objects` slots
-  // are allocated up front, so the registration burst itself allocates
+  // are allocated up front (as one huge-page run when that is kMinRunPages
+  // or more new pages), so the registration burst itself allocates
   // nothing.
   void Reserve(size_t expected_objects);
 
@@ -130,8 +139,8 @@ class ObjectShard {
   size_t object_count() const { return slot_count_ - free_slots_.size(); }
   int num_processors() const { return num_processors_; }
 
-  // Heap bytes held by the shard: slab pages, directories, degraded
-  // registry, and dirty bitmap. The per-object cost of the engine is
+  // Bytes held by the shard, heap and mapped: slab pages, directories,
+  // degraded registry, and dirty bitmap. The per-object cost of the engine is
   // MemoryUsageBytes() / object_count() — bench/footprint_scaling budgets
   // it.
   size_t MemoryUsageBytes() const;
@@ -395,6 +404,11 @@ class ObjectShard {
   static constexpr uint32_t kPageShift = 11;
   static constexpr uint32_t kPageSlots = 1u << kPageShift;
   static constexpr uint32_t kPageMask = kPageSlots - 1;
+  // Growth by this many pages or more is one run, exactly the size from
+  // which util::HugePageArray maps and advises huge pages.
+  static constexpr size_t kMinRunPages = 16;
+  static_assert(kMinRunPages * kPageSlots * sizeof(SlotRecord) ==
+                util::kHugePageBytes);
 
   SlotRecord& Slot(uint32_t slot) {
     return pages_[slot >> kPageShift][slot & kPageMask];
@@ -408,9 +422,13 @@ class ObjectShard {
                        static_cast<size_t>(t)];
   }
 
-  // Pops a free-listed slot or appends one, growing the slab by whole
-  // pages; never moves existing records.
+  // Pops a free-listed slot or appends one, growing the slab by one page;
+  // never moves existing records.
   uint32_t AllocateSlot();
+
+  // Grows the slab to `pages_needed` pages: one run when that adds
+  // kMinRunPages or more, else one 128 KiB page at a time.
+  void GrowPages(size_t pages_needed);
 
   // Registers `slot` as degraded (idempotent).
   void MarkDegraded(uint32_t slot);
@@ -483,8 +501,10 @@ class ObjectShard {
   model::CostModel cost_model_;
   bool owns_directory_;
 
-  // Slab storage: stable fixed-size pages of SlotRecords plus a free list.
-  std::vector<std::unique_ptr<SlotRecord[]>> pages_;
+  // Slab storage: runs of one or more pages, the stable fixed-size pages
+  // carved from them, plus a free list. Dirty tracking stays per page.
+  std::vector<util::HugePageArray<SlotRecord>> runs_;
+  std::vector<SlotRecord*> pages_;
   uint32_t slot_count_ = 0;  // slots ever allocated (span of the slab)
   std::vector<uint32_t> free_slots_;
 

@@ -5,20 +5,26 @@
 // costs an integer division (hash % bucket_count) plus a pointer chase into
 // a node allocation, and at the ~0.9 load factor a reserved map settles
 // into, random key subsets (hash-sharded object ids) build collision chains
-// of cache-missing nodes. This directory instead keeps keys and values in
-// two parallel power-of-two arrays probed linearly: the splitmix64 bit mix
+// of cache-missing nodes. This directory instead keeps (key, value) buckets
+// in one power-of-two array probed linearly: the splitmix64 bit mix
 // randomizes buckets for any key distribution, the capacity mask replaces
 // the division, a probe touches consecutive cache lines, and the load
-// factor is capped at 3/4. Splitting keys from values keeps a bucket at
-// 8 + sizeof(Value) bytes — 12 for the uint32 directories — which is what
-// lets a million-object route table fit a ~25-byte/object budget
-// (DESIGN.md §12). A lookup touches 2 cache lines in the common case (the
-// home bucket's value line and its key line; Prefetch loads both ahead of
-// a batch's probes) and allocates never.
+// factor is capped at 3/4. A bucket is packed to 8 + sizeof(Value) bytes —
+// 12 for the uint32 directories — which is what lets a million-object route
+// table fit a ~25-byte/object budget (DESIGN.md §12). A lookup touches 1
+// cache line in the common case (the home bucket; 2 of every 16 buckets
+// straddle a line boundary, so PrefetchHash loads the bucket's first and
+// last byte ahead of a batch's probes) and allocates never. Tables of 2 MiB
+// and more sit on huge pages (util/huge_pages.h), so a probe into a table
+// far larger than the caches does not also walk the page tables.
+//
+// A caller that computes a key's hash ahead of its probe — admission
+// prefetches each bucket a fixed distance ahead — hands the same hash to
+// FindHashed, so every key is mixed once.
 //
 // Growth is *incremental*: when the load cap trips, the full table is not
-// rehashed in one stop-the-world sweep. Instead the current arrays are
-// frozen as the "old" table, fresh arrays are allocated, and every
+// rehashed in one stop-the-world sweep. Instead the current array is
+// frozen as the "old" table, a fresh array is allocated, and every
 // subsequent Insert migrates a bounded run of old buckets before adding its
 // own key (lookups probe new-then-old until the drain completes). The step
 // size is chosen per migration so the drain always finishes before the new
@@ -51,8 +57,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
+#include "objalloc/util/huge_pages.h"
 #include "objalloc/util/logging.h"
 
 namespace objalloc::util {
@@ -66,13 +72,22 @@ class FlatDirectory {
   // tombstone as occupied (keep probing) while Find reports the key absent.
   static constexpr Value kTombstone = static_cast<Value>(-2);
 
+  // One slot of the table. Packed: the value rides directly after the key,
+  // so a bucket is 12 bytes, not 16, for uint32 values.
+  struct [[gnu::packed]] Bucket {
+    int64_t key;
+    Value value;  // kNotFound marks an empty bucket
+  };
+
   FlatDirectory() = default;
 
   size_t size() const { return live_.size + old_.size; }
   bool empty() const { return size() == 0; }
 
   // Buckets across both tables (old table nonzero only mid-drain).
-  size_t capacity() const { return live_.keys.size() + old_.keys.size(); }
+  size_t capacity() const {
+    return live_.buckets.size() + old_.buckets.size();
+  }
 
   // Erased-but-not-yet-compacted buckets (load-factor accounting).
   size_t tombstones() const {
@@ -80,13 +95,10 @@ class FlatDirectory {
   }
 
   // True while an incremental growth/compaction drain is in progress.
-  bool migrating() const { return !old_.keys.empty(); }
+  bool migrating() const { return !old_.buckets.empty(); }
 
-  // Heap bytes held by the bucket arrays of both tables.
-  size_t MemoryUsageBytes() const {
-    return (live_.keys.capacity() + old_.keys.capacity()) * sizeof(int64_t) +
-           (live_.values.capacity() + old_.values.capacity()) * sizeof(Value);
-  }
+  // Bytes held by the bucket arrays of both tables.
+  size_t MemoryUsageBytes() const { return capacity() * sizeof(Bucket); }
 
   // Pre-sizes the table so `expected` inserts trigger no growth. Finishes
   // any in-progress drain first (bulk registration wants one big step, not
@@ -94,34 +106,50 @@ class FlatDirectory {
   void Reserve(size_t expected) {
     FinishMigration();
     const size_t capacity = CapacityFor(expected);
-    if (capacity > live_.keys.size()) {
+    if (capacity > live_.buckets.size()) {
       BeginMigration(capacity);
       FinishMigration();
     }
   }
 
-  // Value stored under `key`, or kNotFound. Mid-drain, un-migrated entries
-  // still live in the old table: probe new first (every fresh insert and
-  // every migrated entry lands there), then old.
-  Value Find(int64_t key) const {
-    const Value in_new = FindIn(live_, key);
+  // The splitmix64 finalizer every probe starts from: a fixed,
+  // platform-independent mix (identity hashes would chain badly for the
+  // hash-sharded id subsets this directory exists to serve). It does not
+  // depend on the table, so a hash stays valid across growth.
+  static uint64_t Hash(int64_t key) {
+    uint64_t x = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  // Value stored under `key`, or kNotFound.
+  Value Find(int64_t key) const { return FindHashed(key, Hash(key)); }
+
+  // Find with `hash` == Hash(key) already computed. Mid-drain, un-migrated
+  // entries still live in the old table: probe new first (every fresh
+  // insert and every migrated entry lands there), then old.
+  Value FindHashed(int64_t key, uint64_t hash) const {
+    const Value in_new = FindIn(live_, key, hash);
     if (in_new != kNotFound) return in_new;
-    if (!old_.keys.empty()) [[unlikely]] return FindIn(old_, key);
+    if (!old_.buckets.empty()) [[unlikely]] return FindIn(old_, key, hash);
     return kNotFound;
   }
 
   bool Contains(int64_t key) const { return Find(key) != kNotFound; }
 
-  // Starts loading the home bucket of `key` in the live table — both its
-  // values[] and keys[] lines, which the split arrays keep apart — so a
-  // Find(key) issued a few keys later hits cache. A hint only: no state
-  // changes, no effect on any result. Always inlined: GCC deems a function
-  // whose only effect is a prefetch side-effect free and deletes the calls.
-  [[gnu::always_inline]] void Prefetch(int64_t key) const {
-    if (live_.keys.empty()) return;
-    const size_t i = Mix(key) & live_.mask;
-    __builtin_prefetch(live_.values.data() + i);
-    __builtin_prefetch(live_.keys.data() + i);
+  // Starts loading the home bucket of the key whose Hash is `hash` in the
+  // live table — its first and last byte, since a 12-byte bucket can
+  // straddle two lines — so a FindHashed issued a few keys later hits
+  // cache. A hint only: no state changes, no effect on any result. Always
+  // inlined: GCC deems a function whose only effect is a prefetch side-
+  // effect free and deletes the calls.
+  [[gnu::always_inline]] void PrefetchHash(uint64_t hash) const {
+    if (live_.buckets.empty()) return;
+    const char* bucket = reinterpret_cast<const char*>(
+        live_.buckets.data() + (hash & live_.mask));
+    __builtin_prefetch(bucket);
+    __builtin_prefetch(bucket + sizeof(Bucket) - 1);
   }
 
   // Inserts key → value. The key must be absent and the value legal; both
@@ -131,15 +159,16 @@ class FlatDirectory {
   void Insert(int64_t key, Value value) {
     OBJALLOC_CHECK_NE(value, kNotFound) << "reserved sentinel value";
     OBJALLOC_CHECK_NE(value, kTombstone) << "reserved sentinel value";
-    if (live_.keys.empty()) InitTable(&live_, kMinCapacity);
-    if (!old_.keys.empty()) [[unlikely]] {
+    if (live_.buckets.empty()) InitTable(&live_, kMinCapacity);
+    if (!old_.buckets.empty()) [[unlikely]] {
       MigrateStep();
       // The step arithmetic guarantees the drain completes before the new
       // table trips its own cap; this backstop keeps the invariant even if
       // a caller mixes Reserve/erase patterns the bound does not model.
-      if ((live_.used + 1) * 4 > live_.keys.size() * 3) FinishMigration();
+      if ((live_.used + 1) * 4 > live_.buckets.size() * 3) FinishMigration();
     }
-    if (old_.keys.empty() && (live_.used + 1) * 4 > live_.keys.size() * 3) {
+    if (old_.buckets.empty() &&
+        (live_.used + 1) * 4 > live_.buckets.size() * 3) {
       // Target ≤ 3/8 load at drain end: the new table then absorbs the whole
       // drain plus every interleaved insert before its own 3/4 cap can trip.
       // Sizing by live entries (not used buckets) makes a churn-trippped
@@ -147,28 +176,31 @@ class FlatDirectory {
       BeginMigration(CapacityFor(2 * (size() + 1)));
       MigrateStep();
     }
-    if (!old_.keys.empty()) {
+    const uint64_t hash = Hash(key);
+    if (!old_.buckets.empty()) {
       // The duplicate check must cover un-migrated entries too.
-      OBJALLOC_CHECK_EQ(FindIn(old_, key), kNotFound)
+      OBJALLOC_CHECK_EQ(FindIn(old_, key, hash), kNotFound)
           << "duplicate key " << key;
     }
-    InsertIn(&live_, key, value, /*check_duplicate=*/true);
+    InsertIn(&live_, key, hash, value, /*check_duplicate=*/true);
   }
 
   // Erases `key` if present, leaving a tombstone so probe chains through
   // this bucket stay intact. Returns whether the key was present.
   bool Erase(int64_t key) {
-    if (EraseIn(&live_, key)) return true;
-    if (!old_.keys.empty()) [[unlikely]] return EraseIn(&old_, key);
+    const uint64_t hash = Hash(key);
+    if (EraseIn(&live_, key, hash)) return true;
+    if (!old_.buckets.empty()) [[unlikely]] return EraseIn(&old_, key, hash);
     return false;
   }
 
   // Buckets a Find(key) touches today (across both tables for a miss) —
   // the observable the churn tests bound.
   size_t ProbeLength(int64_t key) const {
+    const uint64_t hash = Hash(key);
     size_t probes = 0;
-    if (ProbeIn(live_, key, &probes)) return probes;
-    if (!old_.keys.empty()) ProbeIn(old_, key, &probes);
+    if (ProbeIn(live_, key, hash, &probes)) return probes;
+    if (!old_.buckets.empty()) ProbeIn(old_, key, hash, &probes);
     return probes;
   }
 
@@ -177,25 +209,14 @@ class FlatDirectory {
   // Minimum old-table buckets rehashed per Insert while draining.
   static constexpr size_t kMinMigrateStep = 8;
 
-  // One open-addressing table: parallel key/value arrays (values carry the
-  // empty/tombstone sentinels), power-of-two sized.
+  // One open-addressing table: a power-of-two bucket array (values carry
+  // the empty/tombstone sentinels).
   struct Table {
-    std::vector<int64_t> keys;
-    std::vector<Value> values;
+    HugePageArray<Bucket> buckets;
     size_t mask = 0;
     size_t size = 0;  // live entries
     size_t used = 0;  // live entries + tombstones (load-factor accounting)
   };
-
-  // splitmix64 finalizer: a fixed, platform-independent mix (identity
-  // hashes would chain badly for the hash-sharded id subsets this
-  // directory exists to serve).
-  static uint64_t Mix(int64_t key) {
-    uint64_t x = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
 
   // Smallest power of two holding `n` entries under the 3/4 load cap.
   static size_t CapacityFor(size_t n) {
@@ -205,67 +226,68 @@ class FlatDirectory {
   }
 
   static void InitTable(Table* table, size_t capacity) {
-    table->keys.assign(capacity, 0);
-    table->values.assign(capacity, kNotFound);
+    table->buckets = HugePageArray<Bucket>(capacity, Bucket{0, kNotFound});
     table->mask = capacity - 1;
     table->size = 0;
     table->used = 0;
   }
 
-  static Value FindIn(const Table& table, int64_t key) {
-    if (table.keys.empty()) return kNotFound;
-    size_t i = Mix(key) & table.mask;
+  static Value FindIn(const Table& table, int64_t key, uint64_t hash) {
+    if (table.buckets.empty()) return kNotFound;
+    size_t i = hash & table.mask;
     while (true) {
-      const Value value = table.values[i];
+      const Bucket& bucket = table.buckets[i];
+      const Value value = bucket.value;
       if (value == kNotFound) return kNotFound;
-      if (value != kTombstone && table.keys[i] == key) return value;
+      if (value != kTombstone && bucket.key == key) return value;
       i = (i + 1) & table.mask;
     }
   }
 
   // Like FindIn but counts probed buckets into `*probes` (accumulating);
   // returns whether the key was found.
-  static bool ProbeIn(const Table& table, int64_t key, size_t* probes) {
-    if (table.keys.empty()) return false;
-    size_t i = Mix(key) & table.mask;
+  static bool ProbeIn(const Table& table, int64_t key, uint64_t hash,
+                      size_t* probes) {
+    if (table.buckets.empty()) return false;
+    size_t i = hash & table.mask;
     while (true) {
       ++*probes;
-      const Value value = table.values[i];
-      if (value == kNotFound) return false;
-      if (value != kTombstone && table.keys[i] == key) return true;
+      const Bucket& bucket = table.buckets[i];
+      if (bucket.value == kNotFound) return false;
+      if (bucket.value != kTombstone && bucket.key == key) return true;
       i = (i + 1) & table.mask;
     }
   }
 
-  static void InsertIn(Table* table, int64_t key, Value value,
+  static void InsertIn(Table* table, int64_t key, uint64_t hash, Value value,
                        bool check_duplicate) {
-    size_t i = Mix(key) & table->mask;
-    size_t place = table->keys.size();  // first tombstone seen, if any
-    while (table->values[i] != kNotFound) {
-      if (table->values[i] == kTombstone) {
-        if (place == table->keys.size()) place = i;
+    size_t i = hash & table->mask;
+    size_t place = table->buckets.size();  // first tombstone seen, if any
+    while (table->buckets[i].value != kNotFound) {
+      if (table->buckets[i].value == kTombstone) {
+        if (place == table->buckets.size()) place = i;
       } else if (check_duplicate) {
-        OBJALLOC_CHECK_NE(table->keys[i], key) << "duplicate key " << key;
+        const int64_t present = table->buckets[i].key;  // no packed refs
+        OBJALLOC_CHECK_NE(present, key) << "duplicate key " << key;
       }
       i = (i + 1) & table->mask;
     }
-    if (place == table->keys.size()) {
+    if (place == table->buckets.size()) {
       place = i;
       ++table->used;  // a tombstone was already counted as used
     }
-    table->keys[place] = key;
-    table->values[place] = value;
+    table->buckets[place] = Bucket{key, value};
     ++table->size;
   }
 
-  static bool EraseIn(Table* table, int64_t key) {
-    if (table->keys.empty()) return false;
-    size_t i = Mix(key) & table->mask;
+  static bool EraseIn(Table* table, int64_t key, uint64_t hash) {
+    if (table->buckets.empty()) return false;
+    size_t i = hash & table->mask;
     while (true) {
-      const Value value = table->values[i];
-      if (value == kNotFound) return false;
-      if (value != kTombstone && table->keys[i] == key) {
-        table->values[i] = kTombstone;
+      Bucket& bucket = table->buckets[i];
+      if (bucket.value == kNotFound) return false;
+      if (bucket.value != kTombstone && bucket.key == key) {
+        bucket.value = kTombstone;
         --table->size;
         return true;
       }
@@ -273,7 +295,7 @@ class FlatDirectory {
     }
   }
 
-  // Freezes the current arrays as the drain source and starts fresh ones.
+  // Freezes the current array as the drain source and starts a fresh one.
   // The per-insert step is sized so scanning all old buckets finishes
   // within ~3/8 of the new capacity inserts — before the new table (seeded
   // with at most the old live entries) can reach its own 3/4 cap.
@@ -284,35 +306,35 @@ class FlatDirectory {
     migrate_step_ = kMinMigrateStep;
     const size_t budget = capacity * 3 / 8;
     if (budget > 0) {
-      const size_t paced = (old_.keys.size() + budget - 1) / budget;
+      const size_t paced = (old_.buckets.size() + budget - 1) / budget;
       if (paced > migrate_step_) migrate_step_ = paced;
     }
   }
 
   // Rehashes the next `migrate_step_` old buckets into the new table;
-  // drops the old arrays when the scan completes. Migrated keys are unique
+  // drops the old array when the scan completes. Migrated keys are unique
   // across both tables by construction, so no duplicate check is needed.
   void MigrateStep() {
-    const size_t end = scan_pos_ + migrate_step_ < old_.keys.size()
+    const size_t end = scan_pos_ + migrate_step_ < old_.buckets.size()
                            ? scan_pos_ + migrate_step_
-                           : old_.keys.size();
+                           : old_.buckets.size();
     for (; scan_pos_ < end; ++scan_pos_) {
-      const Value value = old_.values[scan_pos_];
-      if (value == kNotFound || value == kTombstone) continue;
-      InsertIn(&live_, old_.keys[scan_pos_], value,
+      Bucket& bucket = old_.buckets[scan_pos_];
+      if (bucket.value == kNotFound || bucket.value == kTombstone) continue;
+      InsertIn(&live_, bucket.key, Hash(bucket.key), bucket.value,
                /*check_duplicate=*/false);
-      old_.values[scan_pos_] = kTombstone;
+      bucket.value = kTombstone;
       --old_.size;  // bucket flips live → tombstone; used is unchanged
     }
-    if (scan_pos_ >= old_.keys.size()) {
-      old_ = Table();  // drain complete: free the old arrays
+    if (scan_pos_ >= old_.buckets.size()) {
+      old_ = Table();  // drain complete: free the old array
       scan_pos_ = 0;
     }
   }
 
   void FinishMigration() {
-    if (old_.keys.empty()) return;
-    migrate_step_ = old_.keys.size();
+    if (old_.buckets.empty()) return;
+    migrate_step_ = old_.buckets.size();
     MigrateStep();
   }
 

@@ -3,6 +3,8 @@
 // shard count and every thread count, the streaming paths must equal the
 // materialized path event for event, and batch admission must be atomic.
 
+#include <filesystem>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -10,6 +12,7 @@
 
 #include "objalloc/core/object_manager.h"
 #include "objalloc/core/object_service.h"
+#include "objalloc/util/huge_pages.h"
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/event_source.h"
 #include "objalloc/workload/trace_io.h"
@@ -363,6 +366,61 @@ TEST(ObjectServiceTest, MixedAlgorithmsAcrossShards) {
   // DA saves at the reader, SA does not; objects stay isolated.
   EXPECT_TRUE(service.StatsFor(1)->scheme.Contains(6));
   EXPECT_FALSE(service.StatsFor(2)->scheme.Contains(6));
+}
+
+// Tables of 2 MiB and more sit on huge pages: the route directory from
+// about 100K objects, a shard's slab when a Reserve or a snapshot restore
+// adds 16 or more pages at once. That is a layout choice only: a service
+// whose tables are mapped — reserved up front, then restored from a
+// checkpoint — serves bit-identically to one grown page by page.
+TEST(ObjectServiceTest, HugePageBackedTablesServeIdentically) {
+  workload::MultiObjectOptions trace_options;
+  trace_options.num_processors = 8;
+  trace_options.num_objects = 100000;
+  trace_options.length = 60000;
+  const MultiObjectTrace trace =
+      workload::GenerateMultiObjectTrace(trace_options, 4321);
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const ObjectConfig config = TestConfig();
+  const ServiceOptions options{.num_shards = 2};
+
+  ObjectService mapped(trace.num_processors, sc, options);
+  const uint64_t made = util::HugePageMappingsMade();
+  mapped.ReserveObjects(static_cast<size_t>(trace.num_objects));
+  EXPECT_EQ(util::HugePageMappingsMade(), made + 3)
+      << "route directory + one slab run per shard";
+  ObjectService grown(trace.num_processors, sc, options);
+  for (int id = 0; id < trace.num_objects; ++id) {
+    ASSERT_TRUE(mapped.AddObject(id, config).ok());
+    ASSERT_TRUE(grown.AddObject(id, config).ok());
+  }
+  const std::span<const MultiObjectEvent> events(trace.events);
+  const auto serve_both = [&](ObjectService& service,
+                               std::span<const MultiObjectEvent> part) {
+    auto got = service.ServeBatch(part);
+    auto want = grown.ServeBatch(part);
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(got->costs, want->costs);
+    EXPECT_EQ(got->breakdown, want->breakdown);
+  };
+  serve_both(mapped, events.first(40000));
+  EXPECT_EQ(mapped.SchemeCrc(), grown.SchemeCrc());
+
+  const std::string dir = ::testing::TempDir() + "/huge_page_restore";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(mapped.EnableDurability(dir).ok());
+  ASSERT_TRUE(mapped.DisableDurability().ok());
+  const uint64_t before_recover = util::HugePageMappingsMade();
+  auto recovered = ObjectService::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_GE(util::HugePageMappingsMade(), before_recover + 3)
+      << "the restore reserves the route directory and each shard's run";
+  EXPECT_EQ(recovered->SchemeCrc(), grown.SchemeCrc());
+  serve_both(*recovered, events.subspan(40000));
+  EXPECT_EQ(recovered->SchemeCrc(), grown.SchemeCrc());
+  EXPECT_EQ(recovered->TotalBreakdown(), grown.TotalBreakdown());
+  ASSERT_TRUE(recovered->DisableDurability().ok());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -3,13 +3,18 @@
 // classes, the batch path is bit-identical to the serial ObjectManager for
 // every shard x thread configuration (also at every batch size around the
 // prefetch look-ahead), and the steady-state batch path performs zero heap
-// allocations (asserted through a global operator-new counting hook).
+// allocations (asserted through a global operator-new counting hook) and
+// makes zero huge-page mappings (util::HugePageMappingsMade, which the hook
+// cannot see).
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +25,9 @@
 #include "objalloc/core/object_service.h"
 #include "objalloc/model/allocation_schedule.h"
 #include "objalloc/model/cost_evaluator.h"
+#include "objalloc/util/huge_pages.h"
 #include "objalloc/util/parallel.h"
+#include "objalloc/util/rng.h"
 #include "objalloc/workload/multi_object.h"
 
 // Global allocation counter: every scalar operator new bumps it (the array
@@ -310,12 +317,14 @@ TEST(ServingEngineTest, SteadyStateBatchesDoNotAllocate) {
   ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
+  const uint64_t mappings = util::HugePageMappingsMade();
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
   }
   const int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
       << "steady-state ServeBatchInto must not touch the heap";
+  EXPECT_EQ(util::HugePageMappingsMade(), mappings);
 }
 
 // The same contract on the shard-executor path (threads > 1): once the
@@ -355,6 +364,7 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   ASSERT_TRUE(pipeline.Drain(retire).ok());
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
+  const uint64_t mappings = util::HugePageMappingsMade();
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
     ASSERT_TRUE(pipeline.Submit(id_span, retire).ok());
@@ -364,20 +374,27 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   const int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
       << "steady-state executor batches must not touch the heap";
+  EXPECT_EQ(util::HugePageMappingsMade(), mappings);
   EXPECT_EQ(retired, static_cast<int64_t>(rounds) + 10);
 }
 
 // ReserveObjects pre-sizes every table a registration touches — the route
 // directory, each shard's slot pages, the free lists — so a registration
 // burst inside the reserved envelope never touches the heap. This is the
-// contract that makes pre-sized million-object loads O(1) allocations.
+// contract that makes pre-sized million-object loads O(1) allocations. The
+// population is large enough that the reservation maps huge-page tables
+// (the route directory and every shard's slab run), so the gate covers the
+// mapped arrays too.
 TEST(ServingEngineTest, PostReserveRegistrationDoesNotAllocate) {
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   ScopedThreads scope(1);  // serial path: no executor to spin up
 
   ObjectService service(8, sc, ServiceOptions{.num_shards = 4});
-  const int kObjects = 4096;
+  const int kObjects = 1 << 18;
+  const uint64_t unreserved = util::HugePageMappingsMade();
   service.ReserveObjects(static_cast<size_t>(kObjects));
+  const uint64_t mappings = util::HugePageMappingsMade();
+  ASSERT_EQ(mappings - unreserved, 5u) << "route directory + 4 slab runs";
   const ObjectConfig config = TestConfig();
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
@@ -387,7 +404,68 @@ TEST(ServingEngineTest, PostReserveRegistrationDoesNotAllocate) {
   const int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
       << "a post-reserve registration burst must not touch the heap";
+  EXPECT_EQ(util::HugePageMappingsMade(), mappings);
   EXPECT_EQ(service.object_count(), static_cast<size_t>(kObjects));
+}
+
+static_assert(!std::is_copy_constructible_v<ObjectShard>,
+              "a copy would share the original's slab pages");
+static_assert(!std::is_copy_assignable_v<ObjectShard>);
+
+// Slot records never move: a Reserve run followed by single-page growth,
+// and moves of the shard itself (construction and assignment), leave every
+// slot's state where the next serve finds it. A reference shard grown page
+// by page serves the same stream.
+TEST(ServingEngineTest, SlabRunsKeepSlotsAcrossGrowthAndMoves) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const ObjectConfig config = TestConfig();
+  // 16 pages of 2048 slots: exactly one 2 MiB run.
+  constexpr int kReserved = 16 * 2048;
+  constexpr int kObjects = kReserved + 3 * 2048 + 5;
+
+  const uint64_t made = util::HugePageMappingsMade();
+  const uint64_t live = util::HugePageMappingsLive();
+  ObjectShard reference(8, sc);
+  ObjectShard shard(8, sc);
+  shard.Reserve(kReserved);
+  EXPECT_EQ(util::HugePageMappingsMade(), made + 1);
+  for (int id = 0; id < kObjects; ++id) {
+    ASSERT_TRUE(reference.AddObject(id, config).ok());
+    ASSERT_TRUE(shard.AddObject(id, config).ok());
+  }
+  // The growth past the run went page by page: no further mapping.
+  EXPECT_EQ(util::HugePageMappingsMade(), made + 1);
+
+  util::Rng rng(91);
+  const auto serve_round = [&](ObjectShard& served) {
+    for (int i = 0; i < 20000; ++i) {
+      const auto id = static_cast<ObjectId>(rng.NextBounded(kObjects));
+      const auto p = static_cast<ProcessorId>(rng.NextBounded(8));
+      const Request request =
+          rng.NextBounded(4) == 0 ? Request::Write(p) : Request::Read(p);
+      auto expected = reference.Serve(id, request);
+      auto cost = served.Serve(id, request);
+      ASSERT_TRUE(expected.ok() && cost.ok());
+      ASSERT_EQ(*cost, *expected);
+    }
+  };
+  serve_round(shard);
+  ObjectShard moved(std::move(shard));
+  serve_round(moved);
+  std::optional<ObjectShard> holder(std::in_place, 8, sc);
+  *holder = std::move(moved);
+  serve_round(*holder);
+  for (uint32_t slot = 0; slot < holder->slot_span(); ++slot) {
+    const ObjectStats got = holder->StatsAt(slot);
+    const ObjectStats want = reference.StatsAt(slot);
+    ASSERT_EQ(got.scheme.mask(), want.scheme.mask()) << "slot " << slot;
+    ASSERT_EQ(got.breakdown, want.breakdown) << "slot " << slot;
+    ASSERT_EQ(got.requests, want.requests) << "slot " << slot;
+  }
+  EXPECT_EQ(util::HugePageMappingsMade(), made + 1);
+  EXPECT_EQ(util::HugePageMappingsLive(), live + 1);
+  holder.reset();
+  EXPECT_EQ(util::HugePageMappingsLive(), live);
 }
 
 // ReserveObjects is a pure capacity hint: identical results with and

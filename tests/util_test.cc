@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +11,7 @@
 #include "objalloc/util/ascii_plot.h"
 #include "objalloc/util/csv.h"
 #include "objalloc/util/flat_directory.h"
+#include "objalloc/util/huge_pages.h"
 #include "objalloc/util/processor_set.h"
 #include "objalloc/util/rng.h"
 #include "objalloc/util/spsc_queue.h"
@@ -341,6 +345,142 @@ TEST(FlatDirectoryTest, MillionEntryGrowthErasureAndProbeLengths) {
   for (int64_t key = 0; key < kEntries; key += 1000) {
     ASSERT_EQ(directory.Find(key), static_cast<uint32_t>(key + 1));
   }
+}
+
+TEST(FlatDirectoryTest, KeysHomedInLineStraddlingBucketsAreFound) {
+  // A packed 12-byte bucket starting in the last 11 bytes of a cache line
+  // spans two lines: buckets 5 and 10 of every 16 in a line-aligned array.
+  // Reserve a mapped (2 MiB-aligned) table, so bucket offsets are offsets
+  // from a line boundary, and check every key homed in such a bucket.
+  using Directory = FlatDirectory<uint32_t>;
+  static_assert(sizeof(Directory::Bucket) == 12);
+  Directory directory;
+  directory.Reserve(150000);
+  ASSERT_GE(directory.MemoryUsageBytes(), kHugePageBytes);
+  const size_t mask = directory.capacity() - 1;
+  for (int64_t key = 0; key < 150000; ++key) {
+    directory.Insert(key, static_cast<uint32_t>(key * 7));
+  }
+  size_t straddling = 0;
+  for (int64_t key = 0; key < 150000; ++key) {
+    const uint64_t hash = Directory::Hash(key);
+    directory.PrefetchHash(hash);
+    ASSERT_EQ(directory.FindHashed(key, hash), static_cast<uint32_t>(key * 7));
+    ASSERT_EQ(directory.Find(key), static_cast<uint32_t>(key * 7));
+    const size_t offset = (hash & mask) * sizeof(Directory::Bucket);
+    if (offset % 64 > 64 - sizeof(Directory::Bucket)) ++straddling;
+  }
+  EXPECT_GT(straddling, size_t{150000} / 16) << "expected ~2/16 of homes";
+  for (int64_t key = -1; key > -1000; --key) {
+    ASSERT_EQ(directory.FindHashed(key, Directory::Hash(key)),
+              Directory::kNotFound);
+  }
+}
+
+TEST(FlatDirectoryTest, MigrationCrossesTheHugePageThresholdBothWays) {
+  // 2^17 buckets (1.5 MiB) live on the heap, 2^18 (3 MiB) are mapped. Grow
+  // across that line under erase churn, then erase down and churn until a
+  // tombstone compaction migrates back below it; a reference map arbitrates
+  // throughout, and memory is capacity x 12 bytes at every step.
+  using Directory = FlatDirectory<uint32_t>;
+  const uint64_t mapped_before = HugePageMappingsLive();
+  Directory directory;
+  std::unordered_map<int64_t, uint32_t> reference;
+  std::vector<int64_t> present;
+  Rng rng(47);
+  int64_t next_key = 0;
+  const auto insert_fresh = [&] {
+    const int64_t key = next_key++;
+    const auto value = static_cast<uint32_t>(key ^ 0x5a5a);
+    directory.Insert(key, value);
+    reference.emplace(key, value);
+    present.push_back(key);
+  };
+  const auto erase_random = [&] {
+    const size_t at = rng.NextBounded(present.size());
+    ASSERT_TRUE(directory.Erase(present[at]));
+    reference.erase(present[at]);
+    present[at] = present.back();
+    present.pop_back();
+  };
+  const auto check_all = [&] {
+    ASSERT_EQ(directory.size(), reference.size());
+    ASSERT_EQ(directory.MemoryUsageBytes(),
+              directory.capacity() * sizeof(Directory::Bucket));
+    for (int64_t key = 0; key < next_key; ++key) {
+      const auto it = reference.find(key);
+      ASSERT_EQ(directory.Find(key),
+                it == reference.end() ? Directory::kNotFound : it->second)
+          << "key " << key;
+    }
+  };
+
+  // Up: two inserts per erase.
+  while (present.size() < 120000) {
+    insert_fresh();
+    if (next_key % 3 == 0) erase_random();
+    ASSERT_EQ(directory.MemoryUsageBytes(),
+              directory.capacity() * sizeof(Directory::Bucket));
+  }
+  check_all();
+  EXPECT_GE(directory.MemoryUsageBytes(), kHugePageBytes);
+  EXPECT_GT(HugePageMappingsLive(), mapped_before);
+
+  // Down: keep 1000 entries, then insert/erase until a compaction lands
+  // the table below 2 MiB and its drain frees the mapped one.
+  while (present.size() > 1000) erase_random();
+  int steps = 0;
+  while (directory.migrating() ||
+         directory.MemoryUsageBytes() >= kHugePageBytes) {
+    ASSERT_LT(++steps, 2000000) << "churn never compacted the table";
+    insert_fresh();
+    erase_random();
+    ASSERT_EQ(directory.MemoryUsageBytes(),
+              directory.capacity() * sizeof(Directory::Bucket));
+  }
+  check_all();
+  EXPECT_EQ(HugePageMappingsLive(), mapped_before);
+}
+
+// ----------------------------------------------------------- HugePageArray
+
+TEST(HugePageArrayTest, MapsOnlyLargeArraysAlignedAndUnmapsOnFree) {
+  const uint64_t made = HugePageMappingsMade();
+  ASSERT_EQ(HugePageMappingsLive(), 0u);
+  {
+    HugePageArray<uint8_t> small(kHugePageBytes - 1, 7);
+    EXPECT_FALSE(small.mapped());
+    EXPECT_EQ(HugePageMappingsMade(), made);
+
+    HugePageArray<uint8_t> large(kHugePageBytes + 1, 7);
+    EXPECT_TRUE(large.mapped());
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(large.data()) % kHugePageBytes, 0u);
+    EXPECT_EQ(HugePageMappingsMade(), made + 1);
+    EXPECT_EQ(HugePageMappingsLive(), 1u);
+    EXPECT_EQ(large[0], 7);
+    EXPECT_EQ(large[kHugePageBytes], 7);
+    large[kHugePageBytes] = 9;
+
+    // A move hands the mapping over; nothing is remapped or copied.
+    const uint8_t* data = large.data();
+    HugePageArray<uint8_t> moved(std::move(large));
+    EXPECT_TRUE(large.empty());
+    EXPECT_EQ(moved.data(), data);
+    EXPECT_EQ(moved[kHugePageBytes], 9);
+    small = std::move(moved);  // frees the heap array, takes the mapping
+    EXPECT_EQ(small.data(), data);
+    EXPECT_EQ(HugePageMappingsMade(), made + 1);
+    EXPECT_EQ(HugePageMappingsLive(), 1u);
+  }
+  EXPECT_EQ(HugePageMappingsLive(), 0u);
+
+  // Over-aligned element types keep their alignment on the heap path.
+  struct alignas(64) Line {
+    char bytes[64];
+  };
+  HugePageArray<Line> lines(3, Line{});
+  EXPECT_FALSE(lines.mapped());
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(lines.data()) % 64, 0u);
 }
 
 TEST(ZipfTest, ThetaZeroIsUniform) {
