@@ -299,19 +299,23 @@ int main(int argc, char** argv) {
       OBJALLOC_CHECK(service.SyncDurable().ok());
     }
 
-    // Whether the row stayed durable or was healed, the directory must now
-    // recover to the exact fingerprint.
+    // Whether the row stayed durable or was healed, the live service must
+    // still match the plain engine at the drop, and the directory must then
+    // recover to that exact fingerprint.
+    const Fingerprint expected = Capture(service);
+    OBJALLOC_CHECK(expected == plain)
+        << "row '" << profile.name
+        << "' diverged from the plain engine before the drop";
     {
-      const Fingerprint expected = Capture(service);
       core::ObjectService drop = std::move(service);
       (void)drop;
     }
     {
       auto recovered = core::ObjectService::Recover(dir, durability);
       OBJALLOC_CHECK(recovered.ok()) << recovered.status().ToString();
-      OBJALLOC_CHECK(Capture(*recovered) == plain)
+      OBJALLOC_CHECK(Capture(*recovered) == expected)
           << "recovery after '" << profile.name
-          << "' diverged from the plain engine";
+          << "' diverged from the service it replaced";
     }
 
     char heal_text[32];

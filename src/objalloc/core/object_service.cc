@@ -207,7 +207,7 @@ util::Status ObjectService::AdmitBatch(
     routes_[i] = route;
     if (context != nullptr) {
       // Partition for the executor while the route is hot: the worker gets
-      // everything it needs (slot, request, cost cell index) by value.
+      // everything it needs (slot, request, event index) by value.
       context->ops[RouteShard(route)].push_back(ShardOp{
           static_cast<uint32_t>(i), RouteSlot(route), event.request});
     }
@@ -243,9 +243,13 @@ void ObjectService::MergeAsync(uint32_t index) const {
   AsyncBatch& batch = async_[index];
   BatchContext& context = executor_->context(index);
   // Fixed shard order; integer counts make the sum exact (determinism
-  // contract leg 3).
-  for (const model::CostBreakdown& delta : context.deltas) {
-    batch.result->breakdown += delta;
+  // contract leg 3). Each op carries its event's cost back from the worker
+  // that owns its shard; refused fault-mode events were never ops and keep
+  // the 0 FaultPass wrote.
+  double* costs = batch.result->costs.data();
+  for (size_t s = 0; s < context.ops.size(); ++s) {
+    for (const ShardOp& op : context.ops[s]) costs[op.index] = op.cost;
+    batch.result->breakdown += context.deltas[s];
   }
   batch.result->cost = batch.result->breakdown.Cost(cost_model_);
   batch.result = nullptr;
@@ -335,7 +339,6 @@ util::Status ObjectService::SubmitBatch(
     FinishBatch();
     return util::Status::Ok();
   }
-  context->costs = result->costs.data();
   async_[index] = AsyncBatch{result, context->sequence, /*active=*/true};
   ++async_active_;
   executor_->Submit(index);

@@ -56,10 +56,14 @@
 //   1. Objects never span shards, so each object sees its requests in
 //      submission order no matter how the batch is partitioned; a DOM
 //      algorithm's decisions depend only on its own object's prefix.
-//   2. Workers write disjoint state: each shard (and the per-event cost
-//      slots of its events) is owned by exactly one executor worker, and
-//      the per-shard queues are FIFO — across pipelined batches a shard
-//      applies its sub-batches in submission order.
+//   2. Workers write disjoint state: each shard is owned by exactly one
+//      executor worker, and the per-shard queues are FIFO — across
+//      pipelined batches a shard applies its sub-batches in submission
+//      order. Disjoint down to the cache line: a worker writes its events'
+//      costs into its own shard's op list, never into a shared
+//      submission-order array whose lines hold other workers' events (each
+//      such write would move the line between cores), and the merge copies
+//      them to result costs on the submitting thread.
 //   3. Aggregation sums integer message/IO counts (model::CostBreakdown),
 //      merged in fixed shard order — associative and commutative exactly;
 //      scalar costs are derived from the summed counts, never from

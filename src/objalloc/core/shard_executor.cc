@@ -97,7 +97,6 @@ uint32_t ShardExecutor::Acquire() {
   for (std::vector<ShardOp>& ops : context.ops) ops.clear();
   std::fill(context.deltas.begin(), context.deltas.end(),
             model::CostBreakdown());
-  context.costs = nullptr;
   context.live_masks = nullptr;
   context.crash_log = nullptr;
   context.injector = nullptr;
@@ -201,21 +200,21 @@ void ShardExecutor::RunTask(uint32_t context_index, uint32_t shard_index) {
   BatchContext& context = *contexts_[context_index];
   ObjectShard& shard = shards_[shard_index];
   model::CostBreakdown& delta = context.deltas[shard_index];
-  const std::vector<ShardOp>& ops = context.ops[shard_index];
+  std::vector<ShardOp>& ops = context.ops[shard_index];
   // Both branches fetch the record kPrefetchDistance ops ahead of the serve.
   constexpr size_t kAhead = ObjectShard::kPrefetchDistance;
   if (!context.faulty) {
     for (size_t k = 0; k < ops.size(); ++k) {
       if (k + kAhead < ops.size()) shard.PrefetchSlot(ops[k + kAhead].slot);
-      const ShardOp& op = ops[k];
-      context.costs[op.index] = shard.ServeSlot(op.slot, op.request, &delta);
+      ShardOp& op = ops[k];
+      op.cost = shard.ServeSlot(op.slot, op.request, &delta);
     }
   } else {
     FaultStats& stats = context.fault_stats[shard_index];
     for (size_t k = 0; k < ops.size(); ++k) {
       if (k + kAhead < ops.size()) shard.PrefetchSlot(ops[k + kAhead].slot);
-      const ShardOp& op = ops[k];
-      context.costs[op.index] = shard.ServeSlotFaulty(
+      ShardOp& op = ops[k];
+      op.cost = shard.ServeSlotFaulty(
           op.slot, op.request, context.base_index + op.index,
           context.live_masks[op.index], *context.crash_log, *context.injector,
           &delta, &stats, context.check_invariant);

@@ -59,11 +59,13 @@
 namespace objalloc::core {
 
 // One admitted event, pre-routed for its home shard's worker: the dense
-// slot to serve and the submission index whose cost cell to fill.
+// slot to serve and its submission index. The worker writes the event's
+// cost back into the op; the submitter copies it to costs[index] at merge.
 struct ShardOp {
   uint32_t index = 0;  // event index within the batch
   uint32_t slot = 0;   // dense slot in the owning shard
   model::Request request;
+  double cost = 0;     // out: filled by the owning worker
 };
 
 // One queue entry: "serve batch context `context`'s sub-batch for shard
@@ -76,15 +78,19 @@ struct ShardTask {
 // Per-batch serving state shared between the submitting thread and the
 // workers. The executor owns a fixed ring of these (the pipeline depth);
 // all vectors are recycled across batches, so steady-state submission
-// never allocates. Workers write disjoint cells: shard s's worker touches
-// only ops[s], deltas[s], fault_stats[s], and the costs[] cells of its own
-// events.
+// never allocates. Shard s's worker writes only ops[s] (each op's cost),
+// deltas[s] and fault_stats[s]. Costs return through ops[s], a buffer only
+// that worker writes, and not through a submission-order array: with
+// events hash-sharded, each line of such an array holds several workers'
+// costs and moves between their cores on every write (the paper's
+// write-invalidate traffic, replayed in the cache hierarchy). Neighbouring
+// deltas[] cells do share lines; storing them once per task instead of per
+// event measured no gain (EXPERIMENTS E11).
 struct BatchContext {
   uint64_t sequence = 0;                     // submission order stamp
-  std::vector<std::vector<ShardOp>> ops;     // per shard: this batch's work
+  std::vector<std::vector<ShardOp>> ops;     // per shard: work in, costs out
   std::vector<model::CostBreakdown> deltas;  // per shard: traffic delta
   std::vector<FaultStats> fault_stats;       // per shard (fault mode only)
-  double* costs = nullptr;                   // per event, submission order
   // Fault mode (null / unused on the plain path): the per-event live sets
   // recorded by the serial fault pass plus the shared fault machinery, all
   // stable for the batch's lifetime — fault batches run synchronously
@@ -140,9 +146,10 @@ class ShardExecutor {
   BatchContext& context(uint32_t index) { return *contexts_[index]; }
 
   // Enqueues one ShardTask per non-empty ops[s] list of `context` and wakes
-  // the owning workers. The caller must have filled ops/costs (and the
-  // fault fields when faulty) first. A context with no work completes
-  // immediately without touching the queues.
+  // the owning workers. The caller must have filled ops (and the fault
+  // fields when faulty) first; after Wait each op carries its cost. A
+  // context with no work completes immediately without touching the
+  // queues.
   void Submit(uint32_t context);
 
   // Blocks until `context`'s batch has fully completed. All shard writes of

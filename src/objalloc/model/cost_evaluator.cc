@@ -4,13 +4,6 @@
 
 namespace objalloc::model {
 
-CostBreakdown& CostBreakdown::operator+=(const CostBreakdown& other) {
-  control_messages += other.control_messages;
-  data_messages += other.data_messages;
-  io_ops += other.io_ops;
-  return *this;
-}
-
 std::string CostBreakdown::ToString() const {
   std::ostringstream os;
   os << "{ctrl=" << control_messages << ", data=" << data_messages

@@ -40,7 +40,13 @@ struct CostBreakdown {
            static_cast<double>(io_ops) * model.io;
   }
 
-  CostBreakdown& operator+=(const CostBreakdown& other);
+  // Inline: the executor adds every served event's traffic through it.
+  CostBreakdown& operator+=(const CostBreakdown& other) {
+    control_messages += other.control_messages;
+    data_messages += other.data_messages;
+    io_ops += other.io_ops;
+    return *this;
+  }
   std::string ToString() const;
 };
 

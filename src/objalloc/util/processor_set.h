@@ -166,10 +166,16 @@ class ProcessorSet {
   }
 
  private:
-  static ProcessorId Checked(ProcessorId id) {
+  // Every Contains/Insert/Erase on the serve path runs this, so it is
+  // forced inline, and the CHECK message builder sits in a separate cold
+  // call: inlined, the builder kept GCC from inlining Contains and friends.
+  [[gnu::always_inline]] static ProcessorId Checked(ProcessorId id) {
+    if (id < 0 || id >= kMaxProcessors) [[unlikely]] OutOfRange(id);
+    return id;
+  }
+  [[gnu::cold, gnu::noinline]] static void OutOfRange(ProcessorId id) {
     OBJALLOC_CHECK_GE(id, 0);
     OBJALLOC_CHECK_LT(id, kMaxProcessors);
-    return id;
   }
 
   uint64_t mask_;

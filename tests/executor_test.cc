@@ -152,10 +152,7 @@ TEST(ShardExecutorStressTest, PipelinedRoundsMatchSerialServe) {
       static_cast<uint32_t>(kShards) * kOpsPerShard;
   std::vector<std::vector<double>> costs(executor.depth());
   std::vector<std::vector<double>> expected(executor.depth());
-  auto fill = [&](BatchContext& context, std::vector<double>* out,
-                  int round) {
-    out->assign(batch_events, 0.0);
-    context.costs = out->data();
+  auto fill = [&](BatchContext& context, int round) {
     uint32_t index = 0;
     for (size_t s = 0; s < kShards; ++s) {
       for (uint32_t k = 0; k < kOpsPerShard; ++k) {
@@ -170,7 +167,7 @@ TEST(ShardExecutorStressTest, PipelinedRoundsMatchSerialServe) {
 
   for (int round = 0; round < kRounds; ++round) {
     const uint32_t slot = executor.Acquire();
-    fill(executor.context(slot), &costs[slot], round);
+    fill(executor.context(slot), round);
 
     // Serial reference for the same ops, against the twin shard set.
     expected[slot].assign(batch_events, 0.0);
@@ -186,6 +183,13 @@ TEST(ShardExecutorStressTest, PipelinedRoundsMatchSerialServe) {
     // Acquire blocks on the oldest context when the ring is full.
   }
   executor.DrainAll();
+  // Each context still holds its last round's ops, costs filled in.
+  for (uint32_t c = 0; c < executor.depth(); ++c) {
+    costs[c].assign(batch_events, 0.0);
+    for (const std::vector<ShardOp>& ops : executor.context(c).ops) {
+      for (const ShardOp& op : ops) costs[c][op.index] = op.cost;
+    }
+  }
   for (size_t c = 0; c < executor.depth(); ++c) {
     EXPECT_EQ(costs[c], expected[c]) << "context " << c;
   }
@@ -203,11 +207,9 @@ TEST(ShardExecutorStressTest, PipelinedRoundsMatchSerialServe) {
 TEST(ShardExecutorStressTest, ShutdownRacesSubmittedWork) {
   for (int iteration = 0; iteration < 50; ++iteration) {
     std::vector<ObjectShard> shards = MakeShards(4, 2);
-    std::vector<double> costs(8, 0.0);
     ShardExecutor executor(shards.data(), shards.size(), 4);
     const uint32_t slot = executor.Acquire();
     BatchContext& context = executor.context(slot);
-    context.costs = costs.data();
     uint32_t index = 0;
     for (size_t s = 0; s < shards.size(); ++s) {
       context.ops[s].push_back(ShardOp{index, index % 2, NthRequest(index)});
@@ -497,6 +499,13 @@ TEST(ServicePipelineStressTest, CompletionFdSignalsEveryPipelinedBatch) {
 // a small batch served in place right behind a large one still on the
 // workers must see every object in submission order: per-batch results,
 // totals and schemes equal a 1-thread service fed the same batches.
+// Between them run skewed executor batches, built by object so that they
+// need no knowledge of the routing: every event on one object (one busy
+// shard, the rest empty), on two objects (at most two busy shards), and
+// one object's events with a single event of each of 15 others at spread
+// indices, the first and the last included (many one-op shards). A worker
+// returns each cost through its shard's op list and the merge copies it to
+// the event's index, so these shapes exercise that copy at its edges.
 TEST(ServicePipelineStressTest, DispatchSwitchMatchesSerial) {
   constexpr size_t k = ObjectService::kInlineBatchEvents;
   constexpr size_t kSizes[] = {1, k - 1, k, 4 * k};
@@ -514,64 +523,87 @@ TEST(ServicePipelineStressTest, DispatchSwitchMatchesSerial) {
   const MultiObjectTrace trace =
       workload::GenerateMultiObjectTrace(options, 17);
   const model::CostModel sc = model::CostModel::StationaryComputing(0.25, 1.0);
-  ServiceOptions service_options;
-  service_options.num_shards = 16;
+
+  auto event_of = [&rng](ObjectId id) {
+    const int p = static_cast<int>(rng() % 8);
+    return MultiObjectEvent{id, rng() % 3 == 0 ? model::Request::Write(p)
+                                               : model::Request::Read(p)};
+  };
+  std::vector<std::vector<MultiObjectEvent>> skewed(4);
+  for (size_t i = 0; i < k; ++i) skewed[0].push_back(event_of(0));
+  for (size_t i = 0; i < k + 1; ++i) skewed[1].push_back(event_of(63));
+  for (size_t i = 0; i < k + 3; ++i) skewed[2].push_back(event_of(5 + i % 2));
+  for (size_t i = 0; i < k + 5; ++i) skewed[3].push_back(event_of(1));
+  for (size_t j = 0; j < 15; ++j) {
+    skewed[3][j * (k + 4) / 14] = event_of(static_cast<ObjectId>(2 + j));
+  }
+  // One skewed batch after every twelfth random one.
   std::vector<std::span<const MultiObjectEvent>> batches;
   std::span<const MultiObjectEvent> all(trace.events);
   for (size_t pos = 0, b = 0; b < sizes.size(); pos += sizes[b++]) {
     batches.push_back(all.subspan(pos, sizes[b]));
+    if (b % 12 == 11) batches.push_back(skewed[b / 12]);
   }
 
-  ScopedThreads serial(1);
-  ObjectService reference(trace.num_processors, sc, service_options);
-  std::vector<BatchResult> want;
-  for (int id = 0; id < trace.num_objects; ++id) {
-    ASSERT_TRUE(reference.AddObject(id, TestConfig()).ok());
-  }
-  for (std::span<const MultiObjectEvent> batch : batches) {
-    auto result = reference.ServeBatch(batch);
-    ASSERT_TRUE(result.ok());
-    want.push_back(*std::move(result));
-  }
-
-  ScopedThreads threads(4);
-  ObjectService service(trace.num_processors, sc, service_options);
-  for (int id = 0; id < trace.num_objects; ++id) {
-    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
-  }
-  std::vector<BatchResult> got(batches.size());
-  std::vector<bool> in_place(batches.size(), false);
-  size_t submitting = 0;
-  {
-    BatchPipeline<size_t> pipeline(&service);
-    auto retire = [&](BatchPipeline<size_t>::Slot& slot,
-                      const util::Status& status) {
-      ASSERT_TRUE(status.ok());
-      got[slot.tag] = slot.result;
-      in_place[slot.tag] = slot.tag == submitting;
-    };
-    for (size_t b = 0; b < batches.size(); ++b) {
-      submitting = b;
-      size_t tag = b;
-      ASSERT_TRUE(pipeline.Submit(batches[b], tag, retire).ok());
+  auto register_all = [&trace](ObjectService& service) {
+    for (int id = 0; id < trace.num_objects; ++id) {
+      ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
     }
-    submitting = batches.size();
-    ASSERT_TRUE(pipeline.Drain(retire).ok());
-  }
+  };
+  for (const int shards : {4, 16}) {
+    ServiceOptions service_options;
+    service_options.num_shards = shards;
+    ScopedThreads serial(1);
+    ObjectService reference(trace.num_processors, sc, service_options);
+    register_all(reference);
+    std::vector<BatchResult> want;
+    for (std::span<const MultiObjectEvent> batch : batches) {
+      auto result = reference.ServeBatch(batch);
+      ASSERT_TRUE(result.ok());
+      want.push_back(*std::move(result));
+    }
 
-  for (size_t b = 0; b < batches.size(); ++b) {
-    EXPECT_EQ(in_place[b], sizes[b] < k) << "batch " << b << " of "
-                                         << sizes[b] << " events";
-    ASSERT_EQ(got[b].costs, want[b].costs) << "batch " << b;
-    ASSERT_EQ(got[b].breakdown, want[b].breakdown) << "batch " << b;
-    ASSERT_EQ(got[b].cost, want[b].cost) << "batch " << b;
-  }
-  EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
-  EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
-  for (int id = 0; id < trace.num_objects; ++id) {
-    EXPECT_EQ(service.StatsFor(id)->scheme.mask(),
-              reference.StatsFor(id)->scheme.mask())
-        << "object " << id;
+    for (const int thread_count : {2, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(thread_count));
+      ScopedThreads threads(thread_count);
+      ObjectService service(trace.num_processors, sc, service_options);
+      register_all(service);
+      std::vector<BatchResult> got(batches.size());
+      std::vector<bool> in_place(batches.size(), false);
+      size_t submitting = 0;
+      {
+        BatchPipeline<size_t> pipeline(&service);
+        auto retire = [&](BatchPipeline<size_t>::Slot& slot,
+                          const util::Status& status) {
+          ASSERT_TRUE(status.ok());
+          got[slot.tag] = slot.result;
+          in_place[slot.tag] = slot.tag == submitting;
+        };
+        for (size_t b = 0; b < batches.size(); ++b) {
+          submitting = b;
+          size_t tag = b;
+          ASSERT_TRUE(pipeline.Submit(batches[b], tag, retire).ok());
+        }
+        submitting = batches.size();
+        ASSERT_TRUE(pipeline.Drain(retire).ok());
+      }
+
+      for (size_t b = 0; b < batches.size(); ++b) {
+        EXPECT_EQ(in_place[b], batches[b].size() < k)
+            << "batch " << b << " of " << batches[b].size() << " events";
+        ASSERT_EQ(got[b].costs, want[b].costs) << "batch " << b;
+        ASSERT_EQ(got[b].breakdown, want[b].breakdown) << "batch " << b;
+        ASSERT_EQ(got[b].cost, want[b].cost) << "batch " << b;
+      }
+      EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+      EXPECT_EQ(service.TotalRequests(), reference.TotalRequests());
+      for (int id = 0; id < trace.num_objects; ++id) {
+        EXPECT_EQ(service.StatsFor(id)->scheme.mask(),
+                  reference.StatsFor(id)->scheme.mask())
+            << "object " << id;
+      }
+    }
   }
 }
 

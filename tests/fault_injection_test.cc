@@ -11,6 +11,9 @@
 // AvailabilityInvariant (|scheme ∩ live| >= t) is armed throughout and a
 // randomized crash/recover fuzz hammers it across 10k seeds.
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +279,88 @@ TEST(FaultInjectionTest, MessageLossIsDeterministicAndCharged) {
         EXPECT_EQ(got->cost, want.cost);
       }
       EXPECT_EQ(Schemes(service), clean_schemes);
+    }
+  }
+}
+
+// Crashed issuers on the executor path: a fault batch of at least
+// kInlineBatchEvents is served by the shard workers, and a refused event
+// never reaches them, so its cost stays 0 while every served event's cost
+// comes back through its shard. Results, schemes and fault counters match
+// the one-shard serial run at every configuration; repair-latency samples
+// merge in shard order, so they match as a multiset.
+TEST(FaultInjectionTest, CrashedIssuersMatchSerialOnTheExecutor) {
+  constexpr size_t kBatch = ObjectService::kInlineBatchEvents + 1;
+  const workload::MultiObjectTrace trace = MakeTrace(8, 48, 6 * kBatch, 0xc4a5);
+  FaultInjectorOptions options;
+  options.seed = 7;
+  options.control_loss_rate = 0.05;
+  options.data_loss_rate = 0.05;
+  // Processor 1 is in every initial scheme, so its crash starts repairs.
+  const FaultSchedule schedule = {
+      FaultEvent::Crash(100, 5), FaultEvent::Crash(kBatch + 50, 1),
+      FaultEvent::Recover(3 * kBatch, 5), FaultEvent::Recover(4 * kBatch, 1)};
+  struct Run {
+    std::vector<BatchResult> batches;
+    std::vector<ProcessorSet> schemes;
+    FaultStats stats;
+  };
+  auto serve = [&](int shards, Run* run) {
+    ObjectService service = MakeMixedService(8, 48, shards);
+    ASSERT_TRUE(service.EnableFaults(options, schedule).ok());
+    service.set_check_invariant(true);
+    std::span<const workload::MultiObjectEvent> events(trace.events);
+    for (size_t pos = 0; pos < events.size(); pos += kBatch) {
+      auto result = service.ServeBatch(events.subspan(pos, kBatch));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      run->batches.push_back(*std::move(result));
+    }
+    run->schemes = Schemes(service);
+    run->stats = service.fault_stats();
+    std::sort(run->stats.repair_latency.begin(),
+              run->stats.repair_latency.end());
+  };
+
+  Run want;
+  {
+    util::ScopedThreads serial(1);
+    serve(1, &want);
+  }
+  int64_t refused = 0;
+  for (const BatchResult& batch : want.batches) {
+    refused += batch.unavailable;
+    for (size_t i = 0; i < batch.served.size(); ++i) {
+      if (!batch.served[i]) {
+        ASSERT_EQ(batch.costs[i], 0.0);
+      }
+    }
+  }
+  ASSERT_GT(refused, 0);
+  ASSERT_GT(want.stats.repairs, 0);
+
+  for (int shards : {4, 16}) {
+    for (int threads : {2, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      util::ScopedThreads scope(threads);
+      Run got;
+      serve(shards, &got);
+      ASSERT_EQ(got.batches.size(), want.batches.size());
+      for (size_t b = 0; b < want.batches.size(); ++b) {
+        EXPECT_EQ(got.batches[b].costs, want.batches[b].costs) << b;
+        EXPECT_EQ(got.batches[b].served, want.batches[b].served) << b;
+        EXPECT_EQ(got.batches[b].breakdown, want.batches[b].breakdown) << b;
+        EXPECT_EQ(got.batches[b].unavailable, want.batches[b].unavailable)
+            << b;
+      }
+      EXPECT_EQ(got.schemes, want.schemes);
+      EXPECT_EQ(got.stats.repairs, want.stats.repairs);
+      EXPECT_EQ(got.stats.replicas_added, want.stats.replicas_added);
+      EXPECT_EQ(got.stats.lost_control, want.stats.lost_control);
+      EXPECT_EQ(got.stats.lost_data, want.stats.lost_data);
+      EXPECT_EQ(got.stats.unavailable_requests,
+                want.stats.unavailable_requests);
+      EXPECT_EQ(got.stats.repair_latency, want.stats.repair_latency);
     }
   }
 }
