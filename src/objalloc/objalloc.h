@@ -4,7 +4,7 @@
 //
 // Pulls in the cost model and schedules, the online DOM algorithms, the
 // offline optima and bounds, workload generation, the analysis toolkit, the
-// protocol simulator, and the transaction front end. Individual headers
+// protocol simulator, and the append-only model. Individual headers
 // remain the preferred includes for code that wants fast builds.
 
 #ifndef OBJALLOC_OBJALLOC_H_
@@ -17,25 +17,21 @@
 #include "objalloc/model/legality.h"
 #include "objalloc/model/request.h"
 #include "objalloc/model/schedule.h"
-#include "objalloc/model/topology.h"
 
 // Online algorithms: §4 plus baselines and extensions.
 #include "objalloc/core/adaptive_allocation.h"
 #include "objalloc/core/counter_replication.h"
 #include "objalloc/core/dom_algorithm.h"
 #include "objalloc/core/dynamic_allocation.h"
-#include "objalloc/core/lookahead_allocation.h"
 #include "objalloc/core/object_manager.h"
 #include "objalloc/core/quorum_allocation.h"
 #include "objalloc/core/runner.h"
 #include "objalloc/core/static_allocation.h"
-#include "objalloc/core/topology_aware.h"
 
 // Offline optima and bounds: the competitive-analysis yardsticks.
 #include "objalloc/opt/exact_opt.h"
 #include "objalloc/opt/interval_opt.h"
 #include "objalloc/opt/relaxation_lower_bound.h"
-#include "objalloc/opt/weighted_opt.h"
 
 // Workloads and traces.
 #include "objalloc/workload/adversary.h"
@@ -52,9 +48,6 @@
 #include "objalloc/analysis/region_map.h"
 #include "objalloc/analysis/steady_state.h"
 #include "objalloc/analysis/theorems.h"
-
-// Concurrency control front end (§3.1's serialization assumption).
-#include "objalloc/cc/serializer.h"
 
 // Protocol simulator.
 #include "objalloc/sim/simulator.h"

@@ -189,19 +189,12 @@ double ExactOptCostWithThreshold(const CostModel& cost_model,
 AllocationSchedule ExactOptSchedule(const CostModel& cost_model,
                                     const Schedule& schedule,
                                     ProcessorSet initial_scheme) {
-  return ExactOptScheduleWithThreshold(cost_model, schedule, initial_scheme,
-                                       initial_scheme.Size());
-}
-
-AllocationSchedule ExactOptScheduleWithThreshold(const CostModel& cost_model,
-                                                 const Schedule& schedule,
-                                                 ProcessorSet initial_scheme,
-                                                 int t) {
   const int n = schedule.num_processors();
   OBJALLOC_CHECK_LE(n, kMaxExactOptReconstructProcessors)
       << "reconstruction stores one mask per (request, state)";
   std::vector<std::vector<uint32_t>> parents;
-  RunDp(cost_model, schedule, initial_scheme, t, &parents);
+  RunDp(cost_model, schedule, initial_scheme, initial_scheme.Size(),
+        &parents);
 
   // Walk the parent chain backwards from the recorded final state.
   OBJALLOC_CHECK_EQ(parents.size(), schedule.size() + 1);

@@ -59,14 +59,6 @@ AllocationSchedule ExactOptSchedule(const CostModel& cost_model,
                                     const Schedule& schedule,
                                     ProcessorSet initial_scheme);
 
-// As above with an explicit availability threshold t <= |initial_scheme|
-// (used by the receding-horizon allocator, whose current scheme may exceed
-// the threshold through saving-reads).
-AllocationSchedule ExactOptScheduleWithThreshold(const CostModel& cost_model,
-                                                 const Schedule& schedule,
-                                                 ProcessorSet initial_scheme,
-                                                 int t);
-
 }  // namespace objalloc::opt
 
 #endif  // OBJALLOC_OPT_EXACT_OPT_H_

@@ -8,21 +8,6 @@
 
 namespace objalloc::util {
 
-namespace {
-
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 std::string FormatDouble(double value, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << value;
@@ -59,21 +44,6 @@ void Table::AddRawRow(std::vector<std::string> cells) {
   OBJALLOC_CHECK_EQ(cells.size(), header_.size())
       << "row width does not match header";
   rows_.push_back(std::move(cells));
-}
-
-void Table::WriteCsv(std::ostream& os) const {
-  for (size_t i = 0; i < header_.size(); ++i) {
-    if (i != 0) os << ",";
-    os << CsvEscape(header_[i]);
-  }
-  os << "\n";
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) os << ",";
-      os << CsvEscape(row[i]);
-    }
-    os << "\n";
-  }
 }
 
 void Table::WriteAligned(std::ostream& os) const {

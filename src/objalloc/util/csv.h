@@ -1,5 +1,5 @@
-// Tiny CSV / fixed-width table writer used by the bench harnesses to emit the
-// paper's tables and figure series in machine- and human-readable form.
+// Tiny fixed-width table writer used by the bench harnesses to print the
+// paper's tables and figure series.
 
 #ifndef OBJALLOC_UTIL_CSV_H_
 #define OBJALLOC_UTIL_CSV_H_
@@ -10,7 +10,7 @@
 
 namespace objalloc::util {
 
-// Accumulates rows of string cells; renders as CSV or an aligned text table.
+// Accumulates rows of string cells; renders as an aligned text table.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -39,8 +39,6 @@ class Table {
 
   size_t num_rows() const { return rows_.size(); }
 
-  // RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines).
-  void WriteCsv(std::ostream& os) const;
   // Space-aligned table with a header rule, for terminal output.
   void WriteAligned(std::ostream& os) const;
 

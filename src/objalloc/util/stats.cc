@@ -86,37 +86,4 @@ double PercentileTracker::Percentile(double q) const {
   return samples_[std::min(rank, samples_.size() - 1)];
 }
 
-Histogram::Histogram(double lo, double hi, int buckets) : lo_(lo), hi_(hi) {
-  OBJALLOC_CHECK_LT(lo, hi);
-  OBJALLOC_CHECK_GT(buckets, 0);
-  counts_.assign(static_cast<size_t>(buckets), 0);
-}
-
-void Histogram::Add(double x) {
-  double frac = (x - lo_) / (hi_ - lo_);
-  int idx = static_cast<int>(frac * static_cast<double>(counts_.size()));
-  idx = std::clamp(idx, 0, static_cast<int>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-std::string Histogram::Render(int bar_width) const {
-  std::ostringstream os;
-  int64_t max_count = 1;
-  for (int64_t c : counts_) max_count = std::max(max_count, c);
-  double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    double b_lo = lo_ + width * static_cast<double>(i);
-    int bar = static_cast<int>(static_cast<double>(counts_[i]) /
-                               static_cast<double>(max_count) * bar_width);
-    os << "[";
-    os.width(8);
-    os << b_lo << ", ";
-    os.width(8);
-    os << b_lo + width << ") " << std::string(static_cast<size_t>(bar), '#')
-       << " " << counts_[i] << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace objalloc::util

@@ -1,5 +1,4 @@
-// Streaming statistics and a simple fixed-bucket histogram for experiment
-// reporting.
+// Streaming statistics and percentiles for experiment reporting.
 
 #ifndef OBJALLOC_UTIL_STATS_H_
 #define OBJALLOC_UTIL_STATS_H_
@@ -48,26 +47,6 @@ class PercentileTracker {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-range, equal-width histogram. Out-of-range samples clamp to the
-// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double x);
-  int64_t total() const { return total_; }
-  const std::vector<int64_t>& buckets() const { return counts_; }
-
-  // Multi-line ASCII rendering with proportional bars.
-  std::string Render(int bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
 };
 
 }  // namespace objalloc::util

@@ -45,8 +45,6 @@ TEST(ApiTest, StringRenderings) {
   sim::SimMetrics metrics;
   metrics.control_messages = 3;
   EXPECT_NE(metrics.ToString().find("ctrl=3"), std::string::npos);
-  cc::Transaction txn{7, 2, {cc::Operation::Read(1), cc::Operation::Write(2)}};
-  EXPECT_EQ(txn.ToString(), "T7@2[r1 w2]");
 }
 
 TEST(ApiTest, RegionNamesAndSymbols) {

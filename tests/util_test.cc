@@ -534,39 +534,16 @@ TEST(PercentileTest, MedianAndTails) {
   EXPECT_DOUBLE_EQ(tracker.Percentile(1.0), 100);
 }
 
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram histogram(0, 10, 5);
-  histogram.Add(1);    // bucket 0
-  histogram.Add(9.5);  // bucket 4
-  histogram.Add(-3);   // clamps to bucket 0
-  histogram.Add(42);   // clamps to bucket 4
-  EXPECT_EQ(histogram.total(), 4);
-  EXPECT_EQ(histogram.buckets()[0], 2);
-  EXPECT_EQ(histogram.buckets()[4], 2);
-  EXPECT_FALSE(histogram.Render().empty());
-}
+// ---------------------------------------------------------------- Table
 
-// ------------------------------------------------------------------ CSV
-
-TEST(TableTest, AlignedAndCsvOutput) {
+TEST(TableTest, AlignedOutput) {
   Table table({"name", "value"});
   table.AddRow().Cell("alpha").Cell(int64_t{1});
   table.AddRow().Cell("beta,with comma").Cell(2.5, 1);
-  std::ostringstream csv;
-  table.WriteCsv(csv);
-  EXPECT_EQ(csv.str(), "name,value\nalpha,1\n\"beta,with comma\",2.5\n");
   std::ostringstream aligned;
   table.WriteAligned(aligned);
   EXPECT_NE(aligned.str().find("alpha"), std::string::npos);
   EXPECT_NE(aligned.str().find("----"), std::string::npos);
-}
-
-TEST(TableTest, QuotesEmbeddedQuotes) {
-  Table table({"x"});
-  table.AddRow().Cell("say \"hi\"");
-  std::ostringstream csv;
-  table.WriteCsv(csv);
-  EXPECT_EQ(csv.str(), "x\n\"say \"\"hi\"\"\"\n");
 }
 
 TEST(FormatDoubleTest, FixedPrecision) {
