@@ -69,7 +69,8 @@ size_t PeakRssBytes() {
 // Bytes of the process's anonymous memory on transparent huge pages right
 // now: the AnonHugePages line of /proc/self/smaps_rollup (read-only), or 0
 // where the kernel has no such file. Shows that the engine's large tables
-// (route directory, reserved slab runs) really sit on 2 MiB pages.
+// (shard directories of 2 MiB or more, reserved slab runs) really sit on
+// 2 MiB pages.
 size_t HugePageBytes() {
   std::ifstream rollup("/proc/self/smaps_rollup");
   const std::string key = "AnonHugePages:";

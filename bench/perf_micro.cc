@@ -315,9 +315,9 @@ BENCHMARK(BM_SubmitBatchDispatch)
 
 // The serve path on a working set larger than the caches, shaped like the
 // perfbench inproc_engine workload: 2^22 objects (~360 MB of slot records
-// and route directory) over 16 processors and 16 shards, Zipf theta 0.6
+// and shard directories) over 16 processors and 16 shards, Zipf theta 0.6
 // object popularity, 4096-event batches pipelined through a BatchPipeline.
-// Nearly every event misses cache on its route bucket and its slot record,
+// Nearly every event misses cache on its directory bucket and slot record,
 // which the hot-object benchmarks above (256 objects) never do — this is
 // the benchmark ObjectShard::kPrefetchDistance is chosen on. The service
 // is built once and shared by both Args; wall-clock rates, since at 3
@@ -376,9 +376,10 @@ void BM_ServiceBatchColdObjects(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceBatchColdObjects)->Arg(1)->Arg(3)->UseRealTime();
 
-// The route-directory layer alone, cold: admission's id → route probe on a
-// table far larger than the caches. 2^22 keys (2^23 12-byte buckets, a
-// 96 MiB table on 2 MiB pages), probed by uniformly random keys in
+// The directory layer alone, cold: admission's id → slot probe on a table
+// far larger than the caches. 2^22 keys (2^23 12-byte buckets, a 96 MiB
+// table on 2 MiB pages; all of inproc_engine's shard directories
+// together), probed by uniformly random keys in
 // 4096-key batches. Each key is hashed once, kPrefetchDistance keys ahead
 // of its probe: the hash starts the bucket's prefetch and then addresses
 // the probe, as ObjectService::AdmitBatch does.

@@ -1,7 +1,6 @@
 #include "objalloc/core/object_service.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -26,18 +25,10 @@ ObjectService::ObjectService(int num_processors,
   OBJALLOC_CHECK(options.Validate().ok()) << options.Validate().ToString();
   shards_.reserve(static_cast<size_t>(options.num_shards));
   for (int s = 0; s < options.num_shards; ++s) {
-    // External-directory mode: the service's route table is the single
-    // id -> (shard, slot) map; shards keep no directory of their own.
-    shards_.emplace_back(num_processors, cost_model,
-                         /*external_directory=*/true);
+    shards_.emplace_back(num_processors, cost_model);
   }
   const uint64_t n = shards_.size();
   shard_mask_ = (n & (n - 1)) == 0 ? n - 1 : ~uint64_t{0};
-  const uint32_t shard_bits =
-      static_cast<uint32_t>(std::bit_width(n - 1));
-  route_slot_bits_ = 32 - shard_bits;
-  route_slot_mask_ =
-      static_cast<uint32_t>((uint64_t{1} << route_slot_bits_) - 1);
 }
 
 util::StatusOr<ObjectService> ObjectService::Create(
@@ -53,18 +44,6 @@ util::StatusOr<ObjectService> ObjectService::Create(
   return ObjectService(num_processors, cost_model, options);
 }
 
-size_t ObjectService::ShardOf(ObjectId id) const {
-  // splitmix64 finalizer: a fixed, platform-independent mix so the
-  // object -> shard map never depends on std::hash or build flavor.
-  uint64_t x = static_cast<uint64_t>(id) + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<size_t>(shard_mask_ != ~uint64_t{0}
-                                 ? x & shard_mask_
-                                 : x % shards_.size());
-}
-
 util::Status ObjectService::AddObject(ObjectId id,
                                       const ObjectConfig& config) {
   // Registration mutates a shard's slot table (possibly reallocating it):
@@ -78,42 +57,26 @@ util::Status ObjectService::AddObject(ObjectId id,
         "initial scheme " + config.initial_scheme.ToString() +
         " includes crashed processors (live " + live_.ToString() + ")");
   }
-  // The shards keep no directory in external mode, so the duplicate check
-  // lives here — before the WAL write, which must never log a registration
-  // that could fail on replay.
-  if (route_directory_.Contains(id)) {
-    return util::Status::InvalidArgument("duplicate object id " +
-                                         std::to_string(id));
-  }
-  const size_t shard = ShardOf(id);
-  // The slot the shard will hand out is its current span (objects are never
-  // removed, so the free list is empty). Reject while it fits neither the
-  // packed word's slot field nor the directory's reserved sentinels.
-  const uint32_t next_slot = shards_[shard].slot_span();
-  if (next_slot > route_slot_mask_ ||
-      PackRoute(shard, next_slot) >= 0xFFFFFFFEu) [[unlikely]] {
-    return util::Status::InvalidArgument(
-        "shard " + std::to_string(shard) + " slot space exhausted (" +
-        std::to_string(next_slot) + " objects)");
-  }
+  ObjectShard& shard = shards_[ShardOf(id)];
   if (durability_ != nullptr) [[unlikely]] {
     // Write-ahead: the registration record reaches the log before the shard
     // mutates, so it is validated *here* — a logged AddObject may never
     // fail on replay.
+    if (shard.HasObject(id)) {
+      return util::Status::InvalidArgument("duplicate object id " +
+                                           std::to_string(id));
+    }
     OBJALLOC_RETURN_IF_ERROR(
         ObjectShard::ValidateConfig(config, num_processors_));
     std::string payload;
     EncodeAddObject(id, config, &payload);
     durability_->LogOp(WalRecordType::kAddObject, payload);
   }
-  util::StatusOr<uint32_t> slot = shards_[shard].AddObject(id, config);
-  if (slot.ok()) {
-    route_directory_.Insert(id, PackRoute(shard, *slot));
-    if (injector_ != nullptr) [[unlikely]] {
-      // Born now: crashes already in the log predate this scheme (it was
-      // validated against the current live set above) and must not apply.
-      shards_[shard].SetCrashLogStart(*slot, crash_log_.size());
-    }
+  util::StatusOr<uint32_t> slot = shard.AddObject(id, config);
+  if (slot.ok() && injector_ != nullptr) [[unlikely]] {
+    // Born now: crashes already in the log predate this scheme (it was
+    // validated against the current live set above) and must not apply.
+    shard.SetCrashLogStart(*slot, crash_log_.size());
   }
   return slot.status();
 }
@@ -130,13 +93,11 @@ void ObjectService::ReserveObjects(size_t expected_total) {
       mean + 4 * static_cast<size_t>(std::sqrt(static_cast<double>(mean))) +
       16;
   for (ObjectShard& shard : shards_) shard.Reserve(per_shard);
-  route_directory_.Reserve(expected_total);
 }
 
 size_t ObjectService::MemoryUsageBytes() const {
   FenceAsync();
-  size_t total = route_directory_.MemoryUsageBytes() +
-                 routes_.capacity() * sizeof(routes_[0]) +
+  size_t total = routes_.capacity() * sizeof(routes_[0]) +
                  fault_buffer_.capacity() * sizeof(fault_buffer_[0]) +
                  live_masks_.capacity() * sizeof(live_masks_[0]);
   for (const ObjectShard& shard : shards_) total += shard.MemoryUsageBytes();
@@ -144,7 +105,7 @@ size_t ObjectService::MemoryUsageBytes() const {
 }
 
 bool ObjectService::HasObject(ObjectId id) const {
-  return route_directory_.Contains(id);
+  return shards_[ShardOf(id)].HasObject(id);
 }
 
 size_t ObjectService::object_count() const {
@@ -171,29 +132,32 @@ util::Status ObjectService::AdmitBatch(
   // Admission pass: validate everything and resolve each event's (shard,
   // slot) route exactly once, before any shard state changes, so a
   // rejected batch leaves the service untouched. Validation reads only
-  // registration-time state (the route directory, processor bounds) that
-  // in-flight batches never mutate — which is what makes admitting batch
-  // n+1 while batch n is still being served safe.
+  // registration-time state (the shards' directories, processor bounds)
+  // that in-flight batches never mutate — which is what makes admitting
+  // batch n+1 while batch n is still being served safe.
   //
   // Each id is hashed once, kPrefetchDistance events ahead of its probe:
-  // the hash starts the bucket's prefetch, waits in a ring, and then
-  // addresses the probe itself.
+  // the hash picks the shard, starts the prefetch of that shard's
+  // directory bucket, waits in a ring, and then addresses the probe.
   constexpr size_t kAhead = ObjectShard::kPrefetchDistance;
   static_assert((kAhead & (kAhead - 1)) == 0, "the hash ring is masked");
   uint64_t hashes[kAhead] = {};
   const auto hash_ahead = [&](size_t i) {
-    const uint64_t hash = RouteDirectory::Hash(events[i].object);
-    route_directory_.PrefetchHash(hash);
+    const uint64_t hash = util::FlatDirectory<>::Hash(events[i].object);
+    shards_[ShardOfHash(hash)].PrefetchDirectory(hash);
     hashes[i & (kAhead - 1)] = hash;
   };
   for (size_t i = 0; i < kAhead && i < events.size(); ++i) hash_ahead(i);
-  routes_.resize(events.size());
+  // The in-place serve loops read the routes back; the executor path reads
+  // its op lists instead.
+  if (context == nullptr) routes_.resize(events.size());
   for (size_t i = 0; i < events.size(); ++i) {
     const uint64_t hash = hashes[i & (kAhead - 1)];
     if (i + kAhead < events.size()) hash_ahead(i + kAhead);
     const workload::MultiObjectEvent& event = events[i];
-    const uint32_t route = route_directory_.FindHashed(event.object, hash);
-    if (route == RouteDirectory::kNotFound) {
+    const size_t shard = ShardOfHash(hash);
+    const uint32_t slot = shards_[shard].SlotOfHashed(event.object, hash);
+    if (slot == ObjectShard::kInvalidSlot) {
       return util::Status::NotFound("batch event " + std::to_string(i) +
                                     ": unknown object " +
                                     std::to_string(event.object));
@@ -204,12 +168,13 @@ util::Status ObjectService::AdmitBatch(
           "batch event " + std::to_string(i) + ": processor " +
           std::to_string(event.request.processor) + " out of range");
     }
-    routes_[i] = route;
     if (context != nullptr) {
       // Partition for the executor while the route is hot: the worker gets
       // everything it needs (slot, request, event index) by value.
-      context->ops[RouteShard(route)].push_back(ShardOp{
-          static_cast<uint32_t>(i), RouteSlot(route), event.request});
+      context->ops[shard].push_back(
+          ShardOp{static_cast<uint32_t>(i), slot, event.request});
+    } else {
+      routes_[i] = Route{static_cast<uint32_t>(shard), slot};
     }
   }
   return util::Status::Ok();
@@ -331,9 +296,9 @@ util::Status ObjectService::SubmitBatch(
     // In-place serve: one pass, costs and traffic accumulated directly.
     for (size_t i = 0; i < events.size(); ++i) {
       PrefetchRoute(i + ObjectShard::kPrefetchDistance);
-      const uint32_t route = routes_[i];
-      result->costs[i] = shards_[RouteShard(route)].ServeSlot(
-          RouteSlot(route), events[i].request, &result->breakdown);
+      const Route route = routes_[i];
+      result->costs[i] = shards_[route.shard].ServeSlot(
+          route.slot, events[i].request, &result->breakdown);
     }
     result->cost = result->breakdown.Cost(cost_model_);
     FinishBatch();
@@ -414,8 +379,8 @@ util::Status ObjectService::FaultPass(
     for (const FaultEvent& fault : fault_buffer_) ApplyFault(fault);
     live_masks_[i] = live_;
     if (reject) continue;  // still ticking fault time for the window
-    const uint32_t route = routes_[i];
-    const int32_t t = shards_[RouteShard(route)].ThresholdAt(RouteSlot(route));
+    const Route route = routes_[i];
+    const int32_t t = shards_[route.shard].ThresholdAt(route.slot);
     if (live_.Size() < t) {
       reject = true;
       reject_index = i;
@@ -450,14 +415,14 @@ util::Status ObjectService::FaultPass(
       result->unavailable += 1;
       continue;
     }
-    const uint32_t route = routes_[i];
+    const Route route = routes_[i];
     if (context != nullptr) {
-      context->ops[RouteShard(route)].push_back(ShardOp{
-          static_cast<uint32_t>(i), RouteSlot(route), events[i].request});
+      context->ops[route.shard].push_back(ShardOp{
+          static_cast<uint32_t>(i), route.slot, events[i].request});
     } else {
       PrefetchRoute(i + ObjectShard::kPrefetchDistance);
-      result->costs[i] = shards_[RouteShard(route)].ServeSlotFaulty(
-          RouteSlot(route), events[i].request, base_index + i,
+      result->costs[i] = shards_[route.shard].ServeSlotFaulty(
+          route.slot, events[i].request, base_index + i,
           live_masks_[i], crash_log_, *injector_, &result->breakdown,
           &fault_stats_, check_invariant_);
     }
@@ -640,11 +605,7 @@ util::StatusOr<StreamResult> ObjectService::ServeStream(
 
 util::StatusOr<ObjectStats> ObjectService::StatsFor(ObjectId id) const {
   FenceAsync();  // per-object accounting is serve-mutated state
-  const uint32_t route = route_directory_.Find(id);
-  if (route == RouteDirectory::kNotFound) {
-    return util::Status::NotFound("unknown object " + std::to_string(id));
-  }
-  return shards_[RouteShard(route)].StatsAt(RouteSlot(route));
+  return shards_[ShardOf(id)].StatsFor(id);
 }
 
 model::CostBreakdown ObjectService::TotalBreakdown() const {
@@ -917,8 +878,7 @@ util::Status ObjectService::RestoreSnapshot(CheckpointReader* reader,
   const bool delta = reader->is_delta();
   // Slots never move and ids never change once assigned, so a snapshot
   // only ever *extends* each shard's slot span (from 0 for a full one):
-  // the route directory keeps every prior entry and just needs the new
-  // slots folded in afterwards.
+  // only the slots past the prior span hold ids not yet checked below.
   std::vector<uint32_t> prior_span(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     prior_span[s] = shards_[s].slot_span();
@@ -950,31 +910,19 @@ util::Status ObjectService::RestoreSnapshot(CheckpointReader* reader,
   if (!saw_state) {
     return util::Status::Internal("checkpoint: missing service state record");
   }
-  // Fold the new slots into the route directory, verifying the partition
-  // while at it: an id must live in exactly the shard the hash assigns it,
-  // or admission and future AddObject calls would disagree with the
-  // restored layout.
-  route_directory_.Reserve(object_count());
+  // Verify the partition: an id must live in exactly the shard the hash
+  // assigns it, or admission and future AddObject calls would look for it
+  // elsewhere. Each shard has already refused its own duplicates, and an id
+  // stored in two shards is in a wrong one.
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (uint32_t slot = prior_span[s]; slot < shards_[s].slot_span();
          ++slot) {
-      if (slot > route_slot_mask_ ||
-          PackRoute(s, slot) >= 0xFFFFFFFEu) [[unlikely]] {
-        return util::Status::Internal(
-            "checkpoint: shard " + std::to_string(s) +
-            " exceeds the routable slot space");
-      }
       const ObjectId id = shards_[s].IdAt(slot);
       if (ShardOf(id) != s) {
         return util::Status::Internal("checkpoint: object " +
                                       std::to_string(id) +
                                       " stored in the wrong shard");
       }
-      if (route_directory_.Contains(id)) {
-        return util::Status::Internal("checkpoint: object " +
-                                      std::to_string(id) + " appears twice");
-      }
-      route_directory_.Insert(id, PackRoute(s, slot));
     }
   }
   report->objects_restored = object_count();

@@ -22,7 +22,7 @@
 // and every caller that keeps batches in flight — ServeStream over an
 // EventSource, WAL replay (Recover), net::Server — drives it through one
 // BatchPipeline (core/batch_pipeline.h). Admission stays all-or-nothing —
-// validation reads only registration-time state (routes, processor
+// validation reads only registration-time state (directories, processor
 // bounds), which in-flight batches never mutate — and the WAL append
 // happens at submit, ahead of any serve, preserving log→serve order.
 // Everything that must observe or mutate quiesced shards (stats reads,
@@ -30,14 +30,15 @@
 // fences the pipeline first.
 //
 // Hot-path engineering (DESIGN.md §8):
-//   * Routing: admission resolves each ObjectId → packed (shard, dense
-//     slot) route through the service's route directory in one probe of
-//     one 12-byte bucket (one cache line, on 2 MiB pages once the table
-//     reaches 2 MiB), in the same pass that validates the event and — on
-//     the executor path — partitions it into its shard's op list; serving
-//     then indexes the dense slot directly.
+//   * Routing: admission resolves each ObjectId → (shard, dense slot) route
+//     with one hash: its low bits pick the shard, and the same hash probes
+//     that shard's id → slot directory, one 12-byte bucket (one cache line,
+//     on 2 MiB pages once a shard's table reaches 2 MiB). It does so in the
+//     same pass that validates the event and — on the executor path —
+//     partitions it into its shard's op list; serving then indexes the
+//     dense slot directly.
 //   * Prefetch: admission, the in-place serve loops and the executor's
-//     RunTask each fetch the route bucket or slot record
+//     RunTask each fetch the directory bucket or slot record
 //     ObjectShard::kPrefetchDistance events ahead of its use, so a batch
 //     over a working set larger than the caches overlaps its misses.
 //     Admission hashes each id once: the hash that starts the bucket's
@@ -261,14 +262,14 @@ class ObjectService : public DurableEngine {
   // ObjectManager::AddObject: only the paper's SA and DA are served.
   util::Status AddObject(ObjectId id, const ObjectConfig& config);
 
-  // Pre-sizes every table a registration burst touches — the service route
-  // directory and each shard's slab pages (with statistical headroom for
-  // the hash split) — so registering N reserved objects performs zero
-  // allocations (asserted in serving_engine_test) and zero rehashes.
+  // Pre-sizes every table a registration burst touches — each shard's
+  // directory and slab pages, with statistical headroom for the hash
+  // split — so registering N reserved objects performs zero allocations
+  // (asserted in serving_engine_test) and zero rehashes.
   void ReserveObjects(size_t expected_total);
 
-  // Total heap footprint of the serving state: route directory buckets,
-  // shard slab pages, and batch scratch. Excludes durability buffers
+  // Total heap footprint of the serving state: the shards (slab pages and
+  // directory buckets) and batch scratch. Excludes durability buffers
   // (bounded, not per-object).
   size_t MemoryUsageBytes() const;
 
@@ -503,7 +504,17 @@ class ObjectService : public DurableEngine {
   uint32_t SchemeCrc() const;
 
  private:
-  size_t ShardOf(ObjectId id) const;
+  // The shard of the id whose util::FlatDirectory<>::Hash is `hash` — the
+  // same hash then probes that shard's directory. For power-of-two shard
+  // counts the modulo reduces to the low bits.
+  size_t ShardOfHash(uint64_t hash) const {
+    return static_cast<size_t>(shard_mask_ != ~uint64_t{0}
+                                   ? hash & shard_mask_
+                                   : hash % shards_.size());
+  }
+  size_t ShardOf(ObjectId id) const {
+    return ShardOfHash(util::FlatDirectory<>::Hash(id));
+  }
 
   // Post-batch durability hook: auto-checkpoint when the configured event
   // interval has elapsed. Inline no-op when durability is off. A failing
@@ -530,8 +541,8 @@ class ObjectService : public DurableEngine {
   // Restores one snapshot stream on top of the current state — a full
   // snapshot into a freshly constructed service with the matching config,
   // or a delta on top of its chain predecessor (base+1..g in order) —
-  // folding the slots beyond each shard's prior span into the route
-  // directory and replacing the service state with the snapshot's image.
+  // checking that every slot beyond each shard's prior span holds an id of
+  // that shard, and replacing the service state with the snapshot's image.
   util::Status RestoreSnapshot(CheckpointReader* reader,
                                RecoveryReport* report) override;
   void AttachLog(std::unique_ptr<DurableLog> log) override {
@@ -539,9 +550,10 @@ class ObjectService : public DurableEngine {
   }
 
   // Admission pass of SubmitBatch: validates every event, resolves its
-  // route into routes_, sizes `*result`, and — when `context` is non-null
-  // — additionally partitions the batch into the context's per-shard op
-  // lists. Rejects with no state change.
+  // (shard, slot), sizes `*result`, and either records the routes in
+  // routes_ (`context` null: the in-place and fault passes read them) or
+  // partitions the batch into the context's per-shard op lists. Rejects
+  // with no state change.
   util::Status AdmitBatch(std::span<const workload::MultiObjectEvent> events,
                           BatchResult* result, BatchContext* context);
 
@@ -585,43 +597,25 @@ class ObjectService : public DurableEngine {
   int num_processors_;
   model::CostModel cost_model_;
   std::vector<ObjectShard> shards_;
-  // For power-of-two shard counts the modulo in ShardOf reduces to
-  // `x & (num_shards - 1)` — the identical mapping without the per-event
-  // integer division. ~0 flags a non-power-of-two count (modulo path).
+  // For power-of-two shard counts the modulo in ShardOfHash reduces to
+  // `hash & (num_shards - 1)` — the identical mapping without the
+  // per-event integer division. ~0 flags a non-power-of-two count.
   uint64_t shard_mask_ = 0;
-  // Routes pack (shard, slot) into one 32-bit word: the shard index in the
-  // high bit_width(num_shards - 1) bits, the slot below it. 32 bits keep
-  // the directory at 12 bytes/bucket (key + route) — the difference between
-  // ~89 and ~98 bytes/object at the million-object point. The top two
-  // encodings are reserved for the directory's kNotFound/kTombstone
-  // sentinels; AddObject rejects registrations that would need them.
-  // 64-bit intermediates: a one-shard service has 32 slot bits, and
-  // shifting a 32-bit word by 32 is undefined.
-  uint32_t route_slot_bits_ = 32;
-  uint32_t route_slot_mask_ = 0xFFFFFFFFu;
-  uint32_t PackRoute(size_t shard, uint32_t slot) const {
-    return static_cast<uint32_t>((uint64_t{shard} << route_slot_bits_) | slot);
-  }
-  size_t RouteShard(uint32_t route) const {
-    return static_cast<size_t>(uint64_t{route} >> route_slot_bits_);
-  }
-  uint32_t RouteSlot(uint32_t route) const { return route & route_slot_mask_; }
+  // Where an admitted event is served.
+  struct Route {
+    uint32_t shard;
+    uint32_t slot;
+  };
   // Fetches the record that the admitted event `i` routes to, when the batch
   // has an event `i` (the in-place serve loops look kPrefetchDistance ahead).
   // Always inlined, like ObjectShard::PrefetchSlot, or GCC deletes the call.
   [[gnu::always_inline]] void PrefetchRoute(size_t i) const {
     if (i >= routes_.size()) return;
-    shards_[RouteShard(routes_[i])].PrefetchSlot(RouteSlot(routes_[i]));
+    shards_[routes_[i].shard].PrefetchSlot(routes_[i].slot);
   }
-  // Service-level id → packed route directory, the single source of truth
-  // for object residency (shards run in external-directory mode and keep no
-  // id map of their own). Admission routes through this one table in one
-  // probe — per-event cost independent of the shard count.
-  using RouteDirectory = util::FlatDirectory<uint32_t>;
-  RouteDirectory route_directory_;
   // Batch scratch arena, recycled across batches (see header comment).
   // Per-shard partition scratch lives inside the executor's BatchContexts.
-  std::vector<uint32_t> routes_;  // per event: packed shard/slot
+  std::vector<Route> routes_;  // per event of an in-place batch
 
   // Fault mode (null when disarmed — the plain path pays one predicted
   // branch per batch). Integer FaultStats merge per shard in fixed order,

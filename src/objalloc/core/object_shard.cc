@@ -15,14 +15,14 @@ namespace {
 // id(8) kind(1) t(4) scheme(8) f(8) p(4) next_f(4) crash_log_pos(8)
 // requests(8) breakdown(3×8).
 constexpr size_t kSnapshotSlotBytes = 8 + 1 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 3 * 8;
+// Two sentinels ride on uint32 slots (kInvalidSlot and the directory
+// tombstone), so a shard's slot span stays below them.
+constexpr uint64_t kSlotLimit = 0xFFFFFFFEu;
 }  // namespace
 
 ObjectShard::ObjectShard(int num_processors,
-                         const model::CostModel& cost_model,
-                         bool external_directory)
-    : num_processors_(num_processors),
-      cost_model_(cost_model),
-      owns_directory_(!external_directory) {
+                         const model::CostModel& cost_model)
+    : num_processors_(num_processors), cost_model_(cost_model) {
   OBJALLOC_CHECK_GT(num_processors, 0);
   OBJALLOC_CHECK_LE(num_processors, util::kMaxProcessors);
   OBJALLOC_CHECK(cost_model.Validate().ok()) << cost_model.ToString();
@@ -79,7 +79,7 @@ util::Status ObjectShard::ValidateConfig(const ObjectConfig& config,
 }
 
 void ObjectShard::Reserve(size_t expected_objects) {
-  if (owns_directory_) directory_.Reserve(expected_objects);
+  directory_.Reserve(expected_objects);
   GrowPages((expected_objects + kPageSlots - 1) >> kPageShift);
 }
 
@@ -118,9 +118,7 @@ uint32_t ObjectShard::AllocateSlot() {
     Slot(slot) = SlotRecord{};
     return slot;
   }
-  // Two sentinels ride on uint32 slots (kInvalidSlot and the directory
-  // tombstone), so the slab tops out just below them.
-  OBJALLOC_CHECK_LT(slot_count_, 0xFFFFFFFEu) << "shard slot space exhausted";
+  OBJALLOC_CHECK_LT(slot_count_, kSlotLimit) << "shard slot space exhausted";
   if ((slot_count_ >> kPageShift) == pages_.size()) {
     GrowPages(pages_.size() + 1);
   }
@@ -129,7 +127,7 @@ uint32_t ObjectShard::AllocateSlot() {
 
 util::StatusOr<uint32_t> ObjectShard::AddObject(ObjectId id,
                                                 const ObjectConfig& config) {
-  if (owns_directory_ && directory_.Contains(id)) {
+  if (directory_.Contains(id)) {
     return util::Status::InvalidArgument("duplicate object id " +
                                          std::to_string(id));
   }
@@ -151,7 +149,7 @@ util::StatusOr<uint32_t> ObjectShard::AddObject(ObjectId id,
   record.meta = SlotRecord::PackMeta(config.algorithm,
                                      config.initial_scheme.Size(), p,
                                      /*next_f=*/0, /*crash_log_pos=*/0);
-  if (owns_directory_) directory_.Insert(id, slot);
+  directory_.Insert(id, slot);
   MarkDirty(slot);
   return slot;
 }
@@ -554,24 +552,89 @@ void ObjectShard::AppendSnapshotHeader(std::string* out) const {
   util::AppendScalar(static_cast<uint64_t>(object_count()), out);
 }
 
+void ObjectShard::AppendSlotRecord(const SlotRecord& record,
+                                   std::string* out) {
+  using util::AppendScalar;
+  AppendScalar(record.id, out);
+  AppendScalar(static_cast<uint8_t>(record.kind()), out);
+  AppendScalar(record.t(), out);
+  AppendScalar(record.scheme_mask, out);
+  AppendScalar(record.f_mask, out);
+  AppendScalar(record.p(), out);
+  AppendScalar(record.next_f(), out);
+  AppendScalar(static_cast<uint64_t>(record.crash_log_pos()), out);
+  AppendScalar(record.requests, out);
+  AppendScalar(record.breakdown.control_messages, out);
+  AppendScalar(record.breakdown.data_messages, out);
+  AppendScalar(record.breakdown.io_ops, out);
+}
+
+util::Status ObjectShard::ReadSlotRecord(util::PayloadReader* reader,
+                                         const char* what,
+                                         SlotRecord* record) const {
+  ObjectId id = -1;
+  uint8_t kind_raw = 0;
+  int32_t t = 0, p = -1;
+  uint64_t scheme_mask = 0, f_mask = 0, crash_log_pos = 0;
+  uint32_t next_f = 0;
+  int64_t requests = 0;
+  model::CostBreakdown breakdown;
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&id));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&kind_raw));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&t));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&scheme_mask));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&f_mask));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&p));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&next_f));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&crash_log_pos));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&requests));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.control_messages));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.data_messages));
+  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.io_ops));
+  const auto invalid = [what](const std::string& message) {
+    return util::Status::Internal(std::string(what) + ": " + message);
+  };
+  const AlgorithmKind kind = static_cast<AlgorithmKind>(kind_raw);
+  if (kind != AlgorithmKind::kStatic && kind != AlgorithmKind::kDynamic) {
+    return invalid("non-inlined algorithm kind " + std::to_string(kind_raw));
+  }
+  if (t < 1 || t > num_processors_) {
+    return invalid("bad threshold " + std::to_string(t));
+  }
+  const ProcessorSet world = ProcessorSet::FirstN(num_processors_);
+  if (!ProcessorSet(scheme_mask).IsSubsetOf(world) ||
+      !ProcessorSet(f_mask).IsSubsetOf(world)) {
+    return invalid("scheme names out-of-range processors");
+  }
+  if (p < -1 || p >= num_processors_) {
+    return invalid("floating processor out of range");
+  }
+  // Bit-packing bounds: next_f indexes F (< t <= 64) and the crash-log
+  // cursor rides the meta word's high half.
+  if (next_f > 0x7F) {
+    return invalid("round-robin index " + std::to_string(next_f) +
+                   " out of range");
+  }
+  if (crash_log_pos > 0xFFFFFFFFull) {
+    return invalid("crash-log cursor " + std::to_string(crash_log_pos) +
+                   " out of range");
+  }
+  *record = SlotRecord{};
+  record->id = id;
+  record->scheme_mask = scheme_mask;
+  record->f_mask = f_mask;
+  record->meta = SlotRecord::PackMeta(kind, t, p, next_f,
+                                      static_cast<size_t>(crash_log_pos));
+  record->requests = requests;
+  record->breakdown = breakdown;
+  return util::Status::Ok();
+}
+
 void ObjectShard::AppendSnapshotSlots(uint32_t begin, uint32_t end,
                                       std::string* out) const {
-  using util::AppendScalar;
   for (uint32_t slot = begin; slot < end; ++slot) {
     const SlotRecord& record = Slot(slot);
-    if (record.id < 0) continue;  // free-listed hole
-    AppendScalar(record.id, out);
-    AppendScalar(static_cast<uint8_t>(record.kind()), out);
-    AppendScalar(record.t(), out);
-    AppendScalar(record.scheme_mask, out);
-    AppendScalar(record.f_mask, out);
-    AppendScalar(record.p(), out);
-    AppendScalar(record.next_f(), out);
-    AppendScalar(static_cast<uint64_t>(record.crash_log_pos()), out);
-    AppendScalar(record.requests, out);
-    AppendScalar(record.breakdown.control_messages, out);
-    AppendScalar(record.breakdown.data_messages, out);
-    AppendScalar(record.breakdown.io_ops, out);
+    if (record.id >= 0) AppendSlotRecord(record, out);  // skip free holes
   }
 }
 
@@ -592,74 +655,6 @@ void ObjectShard::AppendSnapshotFooter(std::string* out) const {
   for (const uint32_t slot : degraded_list_) {
     if (degraded_.Contains(slot)) AppendScalar(slot, out);
   }
-}
-
-util::Status ObjectShard::RestoreSlotRecord(util::PayloadReader* reader) {
-  ObjectId id = -1;
-  uint8_t kind_raw = 0;
-  int32_t t = 0, p = -1;
-  uint64_t scheme_mask = 0, f_mask = 0, crash_log_pos = 0;
-  uint32_t next_f = 0;
-  int64_t requests = 0;
-  model::CostBreakdown breakdown;
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&id));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&kind_raw));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&t));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&scheme_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&f_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&p));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&next_f));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&crash_log_pos));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&requests));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.control_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.data_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.io_ops));
-  const AlgorithmKind kind = static_cast<AlgorithmKind>(kind_raw);
-  if (kind != AlgorithmKind::kStatic && kind != AlgorithmKind::kDynamic) {
-    return util::Status::Internal(
-        "shard snapshot: non-inlined algorithm kind " +
-        std::to_string(kind_raw));
-  }
-  if (t < 1 || t > num_processors_) {
-    return util::Status::Internal("shard snapshot: bad threshold " +
-                                  std::to_string(t));
-  }
-  const ProcessorSet world = ProcessorSet::FirstN(num_processors_);
-  if (!ProcessorSet(scheme_mask).IsSubsetOf(world) ||
-      !ProcessorSet(f_mask).IsSubsetOf(world)) {
-    return util::Status::Internal(
-        "shard snapshot: scheme names out-of-range processors");
-  }
-  if (p < -1 || p >= num_processors_) {
-    return util::Status::Internal(
-        "shard snapshot: floating processor out of range");
-  }
-  // Bit-packing bounds: next_f indexes F (< t <= 64) and the crash-log
-  // cursor rides the meta word's high half.
-  if (next_f > 0x7F) {
-    return util::Status::Internal("shard snapshot: round-robin index " +
-                                  std::to_string(next_f) + " out of range");
-  }
-  if (crash_log_pos > 0xFFFFFFFFull) {
-    return util::Status::Internal("shard snapshot: crash-log cursor " +
-                                  std::to_string(crash_log_pos) +
-                                  " out of range");
-  }
-  if (owns_directory_ && directory_.Contains(id)) {
-    return util::Status::Internal("shard snapshot: duplicate object id " +
-                                  std::to_string(id));
-  }
-  const uint32_t slot = AllocateSlot();
-  SlotRecord& record = Slot(slot);
-  record.id = id;
-  record.scheme_mask = scheme_mask;
-  record.f_mask = f_mask;
-  record.meta = SlotRecord::PackMeta(kind, t, p, next_f,
-                                     static_cast<size_t>(crash_log_pos));
-  record.requests = requests;
-  record.breakdown = breakdown;
-  if (owns_directory_) directory_.Insert(id, slot);
-  return util::Status::Ok();
 }
 
 util::Status ObjectShard::RestoreSnapshotFooter(util::PayloadReader* reader) {
@@ -701,13 +696,29 @@ util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
   util::PayloadReader reader(data);
   if (!restore_.header_done && reader.remaining() >= sizeof(uint64_t)) {
     OBJALLOC_RETURN_IF_ERROR(reader.Read(&restore_.expected));
+    // Bounded before it sizes the slab and the directory: the count comes
+    // from the file, and past the slot limit AllocateSlot would abort and
+    // the directory's sizing arithmetic would wrap.
+    if (restore_.expected >= kSlotLimit) {
+      return util::Status::Internal("shard snapshot: bad slot count " +
+                                    std::to_string(restore_.expected));
+    }
     restore_.header_done = true;
     Reserve(static_cast<size_t>(restore_.expected));
   }
   if (restore_.header_done) {
     while (restore_.restored < restore_.expected &&
            reader.remaining() >= kSnapshotSlotBytes) {
-      OBJALLOC_RETURN_IF_ERROR(RestoreSlotRecord(&reader));
+      SlotRecord record;
+      OBJALLOC_RETURN_IF_ERROR(
+          ReadSlotRecord(&reader, "shard snapshot", &record));
+      if (directory_.Contains(record.id)) {
+        return util::Status::Internal("shard snapshot: duplicate object id " +
+                                      std::to_string(record.id));
+      }
+      const uint32_t slot = AllocateSlot();
+      Slot(slot) = record;
+      directory_.Insert(record.id, slot);
       ++restore_.restored;
     }
   }
@@ -722,8 +733,7 @@ util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
   }
   // Carry the incomplete tail (partial slot record or footer prefix) into
   // the next chunk; bounded by one record plus the footer head.
-  std::string rest(data.substr(data.size() - reader.remaining()));
-  restore_.carry = std::move(rest);
+  restore_.carry = std::string(data.substr(data.size() - reader.remaining()));
   return util::Status::Ok();
 }
 
@@ -791,28 +801,12 @@ void ObjectShard::AppendDeltaHeader(uint32_t range_count,
 
 void ObjectShard::AppendDeltaRange(uint32_t begin, uint32_t end,
                                    std::string* out) const {
-  using util::AppendScalar;
-  AppendScalar(begin, out);
-  AppendScalar(end, out);
+  util::AppendScalar(begin, out);
+  util::AppendScalar(end, out);
   for (uint32_t slot = begin; slot < end; ++slot) {
     const SlotRecord& record = Slot(slot);
-    if (record.id < 0) {
-      AppendScalar(static_cast<uint8_t>(0), out);
-      continue;
-    }
-    AppendScalar(static_cast<uint8_t>(1), out);
-    AppendScalar(record.id, out);
-    AppendScalar(static_cast<uint8_t>(record.kind()), out);
-    AppendScalar(record.t(), out);
-    AppendScalar(record.scheme_mask, out);
-    AppendScalar(record.f_mask, out);
-    AppendScalar(record.p(), out);
-    AppendScalar(record.next_f(), out);
-    AppendScalar(static_cast<uint64_t>(record.crash_log_pos()), out);
-    AppendScalar(record.requests, out);
-    AppendScalar(record.breakdown.control_messages, out);
-    AppendScalar(record.breakdown.data_messages, out);
-    AppendScalar(record.breakdown.io_ops, out);
+    util::AppendScalar(static_cast<uint8_t>(record.id >= 0 ? 1 : 0), out);
+    if (record.id >= 0) AppendSlotRecord(record, out);
   }
 }
 
@@ -828,70 +822,23 @@ util::Status ObjectShard::RestoreDeltaSlot(uint32_t slot,
     // names never-yet-allocated slots, but handle an occupied one anyway:
     // the delta is authoritative for every slot it covers.
     if (record.id >= 0) {
-      if (owns_directory_) directory_.Erase(record.id);
+      directory_.Erase(record.id);
       record = SlotRecord{};
       free_slots_.push_back(slot);
     }
     return util::Status::Ok();
   }
-  ObjectId id = -1;
-  uint8_t kind_raw = 0;
-  int32_t t = 0, p = -1;
-  uint64_t scheme_mask = 0, f_mask = 0, crash_log_pos = 0;
-  uint32_t next_f = 0;
-  int64_t requests = 0;
-  model::CostBreakdown breakdown;
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&id));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&kind_raw));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&t));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&scheme_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&f_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&p));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&next_f));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&crash_log_pos));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&requests));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.control_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.data_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.io_ops));
-  const AlgorithmKind kind = static_cast<AlgorithmKind>(kind_raw);
-  if (kind != AlgorithmKind::kStatic && kind != AlgorithmKind::kDynamic) {
-    return util::Status::Internal("shard delta: non-inlined algorithm kind " +
-                                  std::to_string(kind_raw));
+  SlotRecord restored;
+  OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(reader, "shard delta", &restored));
+  if (record.id >= 0 && record.id != restored.id) directory_.Erase(record.id);
+  const uint32_t existing = directory_.Find(restored.id);
+  if (existing == kInvalidSlot) {
+    directory_.Insert(restored.id, slot);
+  } else if (existing != slot) {
+    return util::Status::Internal("shard delta: duplicate object id " +
+                                  std::to_string(restored.id));
   }
-  if (t < 1 || t > num_processors_) {
-    return util::Status::Internal("shard delta: bad threshold " +
-                                  std::to_string(t));
-  }
-  const ProcessorSet world = ProcessorSet::FirstN(num_processors_);
-  if (!ProcessorSet(scheme_mask).IsSubsetOf(world) ||
-      !ProcessorSet(f_mask).IsSubsetOf(world)) {
-    return util::Status::Internal(
-        "shard delta: scheme names out-of-range processors");
-  }
-  if (p < -1 || p >= num_processors_) {
-    return util::Status::Internal(
-        "shard delta: floating processor out of range");
-  }
-  if (next_f > 0x7F || crash_log_pos > 0xFFFFFFFFull) {
-    return util::Status::Internal("shard delta: packed field out of range");
-  }
-  if (owns_directory_) {
-    if (record.id >= 0 && record.id != id) directory_.Erase(record.id);
-    const uint32_t existing = directory_.Find(id);
-    if (existing == kInvalidSlot) {
-      directory_.Insert(id, slot);
-    } else if (existing != slot) {
-      return util::Status::Internal("shard delta: duplicate object id " +
-                                    std::to_string(id));
-    }
-  }
-  record.id = id;
-  record.scheme_mask = scheme_mask;
-  record.f_mask = f_mask;
-  record.meta = SlotRecord::PackMeta(kind, t, p, next_f,
-                                     static_cast<size_t>(crash_log_pos));
-  record.requests = requests;
-  record.breakdown = breakdown;
+  record = restored;
   return util::Status::Ok();
 }
 
@@ -913,7 +860,7 @@ util::Status ObjectShard::RestoreDeltaChunk(std::string_view chunk,
       uint64_t span = 0;
       OBJALLOC_RETURN_IF_ERROR(reader.Read(&span));
       OBJALLOC_RETURN_IF_ERROR(reader.Read(&d.ranges_total));
-      if (span < slot_count_ || span >= 0xFFFFFFFEull) {
+      if (span < slot_count_ || span >= kSlotLimit) {
         return util::Status::Internal("shard delta: bad slot span " +
                                       std::to_string(span));
       }
@@ -980,15 +927,12 @@ util::Status ObjectShard::RestoreDeltaChunk(std::string_view chunk,
   }
   // Keep everything past the last whole unit for the next chunk. When the
   // range table is complete the remainder is the footer, which is parsed
-  // only on the final chunk.
+  // only on the final chunk. (`data` may view the carry itself, so the
+  // tail is copied out before the assignment.)
   if (d.ranges_done == d.ranges_total && d.header_done) {
     committed = data.size() - reader.remaining();
-    std::string rest(data.substr(committed));
-    d.carry = std::move(rest);
-    return util::Status::Ok();
   }
-  std::string rest(data.substr(committed));
-  d.carry = std::move(rest);
+  d.carry = std::string(data.substr(committed));
   return util::Status::Ok();
 }
 

@@ -35,11 +35,12 @@
 //     dispatches on the packed tag — no heap indirection, no virtual
 //     Step() call. Registration rejects every other AlgorithmKind; those
 //     run through the DomAlgorithm interface directly (core/runner.h).
-//   * The id → slot directory is optional: the ObjectService routes through
-//     its own global id → (shard, slot) table, so its shards skip the
-//     per-shard directory entirely (external-directory mode) instead of
-//     indexing every object twice. ObjectManager keeps the internal
-//     directory.
+//   * Every shard owns the id → slot directory of its own objects (a
+//     util::FlatDirectory), the only id index in the engine: the
+//     ObjectService hashes an id once, picks its shard from the hash's low
+//     bits and probes that shard's directory with the same hash (the
+//     directory homes keys by the high bits, so a shard's subset of ids
+//     spreads over its whole table).
 //
 // Aggregate accounting (TotalBreakdown / TotalRequests) is maintained
 // incrementally on every served request, so the totals are O(1) reads
@@ -101,12 +102,7 @@ class ObjectShard {
   static constexpr uint32_t kInvalidSlot =
       util::FlatDirectory<uint32_t>::kNotFound;
 
-  // With `external_directory` the shard keeps no id → slot map of its own:
-  // the owner (ObjectService) resolves ids through its global route table
-  // and addresses the shard by slot only. The id-keyed calls (SlotOf,
-  // HasObject, Serve(id), StatsFor(id)) must not be used in that mode.
-  ObjectShard(int num_processors, const model::CostModel& cost_model,
-              bool external_directory = false);
+  ObjectShard(int num_processors, const model::CostModel& cost_model);
 
   // Movable so ObjectService can hold shards by value; a move keeps every
   // slot's address. Not copyable: pages_ points into the shard's own runs.
@@ -115,8 +111,7 @@ class ObjectShard {
   ObjectShard(const ObjectShard&) = delete;
   ObjectShard& operator=(const ObjectShard&) = delete;
 
-  // Registers an object and returns its dense slot. Fails on duplicate ids
-  // (internal-directory mode only — an external directory owns that check),
+  // Registers an object and returns its dense slot. Fails on duplicate ids,
   // empty or out-of-range schemes, algorithms other than SA and DA, and
   // algorithm/threshold mismatches (DA needs t >= 2).
   util::StatusOr<uint32_t> AddObject(ObjectId id, const ObjectConfig& config);
@@ -148,9 +143,18 @@ class ObjectShard {
   // Dense slot of `id`, or kInvalidSlot. One flat-directory probe —
   // resolve once, then serve through the slot without hashing.
   uint32_t SlotOf(ObjectId id) const { return directory_.Find(id); }
+  // SlotOf with `hash` == util::FlatDirectory<>::Hash(id) already computed.
+  uint32_t SlotOfHashed(ObjectId id, uint64_t hash) const {
+    return directory_.FindHashed(id, hash);
+  }
+  // Starts loading the directory bucket a SlotOfHashed(·, hash) will probe.
+  // A hint only; always inlined, like PrefetchSlot.
+  [[gnu::always_inline]] void PrefetchDirectory(uint64_t hash) const {
+    directory_.PrefetchHash(hash);
+  }
 
   // Id stored at `slot`; requires slot < slot_span(). Restore reads it to
-  // rebuild the owning service's route directory.
+  // check that every object sits in the shard its hash picks.
   ObjectId IdAt(uint32_t slot) const { return Slot(slot).id; }
 
   // Availability threshold of the object at `slot` (degraded admission
@@ -163,11 +167,10 @@ class ObjectShard {
 
   // Serves one request against one object, returning the request's cost.
   // Requests against the same object must arrive in stream order.
-  // Internal-directory mode only.
   util::StatusOr<double> Serve(ObjectId id, const Request& request);
 
   // Validation-free hot path: the caller has already resolved the slot
-  // (SlotOf, or the owning service's route directory) and admitted the request (processor in range).
+  // (SlotOf) and admitted the request (processor in range).
   // The request's breakdown is additionally accumulated into `*delta` when
   // non-null so a batch can account its own traffic without re-walking the
   // shard.
@@ -175,7 +178,7 @@ class ObjectShard {
                    model::CostBreakdown* delta);
 
   // How many events ahead of the one being served a batch loop fetches the
-  // next record (and, in admission, the next route-directory bucket). The
+  // next record (and, in admission, the next directory bucket). The
   // per-event work is a few dozen ns while a cold record costs a miss of
   // ~100 ns, so the fetch must be issued several events early. On
   // BM_ServiceBatchColdObjects (EXPERIMENTS.md E11), 4 is clearly slower
@@ -246,8 +249,6 @@ class ObjectShard {
   // core set after crashes) and not yet repaired.
   size_t degraded_count() const { return degraded_.size(); }
 
-  // Internal-directory mode only; the service resolves via its route table
-  // and calls StatsAt.
   util::StatusOr<ObjectStats> StatsFor(ObjectId id) const;
 
   // Per-object accounting of the (valid, occupied) slot.
@@ -287,10 +288,9 @@ class ObjectShard {
   // AddObject reads, so a restored slot is bit-identical to one that lived
   // through the original run. Every field is range-checked; a payload that
   // deserializes but violates an invariant (unknown kind, out-of-range
-  // scheme, duplicate id) is rejected as Internal — the caller falls back
-  // to an older checkpoint generation. In external-directory mode the id →
-  // slot directory is not rebuilt (the owner rebuilds its route table and
-  // owns the duplicate check).
+  // scheme, duplicate id, a slot count at or past the slot limit) is
+  // rejected as Internal — the caller falls back to an older checkpoint
+  // generation. The id → slot directory is rebuilt as the slots arrive.
   util::Status RestoreSnapshotChunk(std::string_view chunk, bool last);
 
   // --- Delta checkpoints (DESIGN.md §13) -------------------------------
@@ -308,7 +308,6 @@ class ObjectShard {
   // to take a full base snapshot and then ClearDirty).
   void EnableDirtyTracking();
   void DisableDirtyTracking();
-  bool dirty_tracking() const { return dirty_tracking_; }
   // Clears every dirty bit — call only after the checkpoint that captured
   // them has durably committed.
   void ClearDirty();
@@ -478,8 +477,12 @@ class ObjectShard {
     std::string carry;       // partial unit spanning a chunk boundary
   };
 
-  // Parses and installs one 75-byte snapshot slot record.
-  util::Status RestoreSlotRecord(util::PayloadReader* reader);
+  // The 75-byte slot record that full snapshots and deltas share: the
+  // writer, and the reader that parses and range-checks one into
+  // `*record` (errors are Internal, prefixed with `what`).
+  static void AppendSlotRecord(const SlotRecord& record, std::string* out);
+  util::Status ReadSlotRecord(util::PayloadReader* reader, const char* what,
+                              SlotRecord* record) const;
   // Parses the aggregates + degraded registry that close a snapshot.
   util::Status RestoreSnapshotFooter(util::PayloadReader* reader);
   // Parses one presence-prefixed delta slot unit into absolute `slot`.
@@ -499,7 +502,6 @@ class ObjectShard {
 
   int num_processors_;
   model::CostModel cost_model_;
-  bool owns_directory_;
 
   // Slab storage: runs of one or more pages, the stable fixed-size pages
   // carved from them, plus a free list. Dirty tracking stays per page.
@@ -511,7 +513,7 @@ class ObjectShard {
   // (kind, t) → precomputed cost scalars; filled at construction.
   std::vector<CostEntry> cost_table_;
 
-  util::FlatDirectory<uint32_t> directory_;  // id → slot (internal mode)
+  util::FlatDirectory<uint32_t> directory_;  // id → slot
 
   model::CostBreakdown total_breakdown_;
   int64_t total_requests_ = 0;

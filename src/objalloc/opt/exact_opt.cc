@@ -20,18 +20,18 @@ constexpr size_t kStateGrain = size_t{1} << 12;
 
 int Popcount(uint32_t mask) { return std::popcount(mask); }
 
-// Core DP. When `parents` is non-null, records for every request index and
-// every reachable state the predecessor state mask (for reconstruction).
+// Core DP with t = |initial_scheme|. When `parents` is non-null, records for
+// every request index and every reachable state the predecessor state mask
+// (for reconstruction).
 double RunDp(const CostModel& cost_model, const Schedule& schedule,
-             ProcessorSet initial_scheme, int t,
+             ProcessorSet initial_scheme,
              std::vector<std::vector<uint32_t>>* parents) {
   OBJALLOC_CHECK(cost_model.Validate().ok()) << cost_model.ToString();
   const int n = schedule.num_processors();
   OBJALLOC_CHECK_LE(n, kMaxExactOptProcessors)
       << "exact OPT is exponential in the number of processors";
-  OBJALLOC_CHECK_GE(t, 1);
-  OBJALLOC_CHECK_LE(t, initial_scheme.Size())
-      << "initial scheme must satisfy the availability threshold";
+  const int t = initial_scheme.Size();
+  OBJALLOC_CHECK_GE(t, 1) << "the initial scheme must hold a copy";
   const size_t num_states = size_t{1} << n;
   const uint32_t initial = static_cast<uint32_t>(initial_scheme.mask());
   const double cc = cost_model.control;
@@ -176,14 +176,7 @@ double RunDp(const CostModel& cost_model, const Schedule& schedule,
 
 double ExactOptCost(const CostModel& cost_model, const Schedule& schedule,
                     ProcessorSet initial_scheme) {
-  return ExactOptCostWithThreshold(cost_model, schedule, initial_scheme,
-                                   initial_scheme.Size());
-}
-
-double ExactOptCostWithThreshold(const CostModel& cost_model,
-                                 const Schedule& schedule,
-                                 ProcessorSet initial_scheme, int t) {
-  return RunDp(cost_model, schedule, initial_scheme, t, nullptr);
+  return RunDp(cost_model, schedule, initial_scheme, nullptr);
 }
 
 AllocationSchedule ExactOptSchedule(const CostModel& cost_model,
@@ -193,8 +186,7 @@ AllocationSchedule ExactOptSchedule(const CostModel& cost_model,
   OBJALLOC_CHECK_LE(n, kMaxExactOptReconstructProcessors)
       << "reconstruction stores one mask per (request, state)";
   std::vector<std::vector<uint32_t>> parents;
-  RunDp(cost_model, schedule, initial_scheme, initial_scheme.Size(),
-        &parents);
+  RunDp(cost_model, schedule, initial_scheme, &parents);
 
   // Walk the parent chain backwards from the recorded final state.
   OBJALLOC_CHECK_EQ(parents.size(), schedule.size() + 1);

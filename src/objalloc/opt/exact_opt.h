@@ -48,11 +48,6 @@ inline constexpr int kMaxExactOptReconstructProcessors = 12;
 double ExactOptCost(const CostModel& cost_model, const Schedule& schedule,
                     ProcessorSet initial_scheme);
 
-// As above with an explicit availability threshold t <= |initial_scheme|.
-double ExactOptCostWithThreshold(const CostModel& cost_model,
-                                 const Schedule& schedule,
-                                 ProcessorSet initial_scheme, int t);
-
 // Reconstructs an optimal allocation schedule (requires small n; see
 // kMaxExactOptReconstructProcessors).
 AllocationSchedule ExactOptSchedule(const CostModel& cost_model,

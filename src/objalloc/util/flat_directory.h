@@ -7,16 +7,25 @@
 // into, random key subsets (hash-sharded object ids) build collision chains
 // of cache-missing nodes. This directory instead keeps (key, value) buckets
 // in one power-of-two array probed linearly: the splitmix64 bit mix
-// randomizes buckets for any key distribution, the capacity mask replaces
-// the division, a probe touches consecutive cache lines, and the load
-// factor is capped at 3/4. A bucket is packed to 8 + sizeof(Value) bytes —
-// 12 for the uint32 directories — which is what lets a million-object route
-// table fit a ~25-byte/object budget (DESIGN.md §12). A lookup touches 1
-// cache line in the common case (the home bucket; 2 of every 16 buckets
-// straddle a line boundary, so PrefetchHash loads the bucket's first and
-// last byte ahead of a batch's probes) and allocates never. Tables of 2 MiB
-// and more sit on huge pages (util/huge_pages.h), so a probe into a table
-// far larger than the caches does not also walk the page tables.
+// randomizes buckets for any key distribution, a shift replaces the
+// division, a probe touches consecutive cache lines, and the load factor is
+// capped at 3/4. A bucket is packed to 8 + sizeof(Value) bytes — 12 for the
+// uint32 directories — which is what lets the id → slot directories of a
+// million objects fit a ~25-byte/object budget (DESIGN.md §12). A lookup
+// touches 1 cache line in the common case (the home bucket; 2 of every 16
+// buckets straddle a line boundary, so PrefetchHash loads the bucket's
+// first and last byte ahead of a batch's probes) and allocates never.
+// Tables of 2 MiB and more sit on huge pages (util/huge_pages.h), so a
+// probe into a table far larger than the caches does not also walk the
+// page tables.
+//
+// The home bucket is the hash's *high* log2(capacity) bits. The sharded
+// service picks an object's shard from the same hash's low bits, so every
+// key in one shard's directory shares those bits: homed by the low bits,
+// only 1/S of a shard table's buckets could ever be a home, and probe runs
+// grow to ~5 buckets on a hit and ~9 on a miss at 16 shards. The high bits
+// are independent of the shard choice, so a shard's table probes as short
+// as an unsharded one (~1.5 on a hit; tests/util_test.cc pins it).
 //
 // A caller that computes a key's hash ahead of its probe — admission
 // prefetches each bucket a fixed distance ahead — hands the same hash to
@@ -36,8 +45,8 @@
 //
 // Deliberately minimal: value-based absence (kNotFound) — exactly the
 // contract the serving engine needs. The value type is a template
-// parameter: ObjectShard maps id → uint32 slot, ObjectService maps id →
-// packed uint32 (shard, slot) route. Iteration order is intentionally not
+// parameter: ObjectShard maps id → uint32 slot, and slot → a mark in its
+// degraded-object registry. Iteration order is intentionally not
 // provided; deterministic listings must come from the dense slot vector,
 // never from a hash table.
 //
@@ -54,6 +63,7 @@
 #ifndef OBJALLOC_UTIL_FLAT_DIRECTORY_H_
 #define OBJALLOC_UTIL_FLAT_DIRECTORY_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -147,7 +157,7 @@ class FlatDirectory {
   [[gnu::always_inline]] void PrefetchHash(uint64_t hash) const {
     if (live_.buckets.empty()) return;
     const char* bucket = reinterpret_cast<const char*>(
-        live_.buckets.data() + (hash & live_.mask));
+        live_.buckets.data() + live_.Home(hash));
     __builtin_prefetch(bucket);
     __builtin_prefetch(bucket + sizeof(Bucket) - 1);
   }
@@ -210,12 +220,18 @@ class FlatDirectory {
   static constexpr size_t kMinMigrateStep = 8;
 
   // One open-addressing table: a power-of-two bucket array (values carry
-  // the empty/tombstone sentinels).
+  // the empty/tombstone sentinels). A key's home bucket is the top
+  // log2(capacity) bits of its hash; probes step on modulo the capacity.
   struct Table {
     HugePageArray<Bucket> buckets;
     size_t mask = 0;
+    int shift = 64;   // 64 - log2(capacity)
     size_t size = 0;  // live entries
     size_t used = 0;  // live entries + tombstones (load-factor accounting)
+
+    size_t Home(uint64_t hash) const {
+      return static_cast<size_t>(hash >> shift);
+    }
   };
 
   // Smallest power of two holding `n` entries under the 3/4 load cap.
@@ -228,13 +244,14 @@ class FlatDirectory {
   static void InitTable(Table* table, size_t capacity) {
     table->buckets = HugePageArray<Bucket>(capacity, Bucket{0, kNotFound});
     table->mask = capacity - 1;
+    table->shift = 64 - std::countr_zero(capacity);
     table->size = 0;
     table->used = 0;
   }
 
   static Value FindIn(const Table& table, int64_t key, uint64_t hash) {
     if (table.buckets.empty()) return kNotFound;
-    size_t i = hash & table.mask;
+    size_t i = table.Home(hash);
     while (true) {
       const Bucket& bucket = table.buckets[i];
       const Value value = bucket.value;
@@ -249,7 +266,7 @@ class FlatDirectory {
   static bool ProbeIn(const Table& table, int64_t key, uint64_t hash,
                       size_t* probes) {
     if (table.buckets.empty()) return false;
-    size_t i = hash & table.mask;
+    size_t i = table.Home(hash);
     while (true) {
       ++*probes;
       const Bucket& bucket = table.buckets[i];
@@ -261,7 +278,7 @@ class FlatDirectory {
 
   static void InsertIn(Table* table, int64_t key, uint64_t hash, Value value,
                        bool check_duplicate) {
-    size_t i = hash & table->mask;
+    size_t i = table->Home(hash);
     size_t place = table->buckets.size();  // first tombstone seen, if any
     while (table->buckets[i].value != kNotFound) {
       if (table->buckets[i].value == kTombstone) {
@@ -282,7 +299,7 @@ class FlatDirectory {
 
   static bool EraseIn(Table* table, int64_t key, uint64_t hash) {
     if (table->buckets.empty()) return false;
-    size_t i = hash & table->mask;
+    size_t i = table->Home(hash);
     while (true) {
       Bucket& bucket = table->buckets[i];
       if (bucket.value == kNotFound) return false;

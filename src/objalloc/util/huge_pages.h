@@ -1,19 +1,19 @@
 // HugePageArray — a fixed-size, owning array whose large instances are
 // backed by 2 MiB pages.
 //
-// The serving engine's two big tables, the route directory and the slab
-// runs of slot records, are probed at random addresses. On a multi-hundred-
-// megabyte working set every such access misses the TLB on 4 KiB pages, so
-// it pays a page walk on top of its cache miss. An array of at least
-// kHugePageBytes is therefore mapped directly with mmap, at a 2 MiB-aligned
-// start and a length rounded up to 4 KiB, and its whole 2 MiB units are
-// advised with madvise(MADV_HUGEPAGE) so transparent huge pages back them
-// even when the system's THP mode is `madvise`. The partial tail unit is
-// left unadvised, so it never costs a whole huge page of RSS. A failed
-// advice is ignored (THP `never` runs the same code on 4 KiB pages), and
-// the mapping is unmapped on free, so a freed table returns its memory to
-// the system at once instead of fragmenting the malloc heap. Smaller
-// arrays keep operator new.
+// The serving engine's two big tables, the shards' id → slot directories
+// and the slab runs of slot records, are probed at random addresses. On a
+// multi-hundred-megabyte working set every such access misses the TLB on
+// 4 KiB pages, so it pays a page walk on top of its cache miss. An array
+// of at least kHugePageBytes is therefore mapped directly with mmap, at a
+// 2 MiB-aligned start and a length rounded up to 4 KiB, and its whole
+// 2 MiB units are advised with madvise(MADV_HUGEPAGE) so transparent huge
+// pages back them even when the system's THP mode is `madvise`. The
+// partial tail unit is left unadvised, so it never costs a whole huge page
+// of RSS. A failed advice is ignored (THP `never` runs the same code on
+// 4 KiB pages), and the mapping is unmapped on free, so a freed table
+// returns its memory to the system at once instead of fragmenting the
+// malloc heap. Smaller arrays keep operator new.
 //
 // The mapping counters are process-wide. They let the zero-allocation
 // tests see the mapped arrays, which an operator-new hook cannot.

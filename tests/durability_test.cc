@@ -181,7 +181,7 @@ TEST(DurabilityTest, BitIdenticalAcrossShardAndThreadCounts) {
           .ok());
   const StateImage expected = Capture(reference);
 
-  for (int shards : {1, 4, 16}) {
+  for (int shards : {1, 3, 4, 16}) {
     for (int threads : {1, 2, util::GlobalThreads()}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " threads=" + std::to_string(threads));
@@ -222,6 +222,75 @@ TEST(DurabilityTest, BitIdenticalAcrossShardAndThreadCounts) {
 // must yield exactly the state after some event prefix — never a mix, never
 // silent acceptance of garbage — and the prefix length must be monotone in
 // the offset.
+// Admission looks an id up only in the shard its hash picks, so a snapshot
+// whose shard streams hold an object in another shard describes a service
+// that could never serve it. Recovery refuses it (a generation with an
+// older snapshot would fall back; here there is none).
+TEST(DurabilityTest, ObjectStoredInTheWrongShardIsRefused) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const std::string dir = FreshDir("durability_wrong_shard");
+  {
+    ObjectService service(8, sc, ServiceOptions{.num_shards = 2});
+    RegisterObjects(service, 64, TestConfig());
+    ASSERT_TRUE(service.EnableDurability(dir).ok());
+    ASSERT_TRUE(service.DisableDurability().ok());
+  }
+  // Rewrite the generation-1 snapshot with its two shard streams swapped.
+  const std::string path = dir + "/" + CheckpointFileName(1);
+  ServiceStateImage state;
+  std::string shard_bytes[2];
+  DurableConfig config;
+  {
+    auto reader = CheckpointReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    config = reader->config();
+    CheckpointReader::Piece piece;
+    while (true) {
+      ASSERT_TRUE(reader->Next(&piece).ok());
+      if (piece.done) break;
+      if (piece.service_state) {
+        state = piece.state;
+      } else {
+        shard_bytes[piece.shard].append(piece.bytes);
+      }
+    }
+  }
+  ASSERT_FALSE(shard_bytes[0].empty());
+  ASSERT_FALSE(shard_bytes[1].empty());
+  auto writer = CheckpointWriter::Open(path, 1, config);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE(writer->AppendServiceState(state).ok());
+  for (uint32_t s = 0; s < 2; ++s) {
+    writer->BeginShard(s);
+    ASSERT_TRUE(writer->AppendShardBytes(shard_bytes[1 - s]).ok());
+    ASSERT_TRUE(writer->EndShard().ok());
+  }
+  ASSERT_TRUE(writer->Finish(2).ok());
+
+  auto recovered = ObjectService::Recover(dir);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), util::StatusCode::kInternal);
+  EXPECT_NE(recovered.status().message().find("stored in the wrong shard"),
+            std::string::npos)
+      << recovered.status().ToString();
+}
+
+// A full snapshot's slot count comes from the file; one at or past the
+// shard's slot limit is refused before it sizes the slab or the directory,
+// so Recover can fall back instead of aborting on the allocation.
+TEST(DurabilityTest, OversizedSnapshotSlotCountIsRefused) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  for (const uint64_t count : {uint64_t{0xFFFFFFFE}, uint64_t{1} << 62}) {
+    SCOPED_TRACE("count=" + std::to_string(count));
+    ObjectShard shard(8, sc);
+    std::string header;
+    util::AppendScalar(count, &header);
+    const util::Status status = shard.RestoreSnapshotChunk(header, false);
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal) << status.ToString();
+    EXPECT_EQ(shard.slot_span(), 0u);
+  }
+}
+
 TEST(DurabilityTest, TruncateAtEveryOffsetRecoversAConsistentPrefix) {
   const std::string dir = FreshDir("durability_sweep");
   const MultiObjectTrace trace = TestTrace(160, 7, 8);
@@ -808,7 +877,7 @@ TEST(DurabilityTest, ReplayCoalescingBitIdenticalAcrossShardsAndThreads) {
                   .ok());
   const StateImage expected = Capture(reference);
 
-  for (int shards : {1, 4, 16}) {
+  for (int shards : {1, 3, 4, 16}) {
     const std::string dir =
         FreshDir("durability_replay_grid_" + std::to_string(shards));
     ServiceOptions options;

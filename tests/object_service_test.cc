@@ -368,15 +368,15 @@ TEST(ObjectServiceTest, MixedAlgorithmsAcrossShards) {
   EXPECT_FALSE(service.StatsFor(2)->scheme.Contains(6));
 }
 
-// Tables of 2 MiB and more sit on huge pages: the route directory from
-// about 100K objects, a shard's slab when a Reserve or a snapshot restore
+// Tables of 2 MiB and more sit on huge pages: a shard's directory from about
+// 100K objects in that shard, its slab when a Reserve or a snapshot restore
 // adds 16 or more pages at once. That is a layout choice only: a service
 // whose tables are mapped — reserved up front, then restored from a
 // checkpoint — serves bit-identically to one grown page by page.
 TEST(ObjectServiceTest, HugePageBackedTablesServeIdentically) {
   workload::MultiObjectOptions trace_options;
   trace_options.num_processors = 8;
-  trace_options.num_objects = 100000;
+  trace_options.num_objects = 200000;
   trace_options.length = 60000;
   const MultiObjectTrace trace =
       workload::GenerateMultiObjectTrace(trace_options, 4321);
@@ -387,8 +387,8 @@ TEST(ObjectServiceTest, HugePageBackedTablesServeIdentically) {
   ObjectService mapped(trace.num_processors, sc, options);
   const uint64_t made = util::HugePageMappingsMade();
   mapped.ReserveObjects(static_cast<size_t>(trace.num_objects));
-  EXPECT_EQ(util::HugePageMappingsMade(), made + 3)
-      << "route directory + one slab run per shard";
+  EXPECT_EQ(util::HugePageMappingsMade(), made + 4)
+      << "one directory and one slab run per shard";
   ObjectService grown(trace.num_processors, sc, options);
   for (int id = 0; id < trace.num_objects; ++id) {
     ASSERT_TRUE(mapped.AddObject(id, config).ok());
@@ -413,8 +413,8 @@ TEST(ObjectServiceTest, HugePageBackedTablesServeIdentically) {
   const uint64_t before_recover = util::HugePageMappingsMade();
   auto recovered = ObjectService::Recover(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_GE(util::HugePageMappingsMade(), before_recover + 3)
-      << "the restore reserves the route directory and each shard's run";
+  EXPECT_GE(util::HugePageMappingsMade(), before_recover + 4)
+      << "the restore reserves each shard's directory and run";
   EXPECT_EQ(recovered->SchemeCrc(), grown.SchemeCrc());
   serve_both(*recovered, events.subspan(40000));
   EXPECT_EQ(recovered->SchemeCrc(), grown.SchemeCrc());

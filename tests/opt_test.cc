@@ -150,18 +150,6 @@ TEST(ExactOptTest, ReconstructionMatchesCostAndIsValid) {
   }
 }
 
-TEST(ExactOptTest, RespectsAvailabilityThreshold) {
-  // With t = 3 every write must leave >= 3 copies, so writes are costlier
-  // than with t = 2.
-  CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  Schedule schedule = Schedule::Parse(5, "w4 r4").value();
-  double t2 = ExactOptCostWithThreshold(sc, schedule,
-                                        ProcessorSet{0, 1, 2}, 2);
-  double t3 = ExactOptCostWithThreshold(sc, schedule,
-                                        ProcessorSet{0, 1, 2}, 3);
-  EXPECT_LT(t2, t3);
-}
-
 TEST(ExactOptTest, NeverExceedsOnlineAlgorithms) {
   util::Rng rng(0xabcd);
   const CostModel models[] = {

@@ -378,23 +378,23 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   EXPECT_EQ(retired, static_cast<int64_t>(rounds) + 10);
 }
 
-// ReserveObjects pre-sizes every table a registration touches — the route
-// directory, each shard's slot pages, the free lists — so a registration
+// ReserveObjects pre-sizes every table a registration touches — each
+// shard's directory and slot pages, the free lists — so a registration
 // burst inside the reserved envelope never touches the heap. This is the
 // contract that makes pre-sized million-object loads O(1) allocations. The
 // population is large enough that the reservation maps huge-page tables
-// (the route directory and every shard's slab run), so the gate covers the
-// mapped arrays too.
+// (every shard's directory and slab run), so the gate covers the mapped
+// arrays too.
 TEST(ServingEngineTest, PostReserveRegistrationDoesNotAllocate) {
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   ScopedThreads scope(1);  // serial path: no executor to spin up
 
   ObjectService service(8, sc, ServiceOptions{.num_shards = 4});
-  const int kObjects = 1 << 18;
+  const int kObjects = 1 << 19;
   const uint64_t unreserved = util::HugePageMappingsMade();
   service.ReserveObjects(static_cast<size_t>(kObjects));
   const uint64_t mappings = util::HugePageMappingsMade();
-  ASSERT_EQ(mappings - unreserved, 5u) << "route directory + 4 slab runs";
+  ASSERT_EQ(mappings - unreserved, 8u) << "4 shard directories + 4 slab runs";
   const ObjectConfig config = TestConfig();
 
   const int64_t before = g_heap_allocations.load(std::memory_order_relaxed);

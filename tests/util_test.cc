@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -357,7 +358,8 @@ TEST(FlatDirectoryTest, KeysHomedInLineStraddlingBucketsAreFound) {
   Directory directory;
   directory.Reserve(150000);
   ASSERT_GE(directory.MemoryUsageBytes(), kHugePageBytes);
-  const size_t mask = directory.capacity() - 1;
+  // A key's home is the top log2(capacity) bits of its hash.
+  const int shift = 64 - std::countr_zero(directory.capacity());
   for (int64_t key = 0; key < 150000; ++key) {
     directory.Insert(key, static_cast<uint32_t>(key * 7));
   }
@@ -367,7 +369,7 @@ TEST(FlatDirectoryTest, KeysHomedInLineStraddlingBucketsAreFound) {
     directory.PrefetchHash(hash);
     ASSERT_EQ(directory.FindHashed(key, hash), static_cast<uint32_t>(key * 7));
     ASSERT_EQ(directory.Find(key), static_cast<uint32_t>(key * 7));
-    const size_t offset = (hash & mask) * sizeof(Directory::Bucket);
+    const size_t offset = (hash >> shift) * sizeof(Directory::Bucket);
     if (offset % 64 > 64 - sizeof(Directory::Bucket)) ++straddling;
   }
   EXPECT_GT(straddling, size_t{150000} / 16) << "expected ~2/16 of homes";
@@ -375,6 +377,37 @@ TEST(FlatDirectoryTest, KeysHomedInLineStraddlingBucketsAreFound) {
     ASSERT_EQ(directory.FindHashed(key, Directory::Hash(key)),
               Directory::kNotFound);
   }
+}
+
+TEST(FlatDirectoryTest, KeysSharingLowHashBitsProbeShort) {
+  // A sharded service picks an id's shard from the low bits of the same
+  // hash, so every key in one shard's directory shares them (here the low 4
+  // bits: shard 0 of 16). Homed by those bits, such keys could use only
+  // 1/16 of the buckets and would probe ~5 deep; homed by the high bits
+  // they probe like random keys. The table is reserved the way
+  // ObjectService::ReserveObjects sizes one shard's directory.
+  using Directory = FlatDirectory<uint32_t>;
+  constexpr size_t kKeys = 60000;
+  std::vector<int64_t> keys;
+  std::vector<int64_t> absent;
+  for (int64_t key = 0; keys.size() < kKeys || absent.size() < kKeys;
+       ++key) {
+    if ((Directory::Hash(key) & 15) != 0) continue;
+    (keys.size() < kKeys ? keys : absent).push_back(key);
+  }
+  Directory directory;
+  directory.Reserve(kKeys + 4 * static_cast<size_t>(std::sqrt(kKeys)) + 16);
+  for (const int64_t key : keys) {
+    directory.Insert(key, static_cast<uint32_t>(key));
+  }
+  size_t hit_probes = 0;
+  for (const int64_t key : keys) hit_probes += directory.ProbeLength(key);
+  size_t miss_probes = 0;
+  for (const int64_t key : absent) miss_probes += directory.ProbeLength(key);
+  const double hit_mean = static_cast<double>(hit_probes) / kKeys;
+  const double miss_mean = static_cast<double>(miss_probes) / kKeys;
+  EXPECT_LE(hit_mean, 2.0) << "mean buckets probed per hit";
+  EXPECT_LE(miss_mean, 3.0) << "mean buckets probed per miss";
 }
 
 TEST(FlatDirectoryTest, MigrationCrossesTheHugePageThresholdBothWays) {
