@@ -124,17 +124,19 @@ util::Status ObjectService::AdmitBatch(
   }
   result->costs.clear();
   result->costs.resize(events.size());
+  result->outcome.clear();
+  result->outcome.resize(events.size());  // kServed
   result->breakdown = model::CostBreakdown();
   result->cost = 0;
-  result->served.clear();
   result->unavailable = 0;
+  result->refused = 0;
 
-  // Admission pass: validate everything and resolve each event's (shard,
-  // slot) route exactly once, before any shard state changes, so a
-  // rejected batch leaves the service untouched. Validation reads only
-  // registration-time state (the shards' directories, processor bounds)
-  // that in-flight batches never mutate — which is what makes admitting
-  // batch n+1 while batch n is still being served safe.
+  // Admission pass: validate each event and resolve its (shard, slot) route
+  // exactly once, before any shard state changes; a bad event is refused at
+  // its own position. Validation reads only registration-time state (the
+  // shards' directories, processor bounds) that in-flight batches never
+  // mutate — which makes admitting batch n+1 while batch n is still being
+  // served safe, and a replay refuse exactly the same events.
   //
   // Each id is hashed once, kPrefetchDistance events ahead of its probe:
   // the hash picks the shard, starts the prefetch of that shard's
@@ -157,16 +159,14 @@ util::Status ObjectService::AdmitBatch(
     const workload::MultiObjectEvent& event = events[i];
     const size_t shard = ShardOfHash(hash);
     const uint32_t slot = shards_[shard].SlotOfHashed(event.object, hash);
-    if (slot == ObjectShard::kInvalidSlot) {
-      return util::Status::NotFound("batch event " + std::to_string(i) +
-                                    ": unknown object " +
-                                    std::to_string(event.object));
-    }
-    if (event.request.processor < 0 ||
-        event.request.processor >= num_processors_) {
-      return util::Status::OutOfRange(
-          "batch event " + std::to_string(i) + ": processor " +
-          std::to_string(event.request.processor) + " out of range");
+    const bool known = slot != ObjectShard::kInvalidSlot;
+    if (!known || event.request.processor < 0 ||
+        event.request.processor >= num_processors_) [[unlikely]] {
+      result->outcome[i] = known ? EventOutcome::kProcessorOutOfRange
+                                 : EventOutcome::kUnknownObject;
+      result->refused += 1;
+      if (context == nullptr) routes_[i] = Route{0, ObjectShard::kInvalidSlot};
+      continue;
     }
     if (context != nullptr) {
       // Partition for the executor while the route is hot: the worker gets
@@ -209,8 +209,8 @@ void ObjectService::MergeAsync(uint32_t index) const {
   BatchContext& context = executor_->context(index);
   // Fixed shard order; integer counts make the sum exact (determinism
   // contract leg 3). Each op carries its event's cost back from the worker
-  // that owns its shard; refused fault-mode events were never ops and keep
-  // the 0 FaultPass wrote.
+  // that owns its shard; refused events were never ops and keep the 0
+  // admission wrote.
   double* costs = batch.result->costs.data();
   for (size_t s = 0; s < context.ops.size(); ++s) {
     for (const ShardOp& op : context.ops[s]) costs[op.index] = op.cost;
@@ -281,9 +281,7 @@ util::Status ObjectService::SubmitBatch(
     durability_->LogBatch(events);
   }
   if (faulty) [[unlikely]] {
-    // A batch that failed *validation* above never advances fault time (it
-    // is a caller bug, not a fault); from here on, every presented event
-    // does.
+    // Every presented event advances fault time, refused ones included.
     util::Status status = FaultPass(events, result, context);
     if (!status.ok() || context == nullptr) {
       result->cost = result->breakdown.Cost(cost_model_);
@@ -297,6 +295,7 @@ util::Status ObjectService::SubmitBatch(
     for (size_t i = 0; i < events.size(); ++i) {
       PrefetchRoute(i + ObjectShard::kPrefetchDistance);
       const Route route = routes_[i];
+      if (route.slot == ObjectShard::kInvalidSlot) [[unlikely]] continue;
       result->costs[i] = shards_[route.shard].ServeSlot(
           route.slot, events[i].request, &result->breakdown);
     }
@@ -358,7 +357,6 @@ util::StatusOr<BatchResult> ObjectService::ServeBatch(
 util::Status ObjectService::FaultPass(
     std::span<const workload::MultiObjectEvent> events, BatchResult* result,
     BatchContext* context) {
-  result->served.assign(events.size(), 1);
   live_masks_.resize(events.size());
 
   // Serial fault pass: one tick of fault time per event. Scripted and random
@@ -367,7 +365,8 @@ util::Status ObjectService::FaultPass(
   // pass, and degraded admission runs: an object needing more live
   // processors than exist rejects the whole batch (fault time keeps the
   // consumed window, so a replay meets the recovered world); a crashed
-  // issuer refuses just its own event.
+  // issuer refuses just its own event. Events refused at admission only
+  // tick fault time.
   const size_t base_index = injector_->cursor();
   bool reject = false;
   size_t reject_index = 0;
@@ -380,6 +379,7 @@ util::Status ObjectService::FaultPass(
     live_masks_[i] = live_;
     if (reject) continue;  // still ticking fault time for the window
     const Route route = routes_[i];
+    if (route.slot == ObjectShard::kInvalidSlot) continue;
     const int32_t t = shards_[route.shard].ThresholdAt(route.slot);
     if (live_.Size() < t) {
       reject = true;
@@ -387,7 +387,8 @@ util::Status ObjectService::FaultPass(
       reject_live = live_.Size();
       reject_t = t;
     } else if (!live_.Contains(events[i].request.processor)) {
-      result->served[i] = 0;
+      result->outcome[i] = EventOutcome::kIssuerDown;
+      result->unavailable += 1;
     }
   }
   if (reject) {
@@ -409,12 +410,8 @@ util::Status ObjectService::FaultPass(
     for (FaultStats& stats : context->fault_stats) stats = FaultStats();
   }
   for (size_t i = 0; i < events.size(); ++i) {
-    if (!result->served[i]) {
-      // Refused (issuer crashed): cost 0, no traffic, never enqueued.
-      result->costs[i] = 0;
-      result->unavailable += 1;
-      continue;
-    }
+    // A refused event costs 0, moves no traffic and is never enqueued.
+    if (result->outcome[i] != EventOutcome::kServed) continue;
     const Route route = routes_[i];
     if (context != nullptr) {
       context->ops[route.shard].push_back(ShardOp{
@@ -587,6 +584,7 @@ util::StatusOr<StreamResult> ObjectService::ServeStream(
                               const util::Status&) {
     result.breakdown += slot.result.breakdown;
     result.unavailable += slot.result.unavailable;
+    result.refused += slot.result.refused;
   };
   while (true) {
     auto filled = source.FillBatch(buffer);

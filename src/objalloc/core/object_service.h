@@ -1,10 +1,10 @@
 // ObjectService — the sharded, batched multi-object serving layer.
 //
-// Objects are hash-partitioned across N ObjectShards. A batch of events is
-// admitted atomically (every event validated — and its (shard, slot) route
-// resolved exactly once — before any is served). With more than one worker
-// available, a batch of at least kInlineBatchEvents is partitioned into
-// per-shard sub-batches and handed to the ShardExecutor
+// Objects are hash-partitioned across N ObjectShards. Admission validates
+// each event of a batch and resolves its (shard, slot) route exactly once,
+// before any is served; a bad event is refused on its own. With more than
+// one worker available, a batch of at least kInlineBatchEvents is
+// partitioned into per-shard sub-batches and handed to the ShardExecutor
 // (core/shard_executor.h): long-lived worker threads that own fixed shard
 // sets, fed through bounded per-shard SPSC rings — no per-batch fork, no
 // global barrier. A smaller batch, or any batch with one worker (or one
@@ -21,10 +21,10 @@
 // SubmitBatch + WaitBatch, ServeBatch is ServeBatchInto on a fresh result,
 // and every caller that keeps batches in flight — ServeStream over an
 // EventSource, WAL replay (Recover), net::Server — drives it through one
-// BatchPipeline (core/batch_pipeline.h). Admission stays all-or-nothing —
-// validation reads only registration-time state (directories, processor
-// bounds), which in-flight batches never mutate — and the WAL append
-// happens at submit, ahead of any serve, preserving log→serve order.
+// BatchPipeline (core/batch_pipeline.h). Validation reads only
+// registration-time state (directories, processor bounds), which in-flight
+// batches never mutate, and the WAL append happens at submit, ahead of any
+// serve, preserving log→serve order: replay refuses the same events.
 // Everything that must observe or mutate quiesced shards (stats reads,
 // registrations, checkpoints, fault-mode arming, the in-place serve)
 // fences the pipeline first.
@@ -85,7 +85,7 @@
 // live processors than exist is rejected atomically with kUnavailable
 // (replayable — fault time still advances, so a retry runs against the
 // recovered world); an event whose issuer is crashed is refused individually
-// (costs[i] = 0, served[i] = 0), matching the simulator's semantics. Repairs
+// (cost 0, EventOutcome::kIssuerDown), matching the simulator. Repairs
 // happen lazily at serve time (ObjectShard::ServeSlotFaulty) or eagerly via
 // RepairDegraded. The zero-fault chaos path is bit-identical to the plain
 // engine; the plain path pays one predicted-not-taken branch per batch.
@@ -148,18 +148,25 @@ struct ServiceOptions {
   util::Status Validate() const;
 };
 
+// What became of one event of an admitted batch. A refused event costs 0,
+// moves no traffic and changes no state. Caller errors order last.
+enum class EventOutcome : uint8_t {
+  kServed = 0,
+  kIssuerDown,           // fault mode: the issuing processor is crashed
+  kUnknownObject,        // caller error: no object registered under the id
+  kProcessorOutOfRange,  // caller error: processor outside [0, n)
+};
+
 // Outcome of one admitted batch.
 struct BatchResult {
-  // Per-event scalar costs, in submission order.
+  // Per-event scalar costs and outcomes, in submission order.
   std::vector<double> costs;
+  std::vector<EventOutcome> outcome;
   // Traffic of this batch alone (not the service lifetime totals).
   model::CostBreakdown breakdown;
   double cost = 0;
-  // Fault mode only (empty / zero on the fault-free path): served[i] == 0
-  // marks an event refused because its issuer was crashed — cost 0, no
-  // traffic, counted in `unavailable`.
-  std::vector<uint8_t> served;
-  int64_t unavailable = 0;
+  int64_t unavailable = 0;  // kIssuerDown events
+  int64_t refused = 0;      // kUnknownObject and kProcessorOutOfRange events
 };
 
 // Receipt for a batch handed to SubmitBatch. `completed == true` means the
@@ -181,6 +188,7 @@ struct StreamResult {
   model::CostBreakdown breakdown;
   double cost = 0;
   int64_t unavailable = 0;  // fault mode: events refused (issuer crashed)
+  int64_t refused = 0;      // events refused as caller errors
 };
 
 // Live load signals (DESIGN.md §15), readable WITHOUT fencing the
@@ -280,10 +288,9 @@ class ObjectService : public DurableEngine {
 
   // Pipelined batch entry — the serving core every other entry wraps.
   // Admits and logs the batch, enqueues its per-shard work, and returns
-  // without waiting for the serve. Admission is atomic: if any event names
-  // an unknown object or an out-of-range processor, the whole batch is
-  // rejected (NotFound / OutOfRange, message names the offending event
-  // index) and no state changes. The caller must keep `*result` alive and
+  // without waiting for the serve. An event naming an unknown object or an
+  // out-of-range processor is refused on its own (result->outcome[i]), and
+  // counted in result->refused. The caller must keep `*result` alive and
   // untouched until WaitBatch(ticket) (or DrainBatches) returns; `events`
   // may be reused immediately — admission copies everything the workers
   // need. Order across SubmitBatch calls is submission order per shard
@@ -332,9 +339,9 @@ class ObjectService : public DurableEngine {
   // `batch_size` events — bounded memory for unbounded traces, one buffer
   // and a BatchPipeline's two recycled BatchResults: batch n+1 is admitted
   // and enqueued while batch n is still being served, overlapping admission
-  // with shard work. Stops and returns the error on the first failed batch
-  // or source error, with the pipeline drained (events of earlier batches
-  // stay served; admission is atomic per batch).
+  // with shard work; refused events count in `refused`. Stops and returns
+  // the error on the first failed batch or source error, with the pipeline
+  // drained (events of earlier batches stay served).
   util::StatusOr<StreamResult> ServeStream(
       workload::EventSource& source, size_t batch_size = kDefaultBatchSize);
 
@@ -552,8 +559,8 @@ class ObjectService : public DurableEngine {
   // Admission pass of SubmitBatch: validates every event, resolves its
   // (shard, slot), sizes `*result`, and either records the routes in
   // routes_ (`context` null: the in-place and fault passes read them) or
-  // partitions the batch into the context's per-shard op lists. Rejects
-  // with no state change.
+  // partitions the batch into the context's per-shard op lists. A refused
+  // event gets its outcome, a kInvalidSlot route and no op.
   util::Status AdmitBatch(std::span<const workload::MultiObjectEvent> events,
                           BatchResult* result, BatchContext* context);
 
@@ -582,9 +589,9 @@ class ObjectService : public DurableEngine {
   // Fault-mode step of SubmitBatch, entered after admission validated the
   // routes: advances fault time once per event (serial), records per-event
   // live sets, and applies degraded admission (Unavailable rejects the
-  // batch). Then either serves in place through ServeSlotFaulty (`context`
-  // null) or partitions the served events into `context` for the executor;
-  // refused events cost 0 and are never enqueued.
+  // batch; a crashed issuer is refused). Then either serves in place through
+  // ServeSlotFaulty (`context` null) or partitions the served events into
+  // `context` for the executor; refused events are never enqueued.
   util::Status FaultPass(std::span<const workload::MultiObjectEvent> events,
                            BatchResult* result, BatchContext* context);
 
@@ -601,16 +608,18 @@ class ObjectService : public DurableEngine {
   // `hash & (num_shards - 1)` — the identical mapping without the
   // per-event integer division. ~0 flags a non-power-of-two count.
   uint64_t shard_mask_ = 0;
-  // Where an admitted event is served.
+  // Where an admitted event is served; slot kInvalidSlot for a refused one.
   struct Route {
     uint32_t shard;
     uint32_t slot;
   };
-  // Fetches the record that the admitted event `i` routes to, when the batch
-  // has an event `i` (the in-place serve loops look kPrefetchDistance ahead).
+  // Fetches the record that event `i` routes to, when the batch has a
+  // served event `i` (the in-place serve loops look kPrefetchDistance ahead).
   // Always inlined, like ObjectShard::PrefetchSlot, or GCC deletes the call.
   [[gnu::always_inline]] void PrefetchRoute(size_t i) const {
-    if (i >= routes_.size()) return;
+    if (i >= routes_.size() || routes_[i].slot == ObjectShard::kInvalidSlot) {
+      return;
+    }
     shards_[routes_[i].shard].PrefetchSlot(routes_[i].slot);
   }
   // Batch scratch arena, recycled across batches (see header comment).

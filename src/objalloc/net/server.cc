@@ -502,47 +502,8 @@ void Server::AdmitServe(Connection* conn, const Frame& frame) {
     ReplyStatus(conn, frame.type, frame.request_id, status);
     return;
   }
-  // Pre-validate so the coalesced engine batch can never be rejected by
-  // this event (ServeBatch admission is all-or-nothing across clients).
-  if (!service_->HasObject(request.object)) {
-    Count(&ServerStats::rejected_events);
-    ReplyStatus(conn, frame.type, frame.request_id,
-                util::Status::NotFound("object not registered"));
-    return;
-  }
-  if (request.processor >= static_cast<uint32_t>(service_->num_processors())) {
-    Count(&ServerStats::rejected_events);
-    ReplyStatus(conn, frame.type, frame.request_id,
-                util::Status::OutOfRange("processor out of range"));
-    return;
-  }
-
-  const TimePoint now = Clock::now();
-  uint32_t deadline_ms = request.deadline_ms != 0 ? request.deadline_ms
-                                                  : options_.default_deadline_ms;
-  Pending pending;
-  pending.connection = conn->id;
-  pending.request_id = frame.request_id;
-  pending.type = frame.type;
-  pending.events = 1;
-  pending.deadline = deadline_ms == 0
-                         ? TimePoint::max()
-                         : now + std::chrono::milliseconds(deadline_ms);
-  if (pending_.empty()) oldest_pending_ = now;
-  if (pending.deadline < min_deadline_) min_deadline_ = pending.deadline;
-  pending_.push_back(pending);
-
-  workload::MultiObjectEvent event;
-  event.object = request.object;
-  event.request = is_write
-                      ? model::Request::Write(
-                            static_cast<model::ProcessorId>(request.processor))
-                      : model::Request::Read(
-                            static_cast<model::ProcessorId>(request.processor));
-  pending_events_.push_back(event);
-  conn->inflight_events += 1;
-  global_inflight_ += 1;
-  Count(&ServerStats::admitted_events);
+  const BatchItem item{request.object, request.processor, is_write};
+  Enqueue(conn, frame, request.deadline_ms, std::span(&item, 1));
 }
 
 void Server::AdmitBatchOp(Connection* conn, const Frame& frame) {
@@ -554,8 +515,8 @@ void Server::AdmitBatchOp(Connection* conn, const Frame& frame) {
   }
   bool has_write = false;
   if (status.ok()) {
-    // All-or-nothing, like the library path: one bad item rejects the wire
-    // batch before anything is queued.
+    // All-or-nothing (wire.h): one bad item rejects the wire batch before
+    // anything is queued.
     for (const BatchItem& item : request.items) {
       if (!service_->HasObject(item.object)) {
         status = util::Status::NotFound("object not registered");
@@ -581,15 +542,18 @@ void Server::AdmitBatchOp(Connection* conn, const Frame& frame) {
     ReplyStatus(conn, frame.type, frame.request_id, status);
     return;
   }
+  Enqueue(conn, frame, request.deadline_ms, request.items);
+}
 
+void Server::Enqueue(Connection* conn, const Frame& frame,
+                     uint32_t deadline_ms, std::span<const BatchItem> items) {
   const TimePoint now = Clock::now();
-  uint32_t deadline_ms = request.deadline_ms != 0 ? request.deadline_ms
-                                                  : options_.default_deadline_ms;
+  if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
   Pending pending;
   pending.connection = conn->id;
   pending.request_id = frame.request_id;
   pending.type = frame.type;
-  pending.events = static_cast<uint32_t>(request.items.size());
+  pending.events = static_cast<uint32_t>(items.size());
   pending.deadline = deadline_ms == 0
                          ? TimePoint::max()
                          : now + std::chrono::milliseconds(deadline_ms);
@@ -597,7 +561,7 @@ void Server::AdmitBatchOp(Connection* conn, const Frame& frame) {
   if (pending.deadline < min_deadline_) min_deadline_ = pending.deadline;
   pending_.push_back(pending);
 
-  for (const BatchItem& item : request.items) {
+  for (const BatchItem& item : items) {
     workload::MultiObjectEvent event;
     event.object = item.object;
     const auto processor = static_cast<model::ProcessorId>(item.processor);
@@ -605,9 +569,9 @@ void Server::AdmitBatchOp(Connection* conn, const Frame& frame) {
                                        : model::Request::Read(processor);
     pending_events_.push_back(event);
   }
-  conn->inflight_events += request.items.size();
-  global_inflight_ += request.items.size();
-  Count(&ServerStats::admitted_events, request.items.size());
+  conn->inflight_events += items.size();
+  global_inflight_ += items.size();
+  Count(&ServerStats::admitted_events, items.size());
 }
 
 void Server::SweepDeadlines(TimePoint now) {
@@ -683,19 +647,33 @@ void Server::SubmitPending(TimePoint now) {
 }
 
 void Server::FinalizeBatch(Pipeline::Slot& slot, const util::Status& status) {
-  // A refused batch (unreachable: every event was pre-validated) still
-  // replies its error — never leave a client hanging.
+  // A failed batch (fault mode below threshold) replies its error to every
+  // request — never leave a client hanging.
   size_t first = 0;
   for (const Pending& request : slot.tag) {
     const size_t begin = first;
     first += request.events;
     global_inflight_ -= request.events;
+    // The engine refuses a bad single-event frame on its own; a kBatch
+    // frame was checked whole at admission.
+    const bool refused = status.ok() && request.type != MsgType::kBatch &&
+                         slot.result.outcome[begin] >=
+                             core::EventOutcome::kUnknownObject;
+    if (refused) Count(&ServerStats::rejected_events);
     auto it = connections_.find(request.connection);
     if (it == connections_.end()) continue;  // peer gone; reply discarded
     Connection* conn = it->second.get();
     conn->inflight_events -= request.events;
     if (!status.ok()) {
       ReplyStatus(conn, request.type, request.request_id, status);
+      continue;
+    }
+    if (refused) {
+      ReplyStatus(conn, request.type, request.request_id,
+                  slot.result.outcome[begin] ==
+                          core::EventOutcome::kUnknownObject
+                      ? util::Status::NotFound("object not registered")
+                      : util::Status::OutOfRange("processor out of range"));
       continue;
     }
     encode_scratch_.clear();

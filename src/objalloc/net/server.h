@@ -30,11 +30,11 @@
 //
 // The overload state machine (accept → shed → drain):
 //
-//   accept   Budgets hold: requests are validated, queued, batched,
+//   accept   Budgets hold: requests are parsed, queued, batched,
 //            served. Caller errors (unknown object, bad processor,
 //            malformed payload) are rejected individually with their
-//            library status — the engine batch itself can then never
-//            reject, so one bad client cannot poison a coalesced batch.
+//            library status — the engine refuses each bad event on its
+//            own, so one bad client cannot poison a coalesced batch.
 //   shed     A budget is exceeded — per-connection in-flight, global
 //            in-flight, shard-executor queue depth, WAL backlog bytes, or
 //            (optionally) degraded durability. The request is refused as
@@ -68,6 +68,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -126,7 +127,9 @@ struct ServerOptions {
 
 // Front-end counters (events unless noted). The loop thread is the only
 // writer; Stats() reads each counter with a relaxed atomic load, so a
-// snapshot is per-counter consistent, not across counters.
+// snapshot is per-counter consistent, not across counters. A single-event
+// frame the engine refuses has reached the engine: it counts in both
+// admitted_events and rejected_events.
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_refused = 0;  // over max_connections
@@ -186,8 +189,8 @@ class Server {
 
   // One queued wire request: `events` many engine events, stored
   // contiguously in pending_events_ in the same order. A batch op is one
-  // Pending with events > 1 — it enters an engine batch whole (all-or-
-  // nothing, like the library batch path).
+  // Pending with events > 1 — checked whole at admission, it enters an
+  // engine batch whole.
   struct Pending {
     uint64_t connection = 0;
     uint64_t request_id = 0;
@@ -212,10 +215,13 @@ class Server {
   void HandleRequest(Connection* conn, const Frame& frame);
   void HandleRegister(Connection* conn, const Frame& frame);
   void HandleStats(Connection* conn, const Frame& frame);
-  // Admission for event-bearing requests: budgets, backpressure,
+  // Admission for event-bearing requests: budgets, backpressure, kBatch
   // validation, deadline stamping, enqueue. Replies on rejection.
   void AdmitServe(Connection* conn, const Frame& frame);
   void AdmitBatchOp(Connection* conn, const Frame& frame);
+  // Queues one admitted request and its events.
+  void Enqueue(Connection* conn, const Frame& frame, uint32_t deadline_ms,
+               std::span<const BatchItem> items);
   // Shed/reject/reply helpers. Replies append to conn->out and mark the
   // connection dirty; FlushDirty sends them at the end of the iteration.
   void ReplyStatus(Connection* conn, MsgType request_type, uint64_t request_id,

@@ -40,8 +40,8 @@
 //                                                     → (u32 count, count × f64)
 //   kStats     ()                                     → (WireStats, fixed-width)
 //
-// Batches are all-or-nothing, mirroring ObjectService::ServeBatch: one
-// invalid item rejects the whole wire batch with no state change.
+// A kBatch frame is all-or-nothing on its own: one invalid item rejects the
+// whole wire batch with no state change (the engine refuses per event).
 
 #ifndef OBJALLOC_NET_WIRE_H_
 #define OBJALLOC_NET_WIRE_H_

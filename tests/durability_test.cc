@@ -862,20 +862,50 @@ TEST(DurabilityTest, AsyncGroupCommitCrashImagesRecoverPrefixes) {
 
 // --- Parallel replay ----------------------------------------------------
 
+// Every `stride`-th event of `events` from `first` on, replaced in turn by
+// one the engine refuses: an event on `unknown`, a processor == n and a
+// processor -1.
+std::vector<MultiObjectEvent> SeedRefused(std::vector<MultiObjectEvent> events,
+                                          int num_processors, ObjectId unknown,
+                                          size_t first, size_t stride) {
+  const MultiObjectEvent refused[] = {
+      {unknown, model::Request::Read(1)},
+      {3, model::Request::Write(num_processors)},
+      {4, model::Request::Read(-1)}};
+  for (size_t i = first, k = 0; i < events.size(); i += stride) {
+    events[i] = refused[k++ % 3];
+  }
+  return events;
+}
+
 // Replay must be bit-identical however it is scheduled: serial
 // record-by-record (replay_batch_events = 0), tiny coalesced super-batches
-// (7), and the default (32768), across shard counts and thread counts.
+// (7), and the default (32768), across shard counts and thread counts. The
+// history holds refused events, some on an id registered only after them:
+// replay must refuse exactly the events the live run refused.
 TEST(DurabilityTest, ReplayCoalescingBitIdenticalAcrossShardsAndThreads) {
   const MultiObjectTrace trace = TestTrace(3000);
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const ObjectId late = trace.num_objects;
+  const std::vector<MultiObjectEvent> history =
+      SeedRefused(trace.events, trace.num_processors, late, 5, 97);
+  const auto events = std::span<const MultiObjectEvent>(history);
+  // Registers the trace's objects, serves 2200 events, registers `late`,
+  // serves the rest.
+  auto run = [&](ObjectService& service) {
+    RegisterObjects(service, trace.num_objects, TestConfig());
+    auto before = service.ServeBatch(events.first(2200));
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    EXPECT_GT(before->refused, 0);
+    ASSERT_TRUE(service.AddObject(late, TestConfig()).ok());
+    auto after = service.ServeBatch(events.subspan(2200));
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+  };
 
   ObjectService reference(trace.num_processors, sc);
-  RegisterObjects(reference, trace.num_objects, TestConfig());
-  ASSERT_TRUE(reference
-                  .ServeBatch(std::span<const MultiObjectEvent>(trace.events)
-                                  .first(2200))
-                  .ok());
+  run(reference);
   const StateImage expected = Capture(reference);
+  ASSERT_GT(reference.StatsFor(late)->requests, 0);
 
   for (int shards : {1, 3, 4, 16}) {
     const std::string dir =
@@ -885,13 +915,9 @@ TEST(DurabilityTest, ReplayCoalescingBitIdenticalAcrossShardsAndThreads) {
     {
       ObjectService service(trace.num_processors, sc, options);
       ASSERT_TRUE(service.EnableDurability(dir).ok());
-      RegisterObjects(service, trace.num_objects, TestConfig());
-      ASSERT_TRUE(
-          service
-              .ServeBatch(std::span<const MultiObjectEvent>(trace.events)
-                              .first(2200))
-              .ok());
-      // Destructor flushes; the WAL tail is the whole 2200-event history.
+      run(service);
+      EXPECT_EQ(Capture(service), expected);
+      // Destructor flushes; the WAL tail is the whole history.
     }
     for (int threads : {1, 2, util::GlobalThreads()}) {
       for (size_t coalesce : {size_t{0}, size_t{7}, size_t{32768}}) {
@@ -904,6 +930,7 @@ TEST(DurabilityTest, ReplayCoalescingBitIdenticalAcrossShardsAndThreads) {
         auto recovered = ObjectService::Recover(dir, durability);
         ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
         EXPECT_EQ(Capture(*recovered), expected);
+        EXPECT_EQ(recovered->SchemeCrc(), reference.SchemeCrc());
       }
     }
   }
@@ -911,17 +938,21 @@ TEST(DurabilityTest, ReplayCoalescingBitIdenticalAcrossShardsAndThreads) {
 
 // Coalescing stops at fault-control records and while the injector is
 // armed — batch boundaries are the rejection unit there. A history that
-// interleaves fault windows with traffic must replay identically with
-// coalescing off and on.
+// interleaves fault windows with traffic, and refused events with both,
+// must replay to the live state with coalescing off and on.
 TEST(DurabilityTest, FaultModeReplayCoalescingMatchesSerial) {
   const MultiObjectTrace trace = TestTrace(1200);
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   const std::string dir = FreshDir("durability_fault_coalesce");
+  const std::vector<MultiObjectEvent> history = SeedRefused(
+      trace.events, trace.num_processors, trace.num_objects + 1, 3, 41);
+  StateImage live;
+  uint32_t live_crc = 0;
   {
     ObjectService service(trace.num_processors, sc);
     ASSERT_TRUE(service.EnableDurability(dir).ok());
     RegisterObjects(service, trace.num_objects, TestConfig());
-    std::span<const MultiObjectEvent> events(trace.events);
+    std::span<const MultiObjectEvent> events(history);
     ASSERT_TRUE(service.ServeBatch(events.first(400)).ok());
     FaultInjectorOptions fault_options;
     fault_options.seed = 1234;
@@ -938,6 +969,8 @@ TEST(DurabilityTest, FaultModeReplayCoalescingMatchesSerial) {
     service.DisableFaults();
     service.RepairDegraded();
     ASSERT_TRUE(service.ServeBatch(events.subspan(800)).ok());
+    live = Capture(service);
+    live_crc = service.SchemeCrc();
   }
   DurabilityOptions serial;
   serial.replay_batch_events = 0;
@@ -949,7 +982,10 @@ TEST(DurabilityTest, FaultModeReplayCoalescingMatchesSerial) {
   auto coalesced_recovered = ObjectService::Recover(dir, coalesced);
   ASSERT_TRUE(coalesced_recovered.ok())
       << coalesced_recovered.status().ToString();
-  EXPECT_EQ(Capture(*serial_recovered), Capture(*coalesced_recovered));
+  EXPECT_EQ(Capture(*serial_recovered), live);
+  EXPECT_EQ(Capture(*coalesced_recovered), live);
+  EXPECT_EQ(serial_recovered->SchemeCrc(), live_crc);
+  EXPECT_EQ(coalesced_recovered->SchemeCrc(), live_crc);
 }
 
 }  // namespace

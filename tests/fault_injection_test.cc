@@ -225,9 +225,9 @@ TEST(FaultInjectionTest, CrashedIssuerIsRefusedIndividually) {
       {0, model::Request::Read(3)}, {0, model::Request::Read(0)}};
   auto result = service.ServeBatch(batch);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->served.size(), 2u);
-  EXPECT_EQ(result->served[0], 0);  // issuer crashed
-  EXPECT_EQ(result->served[1], 1);
+  ASSERT_EQ(result->outcome.size(), 2u);
+  EXPECT_EQ(result->outcome[0], EventOutcome::kIssuerDown);
+  EXPECT_EQ(result->outcome[1], EventOutcome::kServed);
   EXPECT_EQ(result->costs[0], 0.0);
   EXPECT_EQ(result->unavailable, 1);
   EXPECT_EQ(service.fault_stats().unavailable_requests, 1);
@@ -329,8 +329,8 @@ TEST(FaultInjectionTest, CrashedIssuersMatchSerialOnTheExecutor) {
   int64_t refused = 0;
   for (const BatchResult& batch : want.batches) {
     refused += batch.unavailable;
-    for (size_t i = 0; i < batch.served.size(); ++i) {
-      if (!batch.served[i]) {
+    for (size_t i = 0; i < batch.outcome.size(); ++i) {
+      if (batch.outcome[i] != EventOutcome::kServed) {
         ASSERT_EQ(batch.costs[i], 0.0);
       }
     }
@@ -348,7 +348,7 @@ TEST(FaultInjectionTest, CrashedIssuersMatchSerialOnTheExecutor) {
       ASSERT_EQ(got.batches.size(), want.batches.size());
       for (size_t b = 0; b < want.batches.size(); ++b) {
         EXPECT_EQ(got.batches[b].costs, want.batches[b].costs) << b;
-        EXPECT_EQ(got.batches[b].served, want.batches[b].served) << b;
+        EXPECT_EQ(got.batches[b].outcome, want.batches[b].outcome) << b;
         EXPECT_EQ(got.batches[b].breakdown, want.batches[b].breakdown) << b;
         EXPECT_EQ(got.batches[b].unavailable, want.batches[b].unavailable)
             << b;

@@ -177,6 +177,81 @@ TEST(NetServerTest, BatchIsAllOrNothing) {
   EXPECT_EQ(service.TotalRequests(), before);
 }
 
+// Single-event frames are not pre-checked: the engine refuses a bad one on
+// its own, inside the coalesced batch. One connection's unknown id draws
+// kNotFound, and its processor 0x80000000 — negative as a ProcessorId —
+// kOutOfRange, while the valid frames another connection put in the same
+// engine batch get the costs an in-process run gives them.
+TEST(NetServerTest, RefusedFramesLeaveTheirCoalescedBatchServed) {
+  constexpr size_t kValid = 6;
+  const std::vector<workload::MultiObjectEvent> traffic =
+      ConnectionTraffic(0, 2, kValid, 55);
+  ObjectService reference = MakeService();
+  for (int64_t id = 0; id < 2; ++id) {
+    ASSERT_TRUE(reference.AddObject(id, TestConfig()).ok());
+  }
+  util::StatusOr<core::BatchResult> expected = reference.ServeBatch(
+      std::span<const workload::MultiObjectEvent>(traffic));
+  ASSERT_TRUE(expected.ok());
+
+  ObjectService service = MakeService();
+  ServerOptions options;
+  options.batch_max_delay_us = 500'000;  // every frame lands in one window
+  ServerHarness harness(&service, options);
+  ASSERT_TRUE(harness.start_status().ok());
+  Client good;
+  Client bad;
+  ASSERT_TRUE(good.Connect("127.0.0.1", harness.port()).ok());
+  ASSERT_TRUE(bad.Connect("127.0.0.1", harness.port()).ok());
+  for (int64_t id = 0; id < 2; ++id) {
+    ASSERT_TRUE(good.Register(id, kSchemeMask, 1).ok());
+  }
+
+  std::vector<uint64_t> ids;
+  auto send_good = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      util::StatusOr<uint64_t> id = good.SendServe(
+          traffic[i].request.is_write(), traffic[i].object,
+          static_cast<uint32_t>(traffic[i].request.processor));
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+  };
+  send_good(0, kValid / 2);
+  util::StatusOr<uint64_t> unknown = bad.SendServe(false, 424242, 0);
+  util::StatusOr<uint64_t> negative = bad.SendServe(true, 0, 0x80000000u);
+  ASSERT_TRUE(unknown.ok() && negative.ok());
+  send_good(kValid / 2, kValid);
+
+  for (size_t i = 0; i < kValid; ++i) {
+    util::StatusOr<Client::Reply> reply = good.WaitReply(10000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->status.ok()) << reply->status.ToString();
+    const auto it = std::find(ids.begin(), ids.end(), reply->request_id);
+    ASSERT_NE(it, ids.end());
+    const size_t index = static_cast<size_t>(it - ids.begin());
+    EXPECT_EQ(reply->cost, expected->costs[index]) << "request " << index;
+  }
+  for (int i = 0; i < 2; ++i) {
+    util::StatusOr<Client::Reply> reply = bad.WaitReply(10000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->status.code(), reply->request_id == *unknown
+                                        ? util::StatusCode::kNotFound
+                                        : util::StatusCode::kOutOfRange)
+        << reply->status.ToString();
+  }
+  EXPECT_TRUE(bad.Ping().ok()) << "a refused frame must not close the peer";
+
+  const ServerStats stats = harness.server().Stats();
+  EXPECT_EQ(stats.batches_submitted, 1u) << "the frames were not coalesced";
+  EXPECT_EQ(stats.admitted_events, kValid + 2);
+  EXPECT_EQ(stats.rejected_events, 2u);
+  harness.Shutdown();
+  EXPECT_EQ(service.TotalRequests(), static_cast<int64_t>(kValid));
+  EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+  EXPECT_EQ(service.SchemeCrc(), reference.SchemeCrc());
+}
+
 // The acceptance bar of the tentpole: traffic served over TCP leaves the
 // engine bit-identical to the same traffic served in process. Two
 // connections with disjoint object sets pipeline concurrently — per-object

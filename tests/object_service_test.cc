@@ -1,8 +1,10 @@
 // The service layer's determinism contract: the sharded, batched
 // ObjectService must be bit-identical to the serial ObjectManager for every
 // shard count and every thread count, the streaming paths must equal the
-// materialized path event for event, and batch admission must be atomic.
+// materialized path event for event, and admission must refuse a bad event
+// on its own.
 
+#include <algorithm>
 #include <filesystem>
 #include <span>
 #include <sstream>
@@ -140,41 +142,91 @@ TEST(ObjectServiceTest, SingleEventBatchesMatchManager) {
   EXPECT_EQ(service.TotalBreakdown(), manager.TotalBreakdown());
 }
 
-TEST(ObjectServiceTest, BatchRejectsUnknownObjectAtomically) {
+// Serves `batch` and, on a fresh service with the same registrations, the
+// batch without the events at `refused`: the refused events must get
+// `outcome` and cost 0, and every other event the cost, and the service the
+// state, that it has when the refused events are absent.
+void ExpectRefusedAlone(int num_processors,
+                        const std::vector<MultiObjectEvent>& batch,
+                        const std::vector<size_t>& refused,
+                        EventOutcome outcome) {
   const CostModel sc = CostModel::StationaryComputing(0.5, 1.0);
-  ObjectService service(8, sc);
+  ObjectService service(num_processors, sc);
+  ObjectService reference(num_processors, sc);
   ASSERT_TRUE(service.AddObject(1, TestConfig()).ok());
-  // Two valid events surround the invalid one: nothing may be served.
-  std::vector<MultiObjectEvent> batch = {
-      {1, model::Request::Read(0)},
-      {99, model::Request::Read(0)},
-      {1, model::Request::Write(2)},
-  };
+  ASSERT_TRUE(reference.AddObject(1, TestConfig()).ok());
+  std::vector<MultiObjectEvent> valid;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (std::find(refused.begin(), refused.end(), i) == refused.end()) {
+      valid.push_back(batch[i]);
+    }
+  }
   auto result = service.ServeBatch(batch);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound);
-  EXPECT_NE(result.status().message().find("event 1"), std::string::npos)
-      << result.status().ToString();
-  EXPECT_EQ(service.TotalRequests(), 0) << "rejected batch must not serve";
+  auto want = reference.ServeBatch(valid);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(result->outcome.size(), batch.size());
+  EXPECT_EQ(result->refused, static_cast<int64_t>(refused.size()));
+  EXPECT_EQ(result->unavailable, 0);
+  size_t next_valid = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    if (std::find(refused.begin(), refused.end(), i) != refused.end()) {
+      EXPECT_EQ(result->outcome[i], outcome);
+      EXPECT_EQ(result->costs[i], 0.0);
+    } else {
+      EXPECT_EQ(result->outcome[i], EventOutcome::kServed);
+      EXPECT_EQ(result->costs[i], want->costs[next_valid++]);
+    }
+  }
+  EXPECT_EQ(result->breakdown, want->breakdown);
+  EXPECT_EQ(service.TotalRequests(), static_cast<int64_t>(valid.size()));
+  EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
+  EXPECT_EQ(service.SchemeCrc(), reference.SchemeCrc());
+
+  // ServeStream goes on past a refused event and counts it.
+  ObjectService streamed(num_processors, sc);
+  ASSERT_TRUE(streamed.AddObject(1, TestConfig()).ok());
+  const MultiObjectTrace trace{num_processors, 1, batch};
+  workload::TraceEventSource source(trace);
+  auto stream = streamed.ServeStream(source, /*batch_size=*/2);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  EXPECT_EQ(stream->events, static_cast<int64_t>(batch.size()));
+  EXPECT_EQ(stream->refused, static_cast<int64_t>(refused.size()));
+  EXPECT_EQ(stream->breakdown, want->breakdown);
+  EXPECT_EQ(streamed.SchemeCrc(), reference.SchemeCrc());
 }
 
-TEST(ObjectServiceTest, BatchRejectsOutOfRangeProcessorAtomically) {
-  const CostModel sc = CostModel::StationaryComputing(0.5, 1.0);
-  ObjectService service(4, sc);
-  ASSERT_TRUE(service.AddObject(1, TestConfig()).ok());
-  std::vector<MultiObjectEvent> batch = {
-      {1, model::Request::Read(0)},
-      {1, model::Request::Write(7)},
-  };
-  auto result = service.ServeBatch(batch);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kOutOfRange);
-  EXPECT_EQ(service.TotalRequests(), 0);
+TEST(ObjectServiceTest, BatchRefusesUnknownObjectPerEvent) {
+  // Two valid events surround the unknown id: both are served.
+  ExpectRefusedAlone(8,
+                     {{1, model::Request::Read(0)},
+                      {99, model::Request::Read(0)},
+                      {1, model::Request::Write(2)}},
+                     {1}, EventOutcome::kUnknownObject);
+  // First and last, around a write that moves the scheme.
+  ExpectRefusedAlone(8,
+                     {{99, model::Request::Write(3)},
+                      {1, model::Request::Write(5)},
+                      {1, model::Request::Read(6)},
+                      {-7, model::Request::Read(0)}},
+                     {0, 3}, EventOutcome::kUnknownObject);
+}
 
-  std::vector<MultiObjectEvent> negative = {{1, model::Request::Read(-1)}};
-  auto rejected = service.ServeBatch(negative);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), util::StatusCode::kOutOfRange);
+TEST(ObjectServiceTest, BatchRefusesOutOfRangeProcessorPerEvent) {
+  ExpectRefusedAlone(4,
+                     {{1, model::Request::Read(0)},
+                      {1, model::Request::Write(7)}},
+                     {1}, EventOutcome::kProcessorOutOfRange);
+  ExpectRefusedAlone(4, {{1, model::Request::Read(-1)}}, {0},
+                     EventOutcome::kProcessorOutOfRange);
+  // processor == num_processors first, a negative one in the middle.
+  ExpectRefusedAlone(4,
+                     {{1, model::Request::Write(4)},
+                      {1, model::Request::Write(3)},
+                      {1, model::Request::Read(-2)},
+                      {1, model::Request::Read(2)}},
+                     {0, 2}, EventOutcome::kProcessorOutOfRange);
 }
 
 TEST(ObjectServiceTest, AddObjectValidationMatchesManagerRules) {

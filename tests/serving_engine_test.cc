@@ -7,6 +7,7 @@
 // makes zero huge-page mappings (util::HugePageMappingsMade, which the hook
 // cannot see).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -227,10 +228,13 @@ TEST(ServingEngineTest, BatchPathMatchesManagerBitForBit) {
 // change a result: batches of every size around the distance and around
 // kInlineBatchEvents, served largest first so each smaller batch runs over
 // a routes_ / op-list buffer still holding the larger batch's stale tail,
-// must match a serial one-event-per-batch reference on per-event costs,
-// per-object scheme and breakdown, and SchemeCrc. Covered in place at one
-// thread and on the executor at 3 threads over 16 shards, each plain and
-// in zero-crash-rate fault mode.
+// must match a serial one-event-per-batch reference on per-event costs and
+// outcomes, per-object scheme and breakdown, and SchemeCrc. Every batch
+// also carries refused events (an unknown id, processor == n, processor
+// -1) first, mid-batch, last and within the distance of its end, whose
+// routes no loop may follow. Covered in place at one thread and on the
+// executor at 3 threads over 16 shards, each plain and in zero-crash-rate
+// fault mode.
 TEST(ServingEngineTest, PrefetchBoundaryBatchesMatchSerialReference) {
   constexpr size_t kDistance = ObjectShard::kPrefetchDistance;
   constexpr size_t kInline = ObjectService::kInlineBatchEvents;
@@ -244,7 +248,19 @@ TEST(ServingEngineTest, PrefetchBoundaryBatchesMatchSerialReference) {
   const MultiObjectTrace trace = TestTrace(total, 2024);
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   const ObjectConfig config = TestConfig();
-  const std::span<const MultiObjectEvent> events(trace.events);
+  std::vector<MultiObjectEvent> stream = trace.events;
+  const MultiObjectEvent refused[] = {
+      {trace.num_objects, model::Request::Read(0)},
+      {0, model::Request::Write(trace.num_processors)},
+      {1, model::Request::Read(-1)}};
+  size_t kind = 0;
+  for (size_t pos = 0, b = 0; b < sizes.size(); pos += sizes[b++]) {
+    const size_t n = sizes[b];
+    for (size_t at : {size_t{0}, n / 2, n - kDistance / 2, n - 1}) {
+      if (at < n) stream[pos + at] = refused[kind++ % 3];
+    }
+  }
+  const std::span<const MultiObjectEvent> events(stream);
 
   // Serial reference: one shard, one thread, one event per batch — no
   // batch ever has an event kDistance ahead.
@@ -252,11 +268,18 @@ TEST(ServingEngineTest, PrefetchBoundaryBatchesMatchSerialReference) {
   ObjectService reference(trace.num_processors, sc);
   RegisterObjects(reference, trace, config);
   std::vector<double> reference_costs;
+  std::vector<EventOutcome> reference_outcomes;
   for (size_t i = 0; i < events.size(); ++i) {
     auto batch = reference.ServeBatch(events.subspan(i, 1));
     ASSERT_TRUE(batch.ok());
     reference_costs.push_back(batch->costs[0]);
+    reference_outcomes.push_back(batch->outcome[0]);
   }
+  const auto served = std::count(reference_outcomes.begin(),
+                                 reference_outcomes.end(),
+                                 EventOutcome::kServed);
+  ASSERT_EQ(reference.TotalRequests(), served);
+  ASSERT_LT(static_cast<size_t>(served), events.size());
 
   struct Setup {
     int threads;
@@ -280,9 +303,13 @@ TEST(ServingEngineTest, PrefetchBoundaryBatchesMatchSerialReference) {
         auto batch = service.ServeBatch(events.subspan(pos, n));
         ASSERT_TRUE(batch.ok());
         ASSERT_EQ(batch->costs.size(), n);
+        int64_t batch_refused = 0;
         for (size_t i = 0; i < n; ++i) {
           ASSERT_EQ(batch->costs[i], reference_costs[pos + i]);
+          ASSERT_EQ(batch->outcome[i], reference_outcomes[pos + i]);
+          batch_refused += batch->outcome[i] != EventOutcome::kServed;
         }
+        EXPECT_EQ(batch->refused, batch_refused);
         pos += n;
       }
       EXPECT_EQ(service.TotalBreakdown(), reference.TotalBreakdown());
