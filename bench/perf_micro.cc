@@ -253,7 +253,7 @@ void BM_ExecutorBatchHandoff(benchmark::State& state) {
     core::BatchContext& context = executor.context(slot);
     for (size_t s = 0; s < shards_n; ++s) {
       context.ops[s].push_back(core::ShardOp{
-          static_cast<uint32_t>(s), 0,
+          static_cast<uint32_t>(s), 0, static_cast<core::ObjectId>(s),
           n % 2 == 0 ? model::Request::Read(static_cast<int>(n % 16))
                      : model::Request::Write(static_cast<int>(n % 16))});
       ++n;
@@ -376,23 +376,36 @@ void BM_ServiceBatchColdObjects(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceBatchColdObjects)->Arg(1)->Arg(3)->UseRealTime();
 
-// The directory layer alone, cold: admission's id → slot probe on a table
-// far larger than the caches. 2^22 keys (2^23 12-byte buckets, a 96 MiB
-// table on 2 MiB pages; all of inproc_engine's shard directories
-// together), probed by uniformly random keys in
-// 4096-key batches. Each key is hashed once, kPrefetchDistance keys ahead
-// of its probe: the hash starts the bucket's prefetch and then addresses
-// the probe, as ObjectService::AdmitBatch does.
+// The directory layer alone, cold: the id → slot probe on a table far
+// larger than the caches. 2^22 keys (2^23 8-byte buckets, a 64 MiB table
+// on 2 MiB pages; all of inproc_engine's shard directories together),
+// probed by uniformly random keys in 4096-key batches. Each key is hashed
+// once, ahead of its probe, and the hash starts the bucket's prefetch.
+// Arg 0 is admission's probe (ObjectShard::CandidateSlotHashed): the tag
+// match alone, the bucket fetched kPrefetchDistance keys ahead. Arg 1 is
+// a confirmed FindHashed: a bucket holds no key, so each hit confirms its
+// tag match against a 2^22-entry key array (32 MiB) that stands in for the
+// slab's SlotRecord::id, fetched in two stages — the bucket 2·D keys ahead;
+// then, D keys ahead, the line of the key its tag match names.
 void BM_FlatDirectoryFindCold(benchmark::State& state) {
-  using Directory = util::FlatDirectory<uint32_t>;
+  using Directory = util::FlatDirectory;
+  const bool confirm = state.range(0) != 0;
   constexpr int64_t kKeys = int64_t{1} << 22;
   constexpr size_t kBatch = 4096;
   constexpr size_t kAhead = core::ObjectShard::kPrefetchDistance;
-  static const Directory* directory = [] {
+  constexpr size_t kRing = 2 * kAhead;
+  // Value v stands for the key ids[v]; the directory maps ids[v] → v.
+  static const std::vector<int64_t> ids = [] {
+    std::vector<int64_t> keys(static_cast<size_t>(kKeys));
+    for (int64_t v = 0; v < kKeys; ++v) keys[static_cast<size_t>(v)] = v;
+    return keys;
+  }();
+  const auto key_of = [](uint32_t value) { return ids[value]; };
+  static const Directory* directory = [&] {
     auto* table = new Directory();
-    table->Reserve(static_cast<size_t>(kKeys));
+    table->Reserve(static_cast<size_t>(kKeys), key_of);
     for (int64_t key = 0; key < kKeys; ++key) {
-      table->Insert(key, static_cast<uint32_t>(key));
+      table->Insert(key, static_cast<uint32_t>(key), key_of);
     }
     return table;
   }();
@@ -404,8 +417,9 @@ void BM_FlatDirectoryFindCold(benchmark::State& state) {
     }
     return keys;
   }();
+  const size_t bucket_ahead = confirm ? kRing : kAhead;
   size_t pos = 0;
-  uint64_t hashes[kAhead] = {};
+  uint64_t hashes[kRing] = {};
   for (auto _ : state) {
     if (pos + kBatch > probes.size()) pos = 0;
     const int64_t* batch = probes.data() + pos;
@@ -413,20 +427,32 @@ void BM_FlatDirectoryFindCold(benchmark::State& state) {
     const auto hash_ahead = [&](size_t i) {
       const uint64_t hash = Directory::Hash(batch[i]);
       directory->PrefetchHash(hash);
-      hashes[i % kAhead] = hash;
+      hashes[i % kRing] = hash;
     };
-    for (size_t i = 0; i < kAhead; ++i) hash_ahead(i);
+    const auto key_ahead = [&](size_t i) {
+      const uint32_t value = directory->CandidateHashed(hashes[i % kRing]);
+      if (value != Directory::kNotFound) __builtin_prefetch(&ids[value]);
+    };
+    for (size_t i = 0; i < bucket_ahead; ++i) hash_ahead(i);
+    if (confirm) {
+      for (size_t i = 0; i < kAhead; ++i) key_ahead(i);
+    }
     uint64_t sum = 0;
     for (size_t i = 0; i < kBatch; ++i) {
-      const uint64_t hash = hashes[i % kAhead];
-      if (i + kAhead < kBatch) hash_ahead(i + kAhead);
-      sum += directory->FindHashed(batch[i], hash);
+      const uint64_t hash = hashes[i % kRing];
+      if (i + bucket_ahead < kBatch) hash_ahead(i + bucket_ahead);
+      if (confirm) {
+        if (i + kAhead < kBatch) key_ahead(i + kAhead);
+        sum += directory->FindHashed(batch[i], hash, key_of);
+      } else {
+        sum += directory->CandidateHashed(hash);
+      }
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kBatch));
 }
-BENCHMARK(BM_FlatDirectoryFindCold);
+BENCHMARK(BM_FlatDirectoryFindCold)->Arg(0)->Arg(1);
 
 // Bulk registration cost with and without ReserveObjects: reserved
 // registration does O(1) amortized rehashes across every internal table.

@@ -138,6 +138,13 @@ util::Status ObjectService::AdmitBatch(
   // mutate — which makes admitting batch n+1 while batch n is still being
   // served safe, and a replay refuse exactly the same events.
   //
+  // A directory bucket holds a hash tag, not the id, so admission resolves
+  // a candidate slot: no tag match means the id is unregistered, and a
+  // match is confirmed against the slot's record where the serve reads
+  // that record anyway (ObjectShard::ConfirmSlot, in the in-place loop,
+  // FaultPass and the executor's RunTask). Admission itself reads no
+  // record line: on the executor path those lines belong to the workers.
+  //
   // Each id is hashed once, kPrefetchDistance events ahead of its probe:
   // the hash picks the shard, starts the prefetch of that shard's
   // directory bucket, waits in a ring, and then addresses the probe.
@@ -145,7 +152,7 @@ util::Status ObjectService::AdmitBatch(
   static_assert((kAhead & (kAhead - 1)) == 0, "the hash ring is masked");
   uint64_t hashes[kAhead] = {};
   const auto hash_ahead = [&](size_t i) {
-    const uint64_t hash = util::FlatDirectory<>::Hash(events[i].object);
+    const uint64_t hash = util::FlatDirectory::Hash(events[i].object);
     shards_[ShardOfHash(hash)].PrefetchDirectory(hash);
     hashes[i & (kAhead - 1)] = hash;
   };
@@ -158,10 +165,14 @@ util::Status ObjectService::AdmitBatch(
     if (i + kAhead < events.size()) hash_ahead(i + kAhead);
     const workload::MultiObjectEvent& event = events[i];
     const size_t shard = ShardOfHash(hash);
-    const uint32_t slot = shards_[shard].SlotOfHashed(event.object, hash);
-    const bool known = slot != ObjectShard::kInvalidSlot;
-    if (!known || event.request.processor < 0 ||
+    const uint32_t slot = shards_[shard].CandidateSlotHashed(hash);
+    if (slot == ObjectShard::kInvalidSlot || event.request.processor < 0 ||
         event.request.processor >= num_processors_) [[unlikely]] {
+      // Which refusal depends on whether the id is registered: confirm.
+      const bool known =
+          slot != ObjectShard::kInvalidSlot &&
+          shards_[shard].ConfirmSlot(slot, event.object) !=
+              ObjectShard::kInvalidSlot;
       result->outcome[i] = known ? EventOutcome::kProcessorOutOfRange
                                  : EventOutcome::kUnknownObject;
       result->refused += 1;
@@ -170,9 +181,9 @@ util::Status ObjectService::AdmitBatch(
     }
     if (context != nullptr) {
       // Partition for the executor while the route is hot: the worker gets
-      // everything it needs (slot, request, event index) by value.
-      context->ops[shard].push_back(
-          ShardOp{static_cast<uint32_t>(i), slot, event.request});
+      // everything it needs (slot, id, request, event index) by value.
+      context->ops[shard].push_back(ShardOp{static_cast<uint32_t>(i), slot,
+                                            event.object, event.request});
     } else {
       routes_[i] = Route{static_cast<uint32_t>(shard), slot};
     }
@@ -211,9 +222,17 @@ void ObjectService::MergeAsync(uint32_t index) const {
   // contract leg 3). Each op carries its event's cost back from the worker
   // that owns its shard; refused events were never ops and keep the 0
   // admission wrote.
+  // A worker whose confirm found the op's id unregistered (a false tag
+  // match at admission) left it unserved with kInvalidSlot.
   double* costs = batch.result->costs.data();
   for (size_t s = 0; s < context.ops.size(); ++s) {
-    for (const ShardOp& op : context.ops[s]) costs[op.index] = op.cost;
+    for (const ShardOp& op : context.ops[s]) {
+      costs[op.index] = op.cost;
+      if (op.slot == ObjectShard::kInvalidSlot) [[unlikely]] {
+        batch.result->outcome[op.index] = EventOutcome::kUnknownObject;
+        batch.result->refused += 1;
+      }
+    }
     batch.result->breakdown += context.deltas[s];
   }
   batch.result->cost = batch.result->breakdown.Cost(cost_model_);
@@ -296,8 +315,15 @@ util::Status ObjectService::SubmitBatch(
       PrefetchRoute(i + ObjectShard::kPrefetchDistance);
       const Route route = routes_[i];
       if (route.slot == ObjectShard::kInvalidSlot) [[unlikely]] continue;
-      result->costs[i] = shards_[route.shard].ServeSlot(
-          route.slot, events[i].request, &result->breakdown);
+      ObjectShard& shard = shards_[route.shard];
+      const uint32_t slot = shard.ConfirmSlot(route.slot, events[i].object);
+      if (slot == ObjectShard::kInvalidSlot) [[unlikely]] {
+        result->outcome[i] = EventOutcome::kUnknownObject;
+        result->refused += 1;
+        continue;
+      }
+      result->costs[i] =
+          shard.ServeSlot(slot, events[i].request, &result->breakdown);
     }
     result->cost = result->breakdown.Cost(cost_model_);
     FinishBatch();
@@ -378,8 +404,17 @@ util::Status ObjectService::FaultPass(
     for (const FaultEvent& fault : fault_buffer_) ApplyFault(fault);
     live_masks_[i] = live_;
     if (reject) continue;  // still ticking fault time for the window
-    const Route route = routes_[i];
+    Route& route = routes_[i];
     if (route.slot == ObjectShard::kInvalidSlot) continue;
+    // Confirm admission's candidate before reading the object's threshold;
+    // the serve pass below and the executor's ops take the confirmed slot.
+    route.slot =
+        shards_[route.shard].ConfirmSlot(route.slot, events[i].object);
+    if (route.slot == ObjectShard::kInvalidSlot) [[unlikely]] {
+      result->outcome[i] = EventOutcome::kUnknownObject;
+      result->refused += 1;
+      continue;
+    }
     const int32_t t = shards_[route.shard].ThresholdAt(route.slot);
     if (live_.Size() < t) {
       reject = true;
@@ -414,8 +449,9 @@ util::Status ObjectService::FaultPass(
     if (result->outcome[i] != EventOutcome::kServed) continue;
     const Route route = routes_[i];
     if (context != nullptr) {
-      context->ops[route.shard].push_back(ShardOp{
-          static_cast<uint32_t>(i), route.slot, events[i].request});
+      context->ops[route.shard].push_back(
+          ShardOp{static_cast<uint32_t>(i), route.slot, events[i].object,
+                  events[i].request});
     } else {
       PrefetchRoute(i + ObjectShard::kPrefetchDistance);
       result->costs[i] = shards_[route.shard].ServeSlotFaulty(

@@ -32,11 +32,14 @@
 // Hot-path engineering (DESIGN.md §8):
 //   * Routing: admission resolves each ObjectId → (shard, dense slot) route
 //     with one hash: its low bits pick the shard, and the same hash probes
-//     that shard's id → slot directory, one 12-byte bucket (one cache line,
-//     on 2 MiB pages once a shard's table reaches 2 MiB). It does so in the
-//     same pass that validates the event and — on the executor path —
-//     partitions it into its shard's op list; serving then indexes the
-//     dense slot directly.
+//     that shard's id → slot directory, one 8-byte bucket of hash tag and
+//     slot (one cache line, on 2 MiB pages once a shard's table reaches 2
+//     MiB). It does so in the same pass that validates the event and — on
+//     the executor path — partitions it into its shard's op list; serving
+//     then indexes the dense slot directly. A bucket holds no id, so the
+//     route is a candidate: the serve confirms it against the id in the
+//     slot's record (ObjectShard::ConfirmSlot), which it reads anyway,
+//     and refuses the event as unknown on a false tag match.
 //   * Prefetch: admission, the in-place serve loops and the executor's
 //     RunTask each fetch the directory bucket or slot record
 //     ObjectShard::kPrefetchDistance events ahead of its use, so a batch
@@ -511,7 +514,7 @@ class ObjectService : public DurableEngine {
   uint32_t SchemeCrc() const;
 
  private:
-  // The shard of the id whose util::FlatDirectory<>::Hash is `hash` — the
+  // The shard of the id whose util::FlatDirectory::Hash is `hash` — the
   // same hash then probes that shard's directory. For power-of-two shard
   // counts the modulo reduces to the low bits.
   size_t ShardOfHash(uint64_t hash) const {
@@ -520,7 +523,7 @@ class ObjectService : public DurableEngine {
                                    : hash % shards_.size());
   }
   size_t ShardOf(ObjectId id) const {
-    return ShardOfHash(util::FlatDirectory<>::Hash(id));
+    return ShardOfHash(util::FlatDirectory::Hash(id));
   }
 
   // Post-batch durability hook: auto-checkpoint when the configured event

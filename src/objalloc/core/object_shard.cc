@@ -79,7 +79,7 @@ util::Status ObjectShard::ValidateConfig(const ObjectConfig& config,
 }
 
 void ObjectShard::Reserve(size_t expected_objects) {
-  directory_.Reserve(expected_objects);
+  directory_.Reserve(expected_objects, SlotIds());
   GrowPages((expected_objects + kPageSlots - 1) >> kPageShift);
 }
 
@@ -127,7 +127,7 @@ uint32_t ObjectShard::AllocateSlot() {
 
 util::StatusOr<uint32_t> ObjectShard::AddObject(ObjectId id,
                                                 const ObjectConfig& config) {
-  if (directory_.Contains(id)) {
+  if (directory_.Contains(id, SlotIds())) {
     return util::Status::InvalidArgument("duplicate object id " +
                                          std::to_string(id));
   }
@@ -149,7 +149,7 @@ util::StatusOr<uint32_t> ObjectShard::AddObject(ObjectId id,
   record.meta = SlotRecord::PackMeta(config.algorithm,
                                      config.initial_scheme.Size(), p,
                                      /*next_f=*/0, /*crash_log_pos=*/0);
-  directory_.Insert(id, slot);
+  directory_.Insert(id, slot, SlotIds());  // record.id is set
   MarkDirty(slot);
   return slot;
 }
@@ -249,8 +249,8 @@ void ObjectShard::ChargeMessages(bool control, int64_t count,
 }
 
 void ObjectShard::MarkDegraded(uint32_t slot) {
-  if (degraded_.Contains(slot)) return;
-  degraded_.Insert(slot, 1);
+  if (degraded_.Contains(slot, SlotKey)) return;
+  degraded_.Insert(slot, slot, SlotKey);
   degraded_list_.push_back(slot);
 }
 
@@ -328,7 +328,7 @@ void ObjectShard::RepairScheme(SlotRecord* record, uint32_t slot,
     record->set_p(p);
     record->set_next_f(0);
   }
-  degraded_.Erase(slot);
+  degraded_.Erase(slot, SlotKey);
 }
 
 double ObjectShard::ServeSlotFaulty(uint32_t slot, const Request& request,
@@ -459,7 +459,7 @@ void ObjectShard::FlushCrashLog(const CrashLog& crash_log) {
                         std::numeric_limits<size_t>::max());
     record.set_crash_log_pos(0);
   }
-  for (const uint32_t slot : degraded_list_) degraded_.Erase(slot);
+  for (const uint32_t slot : degraded_list_) degraded_.Erase(slot, SlotKey);
   degraded_list_.clear();
   MarkAllDirty();  // every slot's crash-log cursor was rewritten
 }
@@ -478,7 +478,7 @@ int64_t ObjectShard::RepairAllDegraded(ProcessorSet live, size_t event_index,
   std::vector<uint32_t> remaining;
   const int64_t before = stats->replicas_added;
   for (const uint32_t slot : degraded_list_) {
-    if (!degraded_.Contains(slot)) continue;  // already repaired lazily
+    if (!degraded_.Contains(slot, SlotKey)) continue;  // repaired lazily
     SlotRecord& record = Slot(slot);
     if (static_cast<int32_t>(live.Size()) < record.t()) {
       remaining.push_back(slot);  // cannot reach t now; stays degraded
@@ -649,11 +649,11 @@ void ObjectShard::AppendSnapshotFooter(std::string* out) const {
   // RepairAllDegraded sorts before every sweep.
   uint32_t degraded = 0;
   for (const uint32_t slot : degraded_list_) {
-    if (degraded_.Contains(slot)) ++degraded;
+    if (degraded_.Contains(slot, SlotKey)) ++degraded;
   }
   AppendScalar(degraded, out);
   for (const uint32_t slot : degraded_list_) {
-    if (degraded_.Contains(slot)) AppendScalar(slot, out);
+    if (degraded_.Contains(slot, SlotKey)) AppendScalar(slot, out);
   }
 }
 
@@ -712,13 +712,13 @@ util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
       SlotRecord record;
       OBJALLOC_RETURN_IF_ERROR(
           ReadSlotRecord(&reader, "shard snapshot", &record));
-      if (directory_.Contains(record.id)) {
+      if (directory_.Contains(record.id, SlotIds())) {
         return util::Status::Internal("shard snapshot: duplicate object id " +
                                       std::to_string(record.id));
       }
       const uint32_t slot = AllocateSlot();
       Slot(slot) = record;
-      directory_.Insert(record.id, slot);
+      directory_.Insert(record.id, slot, SlotIds());
       ++restore_.restored;
     }
   }
@@ -822,7 +822,7 @@ util::Status ObjectShard::RestoreDeltaSlot(uint32_t slot,
     // names never-yet-allocated slots, but handle an occupied one anyway:
     // the delta is authoritative for every slot it covers.
     if (record.id >= 0) {
-      directory_.Erase(record.id);
+      directory_.Erase(record.id, SlotIds());
       record = SlotRecord{};
       free_slots_.push_back(slot);
     }
@@ -830,15 +830,19 @@ util::Status ObjectShard::RestoreDeltaSlot(uint32_t slot,
   }
   SlotRecord restored;
   OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(reader, "shard delta", &restored));
-  if (record.id >= 0 && record.id != restored.id) directory_.Erase(record.id);
-  const uint32_t existing = directory_.Find(restored.id);
-  if (existing == kInvalidSlot) {
-    directory_.Insert(restored.id, slot);
-  } else if (existing != slot) {
+  // The directory confirms every probe against the record's id, so the old
+  // id leaves the directory before the record is overwritten, and the new
+  // one enters it after.
+  if (record.id >= 0 && record.id != restored.id) {
+    directory_.Erase(record.id, SlotIds());
+  }
+  const uint32_t existing = directory_.Find(restored.id, SlotIds());
+  if (existing != kInvalidSlot && existing != slot) {
     return util::Status::Internal("shard delta: duplicate object id " +
                                   std::to_string(restored.id));
   }
   record = restored;
+  if (existing == kInvalidSlot) directory_.Insert(record.id, slot, SlotIds());
   return util::Status::Ok();
 }
 
@@ -918,7 +922,7 @@ util::Status ObjectShard::RestoreDeltaChunk(std::string_view chunk,
       return util::Status::Internal("shard delta: range table truncated");
     }
     // The footer *replaces* the aggregates and the degraded registry.
-    for (const uint32_t slot : degraded_list_) degraded_.Erase(slot);
+    for (const uint32_t slot : degraded_list_) degraded_.Erase(slot, SlotKey);
     degraded_list_.clear();
     OBJALLOC_RETURN_IF_ERROR(RestoreSnapshotFooter(&reader));
     d.carry.clear();

@@ -40,7 +40,13 @@
 //     ObjectService hashes an id once, picks its shard from the hash's low
 //     bits and probes that shard's directory with the same hash (the
 //     directory homes keys by the high bits, so a shard's subset of ids
-//     spreads over its whole table).
+//     spreads over its whole table). A bucket holds a 32-bit hash tag and
+//     the slot, 8 bytes, not the id: a tag match is confirmed against the
+//     slot's SlotRecord::id. Admission takes the first tag match as a
+//     candidate and the serve confirms it (ConfirmSlot) on the record line
+//     it reads anyway. So a slot's id is written before its directory
+//     Insert and erased from the directory before the record is
+//     overwritten.
 //
 // Aggregate accounting (TotalBreakdown / TotalRequests) is maintained
 // incrementally on every served request, so the totals are O(1) reads
@@ -100,7 +106,7 @@ class ObjectShard {
  public:
   // Sentinel returned by SlotOf for unregistered ids.
   static constexpr uint32_t kInvalidSlot =
-      util::FlatDirectory<uint32_t>::kNotFound;
+      util::FlatDirectory::kNotFound;
 
   ObjectShard(int num_processors, const model::CostModel& cost_model);
 
@@ -130,7 +136,9 @@ class ObjectShard {
   // nothing.
   void Reserve(size_t expected_objects);
 
-  bool HasObject(ObjectId id) const { return directory_.Contains(id); }
+  bool HasObject(ObjectId id) const {
+    return directory_.Contains(id, SlotIds());
+  }
   size_t object_count() const { return slot_count_ - free_slots_.size(); }
   int num_processors() const { return num_processors_; }
 
@@ -142,12 +150,25 @@ class ObjectShard {
 
   // Dense slot of `id`, or kInvalidSlot. One flat-directory probe —
   // resolve once, then serve through the slot without hashing.
-  uint32_t SlotOf(ObjectId id) const { return directory_.Find(id); }
-  // SlotOf with `hash` == util::FlatDirectory<>::Hash(id) already computed.
-  uint32_t SlotOfHashed(ObjectId id, uint64_t hash) const {
-    return directory_.FindHashed(id, hash);
+  uint32_t SlotOf(ObjectId id) const {
+    return directory_.Find(id, SlotIds());
   }
-  // Starts loading the directory bucket a SlotOfHashed(·, hash) will probe.
+  // Admission's half of a SlotOf, with `hash` == util::FlatDirectory::Hash
+  // of the id: the slot whose directory bucket first matches the hash's
+  // tag, or kInvalidSlot when none does (then the id is surely absent).
+  // Reads only the directory. A match is unconfirmed — rarely (≈2⁻²⁸ per
+  // compared bucket at 16 shards) it is another id's slot — so the serve,
+  // which reads the slot's record anyway, passes it through ConfirmSlot.
+  uint32_t CandidateSlotHashed(uint64_t hash) const {
+    return directory_.CandidateHashed(hash);
+  }
+  // `candidate` (a slot CandidateSlotHashed returned) when its record holds
+  // `id`, else SlotOf(id): the slot of `id`, or kInvalidSlot.
+  uint32_t ConfirmSlot(uint32_t candidate, ObjectId id) const {
+    if (Slot(candidate).id == id) [[likely]] return candidate;
+    return SlotOf(id);
+  }
+  // Starts loading the directory bucket a CandidateSlotHashed(hash) reads.
   // A hint only; always inlined, like PrefetchSlot.
   [[gnu::always_inline]] void PrefetchDirectory(uint64_t hash) const {
     directory_.PrefetchHash(hash);
@@ -190,7 +211,7 @@ class ObjectShard {
   // Starts loading the record at `slot` for write, ahead of its ServeSlot /
   // ServeSlotFaulty call. `slot` must be a valid slot (< slot_span()). A
   // hint only: no state changes, no effect on any result. Always inlined,
-  // like util::FlatDirectory::Prefetch, or GCC deletes the calls.
+  // like util::FlatDirectory::PrefetchHash, or GCC deletes the calls.
   [[gnu::always_inline]] void PrefetchSlot(uint32_t slot) const {
     __builtin_prefetch(&Slot(slot), /*rw=*/1);
   }
@@ -416,6 +437,15 @@ class ObjectShard {
     return pages_[slot >> kPageShift][slot & kPageMask];
   }
 
+  // The key_of of directory_: a slot stands for the id its record holds.
+  struct SlotIdOf {
+    const ObjectShard* shard;
+    ObjectId operator()(uint32_t slot) const { return shard->Slot(slot).id; }
+  };
+  SlotIdOf SlotIds() const { return SlotIdOf{this}; }
+  // The key_of of degraded_, which is keyed by the slot itself.
+  static int64_t SlotKey(uint32_t slot) { return slot; }
+
   const CostEntry& CostsFor(AlgorithmKind kind, int32_t t) const {
     return cost_table_[static_cast<size_t>(kind) * (util::kMaxProcessors + 1) +
                        static_cast<size_t>(t)];
@@ -513,15 +543,16 @@ class ObjectShard {
   // (kind, t) → precomputed cost scalars; filled at construction.
   std::vector<CostEntry> cost_table_;
 
-  util::FlatDirectory<uint32_t> directory_;  // id → slot
+  util::FlatDirectory directory_;  // id → slot, confirmed by Slot(slot).id
 
   model::CostBreakdown total_breakdown_;
   int64_t total_requests_ = 0;
-  // Degraded-object registry: slot → 1 while |scheme| < t (or DA's core
-  // set is broken) after a crash. The directory dedupes (erased on repair —
-  // the FlatDirectory tombstone path); the list gives deterministic
-  // iteration order and is compacted by RepairAllDegraded.
-  util::FlatDirectory<uint32_t> degraded_;
+  // Degraded-object registry: holds a slot (as key and value) while
+  // |scheme| < t (or DA's core set is broken) after a crash. The directory
+  // dedupes (erased on repair — the FlatDirectory tombstone path); the
+  // list gives deterministic iteration order and is compacted by
+  // RepairAllDegraded.
+  util::FlatDirectory degraded_;
   std::vector<uint32_t> degraded_list_;
 
   RestoreProgress restore_;

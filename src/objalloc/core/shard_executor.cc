@@ -207,9 +207,12 @@ void ShardExecutor::RunTask(uint32_t context_index, uint32_t shard_index) {
     for (size_t k = 0; k < ops.size(); ++k) {
       if (k + kAhead < ops.size()) shard.PrefetchSlot(ops[k + kAhead].slot);
       ShardOp& op = ops[k];
+      op.slot = shard.ConfirmSlot(op.slot, op.id);
+      if (op.slot == ObjectShard::kInvalidSlot) [[unlikely]] continue;
       op.cost = shard.ServeSlot(op.slot, op.request, &delta);
     }
   } else {
+    // FaultPass confirmed these slots before its threshold checks.
     FaultStats& stats = context.fault_stats[shard_index];
     for (size_t k = 0; k < ops.size(); ++k) {
       if (k + kAhead < ops.size()) shard.PrefetchSlot(ops[k + kAhead].slot);

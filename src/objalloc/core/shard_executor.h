@@ -58,12 +58,16 @@
 
 namespace objalloc::core {
 
-// One admitted event, pre-routed for its home shard's worker: the dense
-// slot to serve and its submission index. The worker writes the event's
-// cost back into the op; the submitter copies it to costs[index] at merge.
+// One admitted event, pre-routed for its home shard's worker: admission's
+// candidate slot, the object's id and the event's submission index. The
+// worker confirms the candidate against the id (ObjectShard::ConfirmSlot),
+// serves the confirmed slot and writes the event's cost back into the op;
+// the submitter copies it to costs[index] at merge. An id the confirm finds
+// unregistered comes back unserved, with slot set to kInvalidSlot.
 struct ShardOp {
   uint32_t index = 0;  // event index within the batch
-  uint32_t slot = 0;   // dense slot in the owning shard
+  uint32_t slot = 0;   // in: candidate slot; out: confirmed, or kInvalidSlot
+  ObjectId id = 0;
   model::Request request;
   double cost = 0;     // out: filled by the owning worker
 };

@@ -291,6 +291,69 @@ TEST(DurabilityTest, OversizedSnapshotSlotCountIsRefused) {
   }
 }
 
+// A delta is authoritative for every slot it covers, occupied ones too: a
+// slot restored under a different id drops its old id, and an absent slot
+// is freed. The directory confirms every probe against the record's id, so
+// an id must leave the directory before its record is overwritten, or a
+// stale bucket survives that names the slot — and re-registering that id
+// into its freed slot would then find a duplicate.
+TEST(DurabilityTest, DeltaOverOccupiedSlotsReKeysAndFrees) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const ObjectConfig config = TestConfig();
+  ObjectShard shard(8, sc);
+  for (const ObjectId id : {10, 11, 12}) {
+    ASSERT_TRUE(shard.AddObject(id, config).ok());  // slots 0, 1, 2
+  }
+
+  // Delta 1 re-keys slot 1 from id 11 to id 20.
+  ObjectShard rekeyed(8, sc);
+  for (const ObjectId id : {10, 20, 12}) {
+    ASSERT_TRUE(rekeyed.AddObject(id, config).ok());
+  }
+  std::string delta;
+  rekeyed.AppendDeltaHeader(/*range_count=*/1, &delta);
+  rekeyed.AppendDeltaRange(1, 2, &delta);
+  rekeyed.AppendSnapshotFooter(&delta);
+  shard.BeginDeltaRestore();
+  ASSERT_TRUE(shard.RestoreDeltaChunk(delta, /*last=*/true).ok());
+  EXPECT_EQ(shard.SlotOf(11), ObjectShard::kInvalidSlot);
+  EXPECT_FALSE(shard.HasObject(11));
+  EXPECT_EQ(shard.SlotOf(20), 1u);
+  EXPECT_TRUE(shard.HasObject(20));
+  EXPECT_EQ(shard.SlotOf(10), 0u);
+  EXPECT_EQ(shard.SlotOf(12), 2u);
+
+  // Delta 2 frees slots 1 and 2 (presence byte 0), which no writer emits
+  // for an occupied slot, so its range is written by hand.
+  delta.clear();
+  rekeyed.AppendDeltaHeader(/*range_count=*/1, &delta);
+  util::AppendScalar(uint32_t{1}, &delta);
+  util::AppendScalar(uint32_t{3}, &delta);
+  util::AppendScalar(uint8_t{0}, &delta);
+  util::AppendScalar(uint8_t{0}, &delta);
+  rekeyed.AppendSnapshotFooter(&delta);
+  shard.BeginDeltaRestore();
+  ASSERT_TRUE(shard.RestoreDeltaChunk(delta, /*last=*/true).ok());
+  for (const ObjectId id : {11, 12, 20}) {
+    EXPECT_EQ(shard.SlotOf(id), ObjectShard::kInvalidSlot) << id;
+    EXPECT_FALSE(shard.HasObject(id)) << id;
+  }
+  EXPECT_EQ(shard.object_count(), 1u);
+
+  // The old ids register again; the first two take the freed slots.
+  for (const ObjectId id : {12, 11, 20}) {
+    auto slot = shard.AddObject(id, config);
+    ASSERT_TRUE(slot.ok()) << slot.status().ToString();
+    EXPECT_EQ(shard.SlotOf(id), *slot) << id;
+    EXPECT_TRUE(shard.HasObject(id)) << id;
+    if (id != 20) {
+      EXPECT_LT(*slot, 3u) << id;
+    }
+  }
+  EXPECT_EQ(shard.SlotOf(10), 0u);
+  EXPECT_EQ(shard.object_count(), 4u);
+}
+
 TEST(DurabilityTest, TruncateAtEveryOffsetRecoversAConsistentPrefix) {
   const std::string dir = FreshDir("durability_sweep");
   const MultiObjectTrace trace = TestTrace(160, 7, 8);

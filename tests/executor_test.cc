@@ -157,9 +157,10 @@ TEST(ShardExecutorStressTest, PipelinedRoundsMatchSerialServe) {
     for (size_t s = 0; s < kShards; ++s) {
       for (uint32_t k = 0; k < kOpsPerShard; ++k) {
         const uint64_t n = static_cast<uint64_t>(round) * batch_events + index;
+        const uint32_t slot =
+            (index + static_cast<uint32_t>(round)) % kPerShard;
         context.ops[s].push_back(
-            ShardOp{index, (index + static_cast<uint32_t>(round)) % kPerShard,
-                    NthRequest(n)});
+            ShardOp{index, slot, serial[s].IdAt(slot), NthRequest(n)});
         ++index;
       }
     }
@@ -212,10 +213,12 @@ TEST(ShardExecutorStressTest, ShutdownRacesSubmittedWork) {
     BatchContext& context = executor.context(slot);
     uint32_t index = 0;
     for (size_t s = 0; s < shards.size(); ++s) {
-      context.ops[s].push_back(ShardOp{index, index % 2, NthRequest(index)});
-      ++index;
-      context.ops[s].push_back(ShardOp{index, index % 2, NthRequest(index)});
-      ++index;
+      for (int k = 0; k < 2; ++k) {
+        context.ops[s].push_back(ShardOp{index, index % 2,
+                                         shards[s].IdAt(index % 2),
+                                         NthRequest(index)});
+        ++index;
+      }
     }
     executor.Submit(slot);
     // Destructor runs with the batch possibly still in flight.

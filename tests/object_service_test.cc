@@ -229,6 +229,77 @@ TEST(ObjectServiceTest, BatchRefusesOutOfRangeProcessorPerEvent) {
                      {0, 2}, EventOutcome::kProcessorOutOfRange);
 }
 
+// A directory bucket keeps a 32-bit hash tag, not the id: admission takes
+// the slot of the first tag match on trust, and the serve confirms it
+// against the slot's record. `present` and `absent` share the tag — so the
+// shard too, picked by the tag's low bits — and the home bucket of a
+// 16-bucket table, every shard's first. With only `present` registered,
+// events on `absent` must be refused as unknown, not served against
+// `present`; once `absent` is registered behind it, its events must reach
+// its own slot. On the in-place path, the executor path and in fault mode.
+TEST(ObjectServiceTest, FalseTagMatchesAreRefusedOrRerouted) {
+  using util::FlatDirectory;
+  std::vector<std::pair<uint32_t, ObjectId>> by_tag;
+  by_tag.reserve(size_t{1} << 20);
+  for (ObjectId id = 0; id < (ObjectId{1} << 20); ++id) {
+    by_tag.emplace_back(FlatDirectory::Tag(FlatDirectory::Hash(id)), id);
+  }
+  std::sort(by_tag.begin(), by_tag.end());
+  ObjectId present = -1;
+  ObjectId absent = -1;
+  for (size_t i = 1; i < by_tag.size() && present < 0; ++i) {
+    const ObjectId a = by_tag[i - 1].second;
+    const ObjectId b = by_tag[i].second;
+    if (by_tag[i - 1].first == by_tag[i].first &&
+        FlatDirectory::Hash(a) >> 60 == FlatDirectory::Hash(b) >> 60) {
+      present = a;
+      absent = b;
+    }
+  }
+  ASSERT_GE(present, 0) << "no tag-and-home pair among 2^20 ids";
+
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  for (const int threads : {1, 4}) {
+    for (const bool faulty : {false, true}) {
+      for (const size_t length :
+           {size_t{8}, ObjectService::kInlineBatchEvents}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " faulty=" + std::to_string(faulty) +
+                     " length=" + std::to_string(length));
+        ScopedThreads scope(threads);
+        ObjectService service(8, sc, ServiceOptions{.num_shards = 4});
+        if (faulty) {
+          ASSERT_TRUE(service.EnableFaults(FaultInjectorOptions{}).ok());
+        }
+        ASSERT_TRUE(service.AddObject(present, TestConfig()).ok());
+        std::vector<MultiObjectEvent> events;
+        for (size_t i = 0; i < length; ++i) {
+          const int p = static_cast<int>(i % 8);
+          events.push_back({i % 2 == 0 ? present : absent,
+                            i % 3 == 0 ? model::Request::Write(p)
+                                       : model::Request::Read(p)});
+        }
+        const auto half = static_cast<int64_t>(length / 2);
+        auto first = service.ServeBatch(events);
+        ASSERT_TRUE(first.ok()) << first.status().ToString();
+        EXPECT_EQ(first->refused, half);
+        for (size_t i = 1; i < length; i += 2) {
+          ASSERT_EQ(first->outcome[i], EventOutcome::kUnknownObject) << i;
+          ASSERT_EQ(first->costs[i], 0.0) << i;
+        }
+        EXPECT_EQ(service.StatsFor(present)->requests, half);
+
+        ASSERT_TRUE(service.AddObject(absent, TestConfig()).ok());
+        auto second = service.ServeBatch(events);
+        ASSERT_TRUE(second.ok()) << second.status().ToString();
+        EXPECT_EQ(second->refused, 0);
+        EXPECT_EQ(service.StatsFor(present)->requests, 2 * half);
+        EXPECT_EQ(service.StatsFor(absent)->requests, half);
+      }
+    }
+  }
+}
+
 TEST(ObjectServiceTest, AddObjectValidationMatchesManagerRules) {
   ObjectService service(8, CostModel::StationaryComputing(0.5, 1.0));
   ObjectConfig config;

@@ -212,82 +212,120 @@ TEST(RngTest, ForkIsIndependent) {
 }
 
 // ------------------------------------------------------- FlatDirectory
+//
+// A bucket holds no key: every call takes key_of(value), the key a value
+// stands for. Most tests store the index of the key in a vector as the
+// value, as the engine stores the slot whose record holds the id.
 
 TEST(FlatDirectoryTest, HeavyGrowthKeepsEveryMapping) {
   // 50k sparse keys through repeated rehashes: every mapping must survive,
   // and keys never inserted must stay absent.
-  FlatDirectory<uint32_t> directory;
+  FlatDirectory directory;
   Rng rng(41);
   std::vector<int64_t> keys;
+  const auto key_of = [&](uint32_t value) { return keys[value]; };
   keys.reserve(50000);
   while (keys.size() < 50000) {
     const auto key = static_cast<int64_t>(rng.Next() >> 1);
-    if (directory.Contains(key)) continue;
-    directory.Insert(key, static_cast<uint32_t>(keys.size()));
+    if (directory.Contains(key, key_of)) continue;
     keys.push_back(key);
+    directory.Insert(key, static_cast<uint32_t>(keys.size() - 1), key_of);
   }
   EXPECT_EQ(directory.size(), 50000u);
   for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(directory.Find(keys[i]), static_cast<uint32_t>(i))
+    ASSERT_EQ(directory.Find(keys[i], key_of), static_cast<uint32_t>(i))
         << "key " << keys[i];
   }
   for (int i = 0; i < 1000; ++i) {
     const auto absent = static_cast<int64_t>(-2 - i);
-    EXPECT_EQ(directory.Find(absent), FlatDirectory<uint32_t>::kNotFound);
+    EXPECT_EQ(directory.Find(absent, key_of), FlatDirectory::kNotFound);
   }
+}
+
+TEST(FlatDirectoryTest, CandidatesAreFoundMidDrain) {
+  // Admission's tag-only probe must search the old table too while a
+  // growth drain is in progress, as FindHashed does: right after the load
+  // cap trips, most entries have not migrated yet.
+  FlatDirectory directory;
+  const auto key_of = [](uint32_t value) { return int64_t{value} * 7919; };
+  directory.Reserve(3000, key_of);
+  uint32_t inserted = 0;
+  while (!directory.migrating()) {
+    directory.Insert(key_of(inserted), inserted, key_of);
+    ++inserted;
+  }
+  ASSERT_GT(inserted, 1000u);
+  for (uint32_t value = 0; value < inserted; ++value) {
+    const uint64_t hash = FlatDirectory::Hash(key_of(value));
+    ASSERT_EQ(directory.CandidateHashed(hash), value) << "value " << value;
+    ASSERT_EQ(directory.FindHashed(key_of(value), hash, key_of), value);
+  }
+  ASSERT_TRUE(directory.migrating());
 }
 
 TEST(FlatDirectoryTest, EraseLeavesProbeChainsIntact) {
   // Keys that collide into shared probe chains: erasing one in the middle
   // must not hide the ones that probed past it.
-  FlatDirectory<uint32_t> directory;
+  FlatDirectory directory;
+  std::vector<int64_t> keys(564, -1);  // value → key
+  const auto key_of = [&](uint32_t value) { return keys[value]; };
   for (int64_t key = 0; key < 64; ++key) {
-    directory.Insert(key, static_cast<uint32_t>(key + 100));
+    keys[static_cast<size_t>(key + 100)] = key;
+    directory.Insert(key, static_cast<uint32_t>(key + 100), key_of);
   }
   // Erase every third key, then verify all survivors resolve.
   for (int64_t key = 0; key < 64; key += 3) {
-    EXPECT_TRUE(directory.Erase(key));
-    EXPECT_FALSE(directory.Erase(key));  // second erase: already gone
+    EXPECT_TRUE(directory.Erase(key, key_of));
+    EXPECT_FALSE(directory.Erase(key, key_of));  // second erase: already gone
   }
   EXPECT_EQ(directory.size(), 64u - 22u);
   for (int64_t key = 0; key < 64; ++key) {
     if (key % 3 == 0) {
-      EXPECT_EQ(directory.Find(key), FlatDirectory<uint32_t>::kNotFound);
+      EXPECT_EQ(directory.Find(key, key_of), FlatDirectory::kNotFound);
     } else {
-      EXPECT_EQ(directory.Find(key), static_cast<uint32_t>(key + 100));
+      EXPECT_EQ(directory.Find(key, key_of), static_cast<uint32_t>(key + 100));
     }
   }
   // Erased keys can rejoin (tombstone reuse on the same chain).
   for (int64_t key = 0; key < 64; key += 3) {
-    directory.Insert(key, static_cast<uint32_t>(key + 500));
+    keys[static_cast<size_t>(key + 500)] = key;
+    directory.Insert(key, static_cast<uint32_t>(key + 500), key_of);
   }
   EXPECT_EQ(directory.size(), 64u);
   for (int64_t key = 0; key < 64; key += 3) {
-    EXPECT_EQ(directory.Find(key), static_cast<uint32_t>(key + 500));
+    EXPECT_EQ(directory.Find(key, key_of), static_cast<uint32_t>(key + 500));
   }
 }
 
 TEST(FlatDirectoryTest, InsertEraseChurnMatchesReferenceMap) {
   // Randomized churn over a small key universe forces heavy tombstone
   // traffic and tombstone-dropping rehashes; a reference map arbitrates.
-  FlatDirectory<uint32_t> directory;
+  // Values are random slots, unique among the live keys.
+  FlatDirectory directory;
   std::vector<int64_t> live_value(512, -1);  // -1 = absent, else value
+  std::vector<int64_t> key_at(size_t{1} << 20, -1);  // value → live key
+  const auto key_of = [&](uint32_t value) { return key_at[value]; };
   Rng rng(43);
   for (int step = 0; step < 200000; ++step) {
     const auto key = static_cast<int64_t>(rng.NextBounded(512));
     if (live_value[static_cast<size_t>(key)] >= 0) {
-      EXPECT_TRUE(directory.Erase(key));
+      EXPECT_TRUE(directory.Erase(key, key_of));
+      key_at[static_cast<size_t>(live_value[static_cast<size_t>(key)])] = -1;
       live_value[static_cast<size_t>(key)] = -1;
     } else {
-      const auto value = static_cast<uint32_t>(rng.NextBounded(1 << 20));
-      directory.Insert(key, value);
+      uint32_t value = 0;
+      do {
+        value = static_cast<uint32_t>(rng.NextBounded(1 << 20));
+      } while (key_at[value] >= 0);
+      key_at[value] = key;
+      directory.Insert(key, value, key_of);
       live_value[static_cast<size_t>(key)] = value;
     }
     if (step % 4096 == 0) {
       for (int64_t k = 0; k < 512; ++k) {
         const int64_t expected = live_value[static_cast<size_t>(k)];
-        ASSERT_EQ(directory.Find(k),
-                  expected < 0 ? FlatDirectory<uint32_t>::kNotFound
+        ASSERT_EQ(directory.Find(k, key_of),
+                  expected < 0 ? FlatDirectory::kNotFound
                                : static_cast<uint32_t>(expected))
             << "step " << step << " key " << k;
       }
@@ -301,17 +339,22 @@ TEST(FlatDirectoryTest, InsertEraseChurnMatchesReferenceMap) {
 TEST(FlatDirectoryTest, MillionEntryGrowthErasureAndProbeLengths) {
   // The storage engine's registration pattern at full scale: a million
   // sequential ids through incremental growth. Every mapping must survive,
-  // memory must stay near the 12-bytes-per-bucket ideal (a migration in
+  // memory must stay near the 8-bytes-per-bucket ideal (a migration in
   // flight briefly holds both tables), and probe chains must stay short —
   // long chains would silently turn every million-object serve into a
   // cache-miss crawl.
-  FlatDirectory<uint32_t> directory;
+  FlatDirectory directory;
   constexpr int64_t kEntries = 1000000;
+  // Value v < kEntries stands for key v; a re-registered key k gets the
+  // fresh value k + kEntries, as a re-registered id gets a fresh slot.
+  const auto key_of = [](uint32_t value) {
+    return value < kEntries ? int64_t{value} : int64_t{value} - kEntries;
+  };
   for (int64_t key = 0; key < kEntries; ++key) {
-    directory.Insert(key, static_cast<uint32_t>(key));
+    directory.Insert(key, static_cast<uint32_t>(key), key_of);
   }
   ASSERT_EQ(directory.size(), static_cast<size_t>(kEntries));
-  // 12 bytes/bucket; the worst landing spot is a freshly doubled table
+  // 8 bytes/bucket; the worst landing spot is a freshly doubled table
   // (~4M buckets for 1M keys) plus a migration's tail of the old one.
   EXPECT_LE(directory.MemoryUsageBytes(),
             static_cast<size_t>(kEntries) * 80);
@@ -319,9 +362,9 @@ TEST(FlatDirectoryTest, MillionEntryGrowthErasureAndProbeLengths) {
   size_t total_probe = 0;
   constexpr int64_t kSample = 10000;
   for (int64_t key = 0; key < kSample; ++key) {
-    ASSERT_EQ(directory.Find(key * (kEntries / kSample)),
+    ASSERT_EQ(directory.Find(key * (kEntries / kSample), key_of),
               static_cast<uint32_t>(key * (kEntries / kSample)));
-    total_probe += directory.ProbeLength(key * (kEntries / kSample));
+    total_probe += directory.ProbeLength(key * (kEntries / kSample), key_of);
   }
   EXPECT_LT(static_cast<double>(total_probe) / kSample, 4.0)
       << "mean probe length degraded at the million-entry load";
@@ -329,54 +372,101 @@ TEST(FlatDirectoryTest, MillionEntryGrowthErasureAndProbeLengths) {
   // Erase every even key; odd keys and their probe chains must survive,
   // and the erased half must stay gone through the tombstone traffic.
   for (int64_t key = 0; key < kEntries; key += 2) {
-    ASSERT_TRUE(directory.Erase(key));
+    ASSERT_TRUE(directory.Erase(key, key_of));
   }
   ASSERT_EQ(directory.size(), static_cast<size_t>(kEntries) / 2);
   for (int64_t key = 1; key < kEntries; key += 1000) {
-    ASSERT_EQ(directory.Find(key), static_cast<uint32_t>(key));
+    ASSERT_EQ(directory.Find(key, key_of), static_cast<uint32_t>(key));
   }
   for (int64_t key = 0; key < kEntries; key += 1000) {
-    ASSERT_EQ(directory.Find(key), FlatDirectory<uint32_t>::kNotFound);
+    ASSERT_EQ(directory.Find(key, key_of), FlatDirectory::kNotFound);
   }
   // Erased ids can re-register (the engine reuses freed slots).
   for (int64_t key = 0; key < kEntries; key += 2) {
-    directory.Insert(key, static_cast<uint32_t>(key + 1));
+    directory.Insert(key, static_cast<uint32_t>(key + kEntries), key_of);
   }
   ASSERT_EQ(directory.size(), static_cast<size_t>(kEntries));
   for (int64_t key = 0; key < kEntries; key += 1000) {
-    ASSERT_EQ(directory.Find(key), static_cast<uint32_t>(key + 1));
+    ASSERT_EQ(directory.Find(key, key_of),
+              static_cast<uint32_t>(key + kEntries));
   }
 }
 
-TEST(FlatDirectoryTest, KeysHomedInLineStraddlingBucketsAreFound) {
-  // A packed 12-byte bucket starting in the last 11 bytes of a cache line
-  // spans two lines: buckets 5 and 10 of every 16 in a line-aligned array.
-  // Reserve a mapped (2 MiB-aligned) table, so bucket offsets are offsets
-  // from a line boundary, and check every key homed in such a bucket.
-  using Directory = FlatDirectory<uint32_t>;
-  static_assert(sizeof(Directory::Bucket) == 12);
+// Eight buckets fill a cache line exactly, so no bucket straddles two.
+static_assert(sizeof(FlatDirectory::Bucket) == 8);
+
+TEST(FlatDirectoryTest, KeysHomedInTheLastBucketOfALineAreFound) {
+  // The last bucket of a line is where a probe most often steps onto the
+  // next line. Reserve a mapped (2 MiB-aligned) table, so bucket offsets
+  // are offsets from a line boundary, and check every key homed in a
+  // line's last bucket, through the prefetch path as admission uses it.
+  using Directory = FlatDirectory;
   Directory directory;
-  directory.Reserve(150000);
+  const auto key_of = [](uint32_t value) { return int64_t{value}; };
+  directory.Reserve(150000, key_of);
   ASSERT_GE(directory.MemoryUsageBytes(), kHugePageBytes);
   // A key's home is the top log2(capacity) bits of its hash.
   const int shift = 64 - std::countr_zero(directory.capacity());
   for (int64_t key = 0; key < 150000; ++key) {
-    directory.Insert(key, static_cast<uint32_t>(key * 7));
+    directory.Insert(key, static_cast<uint32_t>(key), key_of);
   }
-  size_t straddling = 0;
+  size_t last_in_line = 0;
   for (int64_t key = 0; key < 150000; ++key) {
     const uint64_t hash = Directory::Hash(key);
     directory.PrefetchHash(hash);
-    ASSERT_EQ(directory.FindHashed(key, hash), static_cast<uint32_t>(key * 7));
-    ASSERT_EQ(directory.Find(key), static_cast<uint32_t>(key * 7));
+    ASSERT_EQ(directory.CandidateHashed(hash), static_cast<uint32_t>(key));
+    ASSERT_EQ(directory.FindHashed(key, hash, key_of),
+              static_cast<uint32_t>(key));
+    ASSERT_EQ(directory.Find(key, key_of), static_cast<uint32_t>(key));
     const size_t offset = (hash >> shift) * sizeof(Directory::Bucket);
-    if (offset % 64 > 64 - sizeof(Directory::Bucket)) ++straddling;
+    if (offset % 64 == 64 - sizeof(Directory::Bucket)) ++last_in_line;
   }
-  EXPECT_GT(straddling, size_t{150000} / 16) << "expected ~2/16 of homes";
+  EXPECT_GT(last_in_line, size_t{150000} / 16) << "expected ~1/8 of homes";
   for (int64_t key = -1; key > -1000; --key) {
-    ASSERT_EQ(directory.FindHashed(key, Directory::Hash(key)),
+    ASSERT_EQ(directory.FindHashed(key, Directory::Hash(key), key_of),
               Directory::kNotFound);
   }
+}
+
+TEST(FlatDirectoryTest, FalseTagMatchesAreConfirmedAway) {
+  // Two keys whose hashes share the 32-bit tag and the home bucket of a
+  // 16-bucket table: a probe for either compares the other's bucket by tag,
+  // and only key_of tells them apart. Among 2^20 keys ~128 pairs share a
+  // tag, ~8 of them a 16-bucket home too.
+  using Directory = FlatDirectory;
+  std::vector<std::pair<uint32_t, int64_t>> by_tag;
+  by_tag.reserve(size_t{1} << 20);
+  for (int64_t key = 0; key < (int64_t{1} << 20); ++key) {
+    by_tag.emplace_back(Directory::Tag(Directory::Hash(key)), key);
+  }
+  std::sort(by_tag.begin(), by_tag.end());
+  std::vector<int64_t> keys;  // value → key
+  for (size_t i = 1; i < by_tag.size() && keys.empty(); ++i) {
+    const int64_t a = by_tag[i - 1].second;
+    const int64_t b = by_tag[i].second;
+    if (by_tag[i - 1].first == by_tag[i].first &&
+        Directory::Hash(a) >> 60 == Directory::Hash(b) >> 60) {
+      keys = {a, b};
+    }
+  }
+  ASSERT_EQ(keys.size(), 2u) << "no tag-and-home pair among 2^20 keys";
+  const auto key_of = [&](uint32_t value) { return keys[value]; };
+
+  Directory directory;
+  directory.Reserve(2, key_of);
+  ASSERT_EQ(directory.capacity(), 16u);
+  directory.Insert(keys[0], 0, key_of);
+  // keys[1] is absent: its probe matches keys[0]'s tag and must go on.
+  EXPECT_EQ(directory.Find(keys[1], key_of), Directory::kNotFound);
+  EXPECT_FALSE(directory.Erase(keys[1], key_of));
+  directory.Insert(keys[1], 1, key_of);
+  EXPECT_EQ(directory.Find(keys[0], key_of), 0u);
+  EXPECT_EQ(directory.Find(keys[1], key_of), 1u);
+  EXPECT_EQ(directory.ProbeLength(keys[1], key_of), 2u);
+  // Erasing the first key leaves the second reachable past its tombstone.
+  EXPECT_TRUE(directory.Erase(keys[0], key_of));
+  EXPECT_EQ(directory.Find(keys[0], key_of), Directory::kNotFound);
+  EXPECT_EQ(directory.Find(keys[1], key_of), 1u);
 }
 
 TEST(FlatDirectoryTest, KeysSharingLowHashBitsProbeShort) {
@@ -386,7 +476,7 @@ TEST(FlatDirectoryTest, KeysSharingLowHashBitsProbeShort) {
   // 1/16 of the buckets and would probe ~5 deep; homed by the high bits
   // they probe like random keys. The table is reserved the way
   // ObjectService::ReserveObjects sizes one shard's directory.
-  using Directory = FlatDirectory<uint32_t>;
+  using Directory = FlatDirectory;
   constexpr size_t kKeys = 60000;
   std::vector<int64_t> keys;
   std::vector<int64_t> absent;
@@ -395,15 +485,21 @@ TEST(FlatDirectoryTest, KeysSharingLowHashBitsProbeShort) {
     if ((Directory::Hash(key) & 15) != 0) continue;
     (keys.size() < kKeys ? keys : absent).push_back(key);
   }
+  const auto key_of = [](uint32_t value) { return int64_t{value}; };
   Directory directory;
-  directory.Reserve(kKeys + 4 * static_cast<size_t>(std::sqrt(kKeys)) + 16);
+  directory.Reserve(kKeys + 4 * static_cast<size_t>(std::sqrt(kKeys)) + 16,
+                    key_of);
   for (const int64_t key : keys) {
-    directory.Insert(key, static_cast<uint32_t>(key));
+    directory.Insert(key, static_cast<uint32_t>(key), key_of);
   }
   size_t hit_probes = 0;
-  for (const int64_t key : keys) hit_probes += directory.ProbeLength(key);
+  for (const int64_t key : keys) {
+    hit_probes += directory.ProbeLength(key, key_of);
+  }
   size_t miss_probes = 0;
-  for (const int64_t key : absent) miss_probes += directory.ProbeLength(key);
+  for (const int64_t key : absent) {
+    miss_probes += directory.ProbeLength(key, key_of);
+  }
   const double hit_mean = static_cast<double>(hit_probes) / kKeys;
   const double miss_mean = static_cast<double>(miss_probes) / kKeys;
   EXPECT_LE(hit_mean, 2.0) << "mean buckets probed per hit";
@@ -411,13 +507,14 @@ TEST(FlatDirectoryTest, KeysSharingLowHashBitsProbeShort) {
 }
 
 TEST(FlatDirectoryTest, MigrationCrossesTheHugePageThresholdBothWays) {
-  // 2^17 buckets (1.5 MiB) live on the heap, 2^18 (3 MiB) are mapped. Grow
+  // 2^17 buckets (1 MiB) live on the heap, 2^18 (2 MiB) are mapped. Grow
   // across that line under erase churn, then erase down and churn until a
   // tombstone compaction migrates back below it; a reference map arbitrates
-  // throughout, and memory is capacity x 12 bytes at every step.
-  using Directory = FlatDirectory<uint32_t>;
+  // throughout, and memory is capacity x 8 bytes at every step.
+  using Directory = FlatDirectory;
   const uint64_t mapped_before = HugePageMappingsLive();
   Directory directory;
+  const auto key_of = [](uint32_t value) { return int64_t{value ^ 0x5a5a}; };
   std::unordered_map<int64_t, uint32_t> reference;
   std::vector<int64_t> present;
   Rng rng(47);
@@ -425,13 +522,13 @@ TEST(FlatDirectoryTest, MigrationCrossesTheHugePageThresholdBothWays) {
   const auto insert_fresh = [&] {
     const int64_t key = next_key++;
     const auto value = static_cast<uint32_t>(key ^ 0x5a5a);
-    directory.Insert(key, value);
+    directory.Insert(key, value, key_of);
     reference.emplace(key, value);
     present.push_back(key);
   };
   const auto erase_random = [&] {
     const size_t at = rng.NextBounded(present.size());
-    ASSERT_TRUE(directory.Erase(present[at]));
+    ASSERT_TRUE(directory.Erase(present[at], key_of));
     reference.erase(present[at]);
     present[at] = present.back();
     present.pop_back();
@@ -442,7 +539,7 @@ TEST(FlatDirectoryTest, MigrationCrossesTheHugePageThresholdBothWays) {
               directory.capacity() * sizeof(Directory::Bucket));
     for (int64_t key = 0; key < next_key; ++key) {
       const auto it = reference.find(key);
-      ASSERT_EQ(directory.Find(key),
+      ASSERT_EQ(directory.Find(key, key_of),
                 it == reference.end() ? Directory::kNotFound : it->second)
           << "key " << key;
     }
