@@ -104,10 +104,6 @@ size_t ObjectService::MemoryUsageBytes() const {
   return total;
 }
 
-bool ObjectService::HasObject(ObjectId id) const {
-  return shards_[ShardOf(id)].HasObject(id);
-}
-
 size_t ObjectService::object_count() const {
   size_t total = 0;
   for (const ObjectShard& shard : shards_) total += shard.object_count();
@@ -166,15 +162,11 @@ util::Status ObjectService::AdmitBatch(
     const workload::MultiObjectEvent& event = events[i];
     const size_t shard = ShardOfHash(hash);
     const uint32_t slot = shards_[shard].CandidateSlotHashed(hash);
-    if (slot == ObjectShard::kInvalidSlot || event.request.processor < 0 ||
-        event.request.processor >= num_processors_) [[unlikely]] {
-      // Which refusal depends on whether the id is registered: confirm.
-      const bool known =
-          slot != ObjectShard::kInvalidSlot &&
-          shards_[shard].ConfirmSlot(slot, event.object) !=
-              ObjectShard::kInvalidSlot;
-      result->outcome[i] = known ? EventOutcome::kProcessorOutOfRange
-                                 : EventOutcome::kUnknownObject;
+    if (slot == ObjectShard::kInvalidSlot ||
+        !ProcessorInRange(event.request.processor)) [[unlikely]] {
+      // Which refusal depends on whether the id is registered: the rule
+      // confirms.
+      result->outcome[i] = RefusalOf(shards_[shard], slot, event);
       result->refused += 1;
       if (context == nullptr) routes_[i] = Route{0, ObjectShard::kInvalidSlot};
       continue;
@@ -189,6 +181,44 @@ util::Status ObjectService::AdmitBatch(
     }
   }
   return util::Status::Ok();
+}
+
+ObjectService::Refusal ObjectService::FirstRefusal(
+    std::span<const workload::MultiObjectEvent> events) const {
+  // Three stages kPrefetchDistance events apart: hash the id and fetch its
+  // directory bucket; read the bucket's candidate slot and fetch its
+  // record; apply the rule, whose confirm then reads a line in flight.
+  constexpr size_t kAhead = ObjectShard::kPrefetchDistance;
+  constexpr size_t kHashRing = 2 * kAhead;
+  static_assert((kAhead & (kAhead - 1)) == 0, "the rings are masked");
+  uint64_t hashes[kHashRing] = {};
+  uint32_t candidates[kAhead] = {};
+  const size_t n = events.size();
+  const auto hash_ahead = [&](size_t i) {
+    const uint64_t hash = util::FlatDirectory::Hash(events[i].object);
+    shards_[ShardOfHash(hash)].PrefetchDirectory(hash);
+    hashes[i & (kHashRing - 1)] = hash;
+  };
+  const auto candidate_ahead = [&](size_t i) {
+    const uint64_t hash = hashes[i & (kHashRing - 1)];
+    const ObjectShard& shard = shards_[ShardOfHash(hash)];
+    const uint32_t slot = shard.CandidateSlotHashed(hash);
+    if (slot != ObjectShard::kInvalidSlot) shard.PrefetchSlotForRead(slot);
+    candidates[i & (kAhead - 1)] = slot;
+  };
+  for (size_t i = 0; i < kHashRing && i < n; ++i) hash_ahead(i);
+  for (size_t i = 0; i < kAhead && i < n; ++i) candidate_ahead(i);
+  for (size_t i = 0; i < n; ++i) {
+    // Event i's ring entries are reused by the stages ahead: read first.
+    const uint64_t hash = hashes[i & (kHashRing - 1)];
+    const uint32_t candidate = candidates[i & (kAhead - 1)];
+    if (i + kHashRing < n) hash_ahead(i + kHashRing);
+    if (i + kAhead < n) candidate_ahead(i + kAhead);
+    const EventOutcome outcome =
+        RefusalOf(shards_[ShardOfHash(hash)], candidate, events[i]);
+    if (outcome != EventOutcome::kServed) [[unlikely]] return {i, outcome};
+  }
+  return {n, EventOutcome::kServed};
 }
 
 bool ObjectService::ParallelServing() const {
@@ -668,13 +698,19 @@ std::vector<ObjectId> ObjectService::SortedObjectIds() const {
 }
 
 uint32_t ObjectService::SchemeCrc() const {
-  uint32_t crc = 0;
-  for (ObjectId id : SortedObjectIds()) {
-    const uint64_t mask = StatsFor(id)->scheme.mask();
-    crc = util::Crc32(&id, sizeof(id), crc);
-    crc = util::Crc32(&mask, sizeof(mask), crc);
-  }
-  return crc;
+  FenceAsync();  // schemes are serve-mutated state
+  std::vector<ObjectShard::IdScheme> schemes;
+  schemes.reserve(object_count());
+  for (const ObjectShard& shard : shards_) shard.AppendIdSchemes(&schemes);
+  std::sort(schemes.begin(), schemes.end(),
+            [](const ObjectShard::IdScheme& a, const ObjectShard::IdScheme& b) {
+              return a.id < b.id;
+            });
+  // Each pair is its id's 8 bytes then its mask's, with no padding, so one
+  // CRC of the sorted array is the CRC of every (id, mask) in id order.
+  static_assert(sizeof(ObjectShard::IdScheme) ==
+                sizeof(ObjectId) + sizeof(uint64_t));
+  return util::Crc32(schemes.data(), schemes.size() * sizeof(schemes[0]));
 }
 
 // --- Durability ---------------------------------------------------------

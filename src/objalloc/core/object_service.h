@@ -284,7 +284,26 @@ class ObjectService : public DurableEngine {
   // (bounded, not per-object).
   size_t MemoryUsageBytes() const;
 
-  bool HasObject(ObjectId id) const;
+  // Where AdmitBatch would first refuse a batch: the index of its first
+  // refused event and that event's outcome, or {events.size(), kServed}
+  // when it would refuse none.
+  struct Refusal {
+    size_t index;
+    EventOutcome outcome;
+  };
+  // Applies admission's refusal rule to `events` without admitting them:
+  // an id with no registered object is kUnknownObject, a registered id
+  // with a processor outside [0, n) is kProcessorOutOfRange — the rule
+  // AdmitBatch applies per event, every directory tag match confirmed
+  // against its slot's record. The TCP server checks a wire kBatch frame
+  // whole with it. Each id is hashed once; its directory bucket, then its
+  // candidate record (for read: on the executor path the line belongs to
+  // a worker), is fetched ObjectShard::kPrefetchDistance events ahead.
+  // Reads only registration-time state, so batches may be in flight; it
+  // allocates nothing.
+  Refusal FirstRefusal(
+      std::span<const workload::MultiObjectEvent> events) const;
+
   size_t object_count() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_processors() const { return num_processors_; }
@@ -557,6 +576,26 @@ class ObjectService : public DurableEngine {
                                RecoveryReport* report) override;
   void AttachLog(std::unique_ptr<DurableLog> log) override {
     durability_ = std::move(log);
+  }
+
+  // The refusal rule for `event`, whose id hashes into `shard` and whose
+  // directory tag match there is `candidate` (kInvalidSlot for none):
+  // kUnknownObject unless the candidate's record confirms the id, then
+  // kProcessorOutOfRange for a processor outside [0, n), else kServed.
+  EventOutcome RefusalOf(const ObjectShard& shard, uint32_t candidate,
+                         const workload::MultiObjectEvent& event) const {
+    if (candidate == ObjectShard::kInvalidSlot ||
+        shard.ConfirmSlot(candidate, event.object) ==
+            ObjectShard::kInvalidSlot) {
+      return EventOutcome::kUnknownObject;
+    }
+    if (!ProcessorInRange(event.request.processor)) {
+      return EventOutcome::kProcessorOutOfRange;
+    }
+    return EventOutcome::kServed;
+  }
+  bool ProcessorInRange(model::ProcessorId processor) const {
+    return processor >= 0 && processor < num_processors_;
   }
 
   // Admission pass of SubmitBatch: validates every event, resolves its

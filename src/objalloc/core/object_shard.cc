@@ -548,6 +548,13 @@ std::vector<ObjectId> ObjectShard::SortedObjectIds() const {
   return ids;
 }
 
+void ObjectShard::AppendIdSchemes(std::vector<IdScheme>* out) const {
+  for (uint32_t slot = 0; slot < slot_count_; ++slot) {
+    const SlotRecord& record = Slot(slot);
+    if (record.id >= 0) out->push_back({record.id, record.scheme_mask});
+  }
+}
+
 void ObjectShard::AppendSnapshotHeader(std::string* out) const {
   util::AppendScalar(static_cast<uint64_t>(object_count()), out);
 }

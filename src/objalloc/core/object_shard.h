@@ -215,6 +215,12 @@ class ObjectShard {
   [[gnu::always_inline]] void PrefetchSlot(uint32_t slot) const {
     __builtin_prefetch(&Slot(slot), /*rw=*/1);
   }
+  // PrefetchSlot for a reader that only confirms the record's id
+  // (ObjectService::FirstRefusal): a read fetch does not claim the line
+  // from the worker that serves it.
+  [[gnu::always_inline]] void PrefetchSlotForRead(uint32_t slot) const {
+    __builtin_prefetch(&Slot(slot), /*rw=*/0);
+  }
 
   // Liveness-aware twin of ServeSlot for the fault-injection path. The
   // caller guarantees the issuer is live and |live| >= t for this object
@@ -285,6 +291,16 @@ class ObjectShard {
   // Object ids in ascending order — the explicit sort that aggregation
   // points use to iterate deterministically over the unordered table.
   std::vector<ObjectId> SortedObjectIds() const;
+
+  // One registered object's id and current allocation scheme, laid out
+  // as the 16 bytes ObjectService::SchemeCrc checksums.
+  struct IdScheme {
+    ObjectId id;
+    uint64_t scheme_mask;
+  };
+  // Appends every registered object's IdScheme in slot order: one walk of
+  // the slab, no directory probe.
+  void AppendIdSchemes(std::vector<IdScheme>* out) const;
 
   // --- Durability (core/checkpoint.h) ---------------------------------
   //

@@ -48,6 +48,21 @@ util::Status Errno(const char* what) {
                                 std::strerror(errno));
 }
 
+// The engine event a wire item asks for. A processor of 2^31 or more
+// becomes negative, which the engine refuses as out of range.
+workload::MultiObjectEvent ToEvent(const BatchItem& item) {
+  const auto processor = static_cast<model::ProcessorId>(item.processor);
+  return {item.object, item.is_write != 0 ? model::Request::Write(processor)
+                                          : model::Request::Read(processor)};
+}
+
+// The reply to a request the engine refused with `outcome`.
+util::Status RefusalStatus(core::EventOutcome outcome) {
+  return outcome == core::EventOutcome::kUnknownObject
+             ? util::Status::NotFound("object not registered")
+             : util::Status::OutOfRange("processor out of range");
+}
+
 // Empties a non-blocking eventfd's counter.
 void DrainEventFd(int fd) {
   uint64_t counter = 0;
@@ -502,76 +517,68 @@ void Server::AdmitServe(Connection* conn, const Frame& frame) {
     ReplyStatus(conn, frame.type, frame.request_id, status);
     return;
   }
-  const BatchItem item{request.object, request.processor, is_write};
-  Enqueue(conn, frame, request.deadline_ms, std::span(&item, 1));
+  const workload::MultiObjectEvent event =
+      ToEvent({request.object, request.processor, is_write});
+  Enqueue(conn, frame, request.deadline_ms, std::span(&event, 1));
 }
 
 void Server::AdmitBatchOp(Connection* conn, const Frame& frame) {
-  BatchRequest request;
+  // A frame that fails to parse counts as one rejected event: no items
+  // may carry over from the previous frame.
+  batch_request_.items.clear();
   util::Status status =
-      ParseBatch(frame.payload, options_.max_batch_items, &request);
-  if (status.ok() && request.items.empty()) {
+      ParseBatch(frame.payload, options_.max_batch_items, &batch_request_);
+  const std::vector<BatchItem>& items = batch_request_.items;
+  if (status.ok() && items.empty()) {
     status = util::Status::InvalidArgument("empty batch");
   }
   bool has_write = false;
   if (status.ok()) {
-    // All-or-nothing (wire.h): one bad item rejects the wire batch before
-    // anything is queued.
-    for (const BatchItem& item : request.items) {
-      if (!service_->HasObject(item.object)) {
-        status = util::Status::NotFound("object not registered");
-        break;
-      }
-      if (item.processor >=
-          static_cast<uint32_t>(service_->num_processors())) {
-        status = util::Status::OutOfRange("processor out of range");
-        break;
-      }
+    // All-or-nothing (wire.h): the engine's own refusal rule, over the
+    // whole frame, before anything is queued.
+    frame_events_.clear();
+    for (const BatchItem& item : items) {
+      frame_events_.push_back(ToEvent(item));
       has_write |= item.is_write != 0;
     }
+    const core::EventOutcome refused =
+        service_->FirstRefusal(frame_events_).outcome;
+    if (refused != core::EventOutcome::kServed) status = RefusalStatus(refused);
   }
   if (!status.ok()) {
-    Count(&ServerStats::rejected_events,
-          request.items.empty() ? 1 : request.items.size());
+    Count(&ServerStats::rejected_events, items.empty() ? 1 : items.size());
     ReplyStatus(conn, frame.type, frame.request_id, status);
     return;
   }
-  status = CheckAdmission(*conn, request.items.size(), has_write);
+  status = CheckAdmission(*conn, items.size(), has_write);
   if (!status.ok()) {
-    Count(&ServerStats::shed_overloaded, request.items.size());
+    Count(&ServerStats::shed_overloaded, items.size());
     ReplyStatus(conn, frame.type, frame.request_id, status);
     return;
   }
-  Enqueue(conn, frame, request.deadline_ms, request.items);
+  Enqueue(conn, frame, batch_request_.deadline_ms, frame_events_);
 }
 
 void Server::Enqueue(Connection* conn, const Frame& frame,
-                     uint32_t deadline_ms, std::span<const BatchItem> items) {
+                     uint32_t deadline_ms,
+                     std::span<const workload::MultiObjectEvent> events) {
   const TimePoint now = Clock::now();
   if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
   Pending pending;
   pending.connection = conn->id;
   pending.request_id = frame.request_id;
   pending.type = frame.type;
-  pending.events = static_cast<uint32_t>(items.size());
+  pending.events = static_cast<uint32_t>(events.size());
   pending.deadline = deadline_ms == 0
                          ? TimePoint::max()
                          : now + std::chrono::milliseconds(deadline_ms);
   if (pending_.empty()) oldest_pending_ = now;
   if (pending.deadline < min_deadline_) min_deadline_ = pending.deadline;
   pending_.push_back(pending);
-
-  for (const BatchItem& item : items) {
-    workload::MultiObjectEvent event;
-    event.object = item.object;
-    const auto processor = static_cast<model::ProcessorId>(item.processor);
-    event.request = item.is_write != 0 ? model::Request::Write(processor)
-                                       : model::Request::Read(processor);
-    pending_events_.push_back(event);
-  }
-  conn->inflight_events += items.size();
-  global_inflight_ += items.size();
-  Count(&ServerStats::admitted_events, items.size());
+  pending_events_.insert(pending_events_.end(), events.begin(), events.end());
+  conn->inflight_events += events.size();
+  global_inflight_ += events.size();
+  Count(&ServerStats::admitted_events, events.size());
 }
 
 void Server::SweepDeadlines(TimePoint now) {
@@ -670,10 +677,7 @@ void Server::FinalizeBatch(Pipeline::Slot& slot, const util::Status& status) {
     }
     if (refused) {
       ReplyStatus(conn, request.type, request.request_id,
-                  slot.result.outcome[begin] ==
-                          core::EventOutcome::kUnknownObject
-                      ? util::Status::NotFound("object not registered")
-                      : util::Status::OutOfRange("processor out of range"));
+                  RefusalStatus(slot.result.outcome[begin]));
       continue;
     }
     encode_scratch_.clear();

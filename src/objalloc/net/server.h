@@ -221,7 +221,7 @@ class Server {
   void AdmitBatchOp(Connection* conn, const Frame& frame);
   // Queues one admitted request and its events.
   void Enqueue(Connection* conn, const Frame& frame, uint32_t deadline_ms,
-               std::span<const BatchItem> items);
+               std::span<const workload::MultiObjectEvent> events);
   // Shed/reject/reply helpers. Replies append to conn->out and mark the
   // connection dirty; FlushDirty sends them at the end of the iteration.
   void ReplyStatus(Connection* conn, MsgType request_type, uint64_t request_id,
@@ -288,6 +288,10 @@ class Server {
   std::vector<Pending> batch_requests_;
 
   std::string encode_scratch_;  // reply payload build buffer
+  // A kBatch frame's parsed items and their engine events, which
+  // admission checks and Enqueue queues; recycled across frames.
+  BatchRequest batch_request_;
+  std::vector<workload::MultiObjectEvent> frame_events_;
 
   // Written by the loop thread only (Count); mutable so the const Stats()
   // can take atomic_refs for its relaxed loads.

@@ -41,7 +41,12 @@
 //   kStats     ()                                     → (WireStats, fixed-width)
 //
 // A kBatch frame is all-or-nothing on its own: one invalid item rejects the
-// whole wire batch with no state change (the engine refuses per event).
+// whole wire batch with no state change. The server checks the frame with
+// the engine's own refusal rule (ObjectService::FirstRefusal), so an item
+// is invalid exactly when the engine would refuse it: kNotFound for an id
+// with no registered object, else kOutOfRange for a processor outside
+// [0, n); the first invalid item decides. (Inside the engine, and for a
+// single-event frame, the refusal is per event.)
 
 #ifndef OBJALLOC_NET_WIRE_H_
 #define OBJALLOC_NET_WIRE_H_

@@ -47,31 +47,54 @@ uint32_t BitwiseCrc32(const unsigned char* data, size_t size, uint32_t seed) {
   return ~crc;
 }
 
+// BitwiseCrc32(data, k, seed) for every k <= size, in one pass.
+std::vector<uint32_t> BitwisePrefixCrc32s(const unsigned char* data,
+                                          size_t size, uint32_t seed) {
+  std::vector<uint32_t> prefixes = {seed};
+  for (size_t k = 1; k <= size; ++k) {
+    prefixes.push_back(BitwiseCrc32(data + k - 1, 1, prefixes.back()));
+  }
+  return prefixes;
+}
+
 TEST(Crc32Test, MatchesBitwiseReference) {
-  // Every length up to past a hundred 8-byte steps, at every alignment,
-  // so each sliced step, each tail length and each misaligned load is hit.
+  // Every length to past 4 KiB, at every alignment, on both kernels:
+  // util::Crc32, which folds spans of 64 bytes or more with
+  // carry-less multiplies where the CPU has them (many 64-byte rounds,
+  // then every 16-byte tail and every sliced remainder), and the sliced
+  // loop alone, which shorter spans and other CPUs take — called directly,
+  // so it stays covered on a host that folds.
+  constexpr size_t kMaxLength = 4096 + 3 * 64 + 15;
   std::mt19937 gen(20051);
-  std::vector<unsigned char> buffer(1030 + 8);
+  std::vector<unsigned char> buffer(kMaxLength + 16);
   for (auto& byte : buffer) byte = static_cast<unsigned char>(gen());
   const uint32_t seeds[] = {0, 0xffffffffu, static_cast<uint32_t>(gen())};
   for (const uint32_t seed : seeds) {
-    for (size_t offset = 0; offset < 8; ++offset) {
-      for (size_t length = 0; length <= 1030; ++length) {
-        const unsigned char* data = buffer.data() + offset;
-        ASSERT_EQ(util::Crc32(data, length, seed),
-                  BitwiseCrc32(data, length, seed))
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const unsigned char* data = buffer.data() + offset;
+      const std::vector<uint32_t> expected =
+          BitwisePrefixCrc32s(data, kMaxLength, seed);
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        ASSERT_EQ(util::Crc32(data, length, seed), expected[length])
             << "seed=" << seed << " offset=" << offset
+            << " length=" << length;
+        ASSERT_EQ(util::Crc32Sliced(data, length, seed), expected[length])
+            << "sliced: seed=" << seed << " offset=" << offset
             << " length=" << length;
       }
     }
   }
-  // Chaining across every split point equals the one-shot CRC.
+  // Chaining across every split point equals the one-shot CRC, so the
+  // kernels also meet mid-stream in every combination.
   const size_t kChained = 300;
   const uint32_t whole = BitwiseCrc32(buffer.data(), kChained, 0);
   for (size_t split = 0; split <= kChained; ++split) {
     const uint32_t head = util::Crc32(buffer.data(), split);
     ASSERT_EQ(util::Crc32(buffer.data() + split, kChained - split, head), whole)
         << "split=" << split;
+    ASSERT_EQ(util::Crc32Sliced(buffer.data() + split, kChained - split, head),
+              whole)
+        << "sliced: split=" << split;
   }
 }
 

@@ -29,6 +29,7 @@
 #include "objalloc/util/parallel.h"
 #include "objalloc/util/status.h"
 #include "objalloc/workload/multi_object.h"
+#include "tag_colliding_ids.h"
 
 namespace objalloc::net {
 namespace {
@@ -175,6 +176,326 @@ TEST(NetServerTest, BatchIsAllOrNothing) {
   EXPECT_EQ(client.Batch(bad).status().code(), util::StatusCode::kNotFound);
   harness.Shutdown();
   EXPECT_EQ(service.TotalRequests(), before);
+}
+
+// The engine-visible state a wire kStats reply carries: what a refused
+// frame must leave unchanged.
+struct Fingerprint {
+  int64_t total_requests = 0;
+  int64_t control_messages = 0;
+  int64_t data_messages = 0;
+  int64_t io_ops = 0;
+  uint32_t scheme_crc = 0;
+
+  static Fingerprint Of(const WireStats& stats) {
+    return {stats.total_requests, stats.control_messages, stats.data_messages,
+            stats.io_ops, stats.scheme_crc};
+  }
+  static Fingerprint Of(const ObjectService& service) {
+    const model::CostBreakdown breakdown = service.TotalBreakdown();
+    return {service.TotalRequests(), breakdown.control_messages,
+            breakdown.data_messages, breakdown.io_ops, service.SchemeCrc()};
+  }
+  bool operator==(const Fingerprint&) const = default;
+};
+
+// A valid wire batch of `count` items over `ids`: processors and one write
+// in three vary with the item's position `first + i` in its stream.
+BatchRequest ValidBatch(const std::vector<int64_t>& ids, size_t count,
+                        size_t first = 0) {
+  BatchRequest request;
+  for (size_t i = first; i < first + count; ++i) {
+    request.items.push_back({ids[(i * 7) % ids.size()],
+                             static_cast<uint32_t>(i % kProcessors),
+                             static_cast<uint8_t>(i % 3 == 0)});
+  }
+  return request;
+}
+
+// The engine events of `request`, in order.
+std::vector<workload::MultiObjectEvent> EventsOf(const BatchRequest& request) {
+  std::vector<workload::MultiObjectEvent> events;
+  for (const BatchItem& item : request.items) {
+    const auto processor = static_cast<model::ProcessorId>(item.processor);
+    events.push_back({item.object, item.is_write != 0
+                                       ? model::Request::Write(processor)
+                                       : model::Request::Read(processor)});
+  }
+  return events;
+}
+
+// Twelve registered ids, `present` of a tag-colliding pair among them: at
+// most 12 per shard keeps every shard's directory at 16 buckets, so a probe
+// for the pair's `absent` matches `present`'s bucket.
+std::vector<int64_t> RegisteredIds(const tests::TagCollidingIds& pair) {
+  std::vector<int64_t> ids = {pair.present};
+  for (int64_t id = 2'000'000; ids.size() < 12; ++id) ids.push_back(id);
+  return ids;
+}
+
+// A kBatch frame is checked whole, before anything is queued, with the
+// engine's own refusal rule: an id with no registered object draws
+// kNotFound — a far id, and one whose directory tag matches a registered
+// object's (only the confirm against the record refuses it) — and a
+// registered id with a processor outside [0, n) draws kOutOfRange; at one
+// item the unknown id decides, across items the first bad one does. Bad
+// items sit at the head, the tail and on both sides of the check's
+// kPrefetchDistance stage boundaries (items 15-17 and 31-33), in frames of
+// 1, 17, 33 and max_batch_items items. Every refusal counts the whole
+// frame in rejected_events and leaves the engine's fingerprint as it was.
+// A parse error comes before the check, and the check before the budgets.
+TEST(NetServerTest, BatchCheckAppliesTheEngineRefusalRule) {
+  const tests::TagCollidingIds pair = tests::FindTagCollidingIds();
+  ASSERT_GE(pair.present, 0) << "no tag-and-home pair among 2^20 ids";
+  const std::vector<int64_t> ids = RegisteredIds(pair);
+  constexpr int64_t kFarId = 5'000'000;
+  constexpr size_t kMaxItems = 64;
+
+  ObjectService service = MakeService();
+  ObjectService reference = MakeService();
+  for (int64_t id : ids) {
+    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
+    ASSERT_TRUE(reference.AddObject(id, TestConfig()).ok());
+  }
+  ServerOptions options;
+  options.max_batch_items = kMaxItems;
+  ServerHarness harness(&service, options);
+  ASSERT_TRUE(harness.start_status().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
+
+  size_t served = 0;  // items of valid frames so far, the stream position
+  auto serve_valid = [&](size_t count) {
+    const BatchRequest request = ValidBatch(ids, count, served);
+    served += count;
+    util::StatusOr<std::vector<double>> costs = client.Batch(request);
+    ASSERT_TRUE(costs.ok()) << costs.status().ToString();
+    util::StatusOr<core::BatchResult> expected =
+        reference.ServeBatch(EventsOf(request));
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(*costs, expected->costs);
+  };
+  // Sends `request`, expects `code` and `message`, the whole frame (or one
+  // event for an unparsed frame) in rejected_events, and no engine change.
+  auto expect_refused = [&](const BatchRequest& request,
+                            util::StatusCode code, const std::string& message,
+                            uint64_t rejected) {
+    util::StatusOr<WireStats> before = client.QueryStats();
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    util::StatusOr<std::vector<double>> reply = client.Batch(request);
+    EXPECT_EQ(reply.status().code(), code) << reply.status().ToString();
+    EXPECT_EQ(reply.status().message(), message);
+    util::StatusOr<WireStats> after = client.QueryStats();
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after->rejected_events - before->rejected_events, rejected);
+    EXPECT_EQ(after->admitted_events, before->admitted_events);
+    EXPECT_EQ(Fingerprint::Of(*after), Fingerprint::Of(*before));
+    EXPECT_EQ(Fingerprint::Of(*after), Fingerprint::Of(reference));
+  };
+
+  struct Bad {
+    const char* name;
+    int64_t object;  // -1: the frame's own object at that item
+    uint32_t processor;
+    util::StatusCode code;
+  };
+  const std::string kUnknown = "object not registered";
+  const std::string kRange = "processor out of range";
+  const Bad kinds[] = {
+      {"far unknown id", kFarId, 0, util::StatusCode::kNotFound},
+      {"tag-colliding unknown id", pair.absent, 1, util::StatusCode::kNotFound},
+      {"processor n", -1, kProcessors, util::StatusCode::kOutOfRange},
+      {"processor 2^31", -1, 0x80000000u, util::StatusCode::kOutOfRange},
+      {"unknown id and processor n", kFarId, kProcessors,
+       util::StatusCode::kNotFound},
+      {"tag-colliding id and processor 2^31", pair.absent, 0x80000000u,
+       util::StatusCode::kNotFound},
+  };
+  for (const size_t size : {size_t{1}, size_t{17}, size_t{33}, kMaxItems}) {
+    serve_valid(size);
+    for (const size_t at : {size_t{0}, size_t{15}, size_t{16}, size_t{17},
+                            size_t{31}, size_t{32}, size_t{33}, size - 1}) {
+      if (at >= size) continue;
+      for (const Bad& bad : kinds) {
+        SCOPED_TRACE(std::string(bad.name) + " at item " + std::to_string(at) +
+                     " of " + std::to_string(size));
+        BatchRequest request = ValidBatch(ids, size);
+        if (bad.object >= 0) request.items[at].object = bad.object;
+        request.items[at].processor = bad.processor;
+        expect_refused(request, bad.code,
+                       bad.code == util::StatusCode::kNotFound ? kUnknown
+                                                               : kRange,
+                       size);
+      }
+    }
+  }
+  // Two bad items: the first decides, whichever kind it is.
+  for (const auto& [first, second] :
+       {std::pair<size_t, size_t>{0, kMaxItems - 1}, {15, 16}, {32, 33}}) {
+    SCOPED_TRACE("bad items " + std::to_string(first) + " and " +
+                 std::to_string(second));
+    BatchRequest unknown_first = ValidBatch(ids, kMaxItems);
+    unknown_first.items[first].object = pair.absent;
+    unknown_first.items[second].processor = kProcessors;
+    expect_refused(unknown_first, util::StatusCode::kNotFound, kUnknown,
+                   kMaxItems);
+    BatchRequest range_first = ValidBatch(ids, kMaxItems);
+    range_first.items[first].processor = kProcessors;
+    range_first.items[second].object = kFarId;
+    expect_refused(range_first, util::StatusCode::kOutOfRange, kRange,
+                   kMaxItems);
+  }
+  // A parse error decides before the check and counts one event, also
+  // right after a full frame was checked.
+  serve_valid(kMaxItems);
+  BatchRequest oversized = ValidBatch(ids, kMaxItems + 1);
+  oversized.items[0].object = kFarId;
+  expect_refused(oversized, util::StatusCode::kInvalidArgument,
+                 "batch item count exceeds maximum", 1);
+  expect_refused(BatchRequest{}, util::StatusCode::kInvalidArgument,
+                 "empty batch", 1);
+  serve_valid(kMaxItems);
+
+  harness.Shutdown();
+  EXPECT_EQ(Fingerprint::Of(service), Fingerprint::Of(reference));
+}
+
+// The check comes before the admission budgets: with the connection's
+// in-flight budget held by a queued frame, a valid frame is shed as
+// kOverloaded but a frame with a bad item is refused for it and counted in
+// rejected_events.
+TEST(NetServerTest, BatchCheckPrecedesTheAdmissionBudgets) {
+  constexpr size_t kItems = 32;
+  const std::vector<int64_t> ids = {1, 2, 3};
+  ObjectService service = MakeService();
+  for (int64_t id : ids) {
+    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
+  }
+  ServerOptions options;
+  options.max_batch_items = kItems;
+  options.max_inflight_per_connection = kItems;
+  // Nothing is served while the three frames land (see
+  // OverloadShedsWithKOverloadedNeverQueues).
+  options.batch_max_events = 4096;
+  options.batch_max_delay_us = 100000;
+  ServerHarness harness(&service, options);
+  ASSERT_TRUE(harness.start_status().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
+
+  const BatchRequest valid = ValidBatch(ids, kItems);
+  BatchRequest bad = valid;
+  bad.items[kItems - 1].processor = kProcessors;
+  util::StatusOr<uint64_t> queued = client.SendBatch(valid);
+  util::StatusOr<uint64_t> shed = client.SendBatch(valid);
+  util::StatusOr<uint64_t> refused = client.SendBatch(bad);
+  ASSERT_TRUE(queued.ok() && shed.ok() && refused.ok());
+  for (int i = 0; i < 3; ++i) {
+    util::StatusOr<Client::Reply> reply = client.WaitReply(10000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    const util::StatusCode expected =
+        reply->request_id == *queued ? util::StatusCode::kOk
+        : reply->request_id == *shed ? util::StatusCode::kOverloaded
+                                     : util::StatusCode::kOutOfRange;
+    EXPECT_EQ(reply->status.code(), expected) << reply->status.ToString();
+  }
+  util::StatusOr<WireStats> stats = client.QueryStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->admitted_events, kItems);
+  EXPECT_EQ(stats->shed_overloaded, kItems);
+  EXPECT_EQ(stats->rejected_events, kItems);
+  EXPECT_EQ(stats->total_requests, static_cast<int64_t>(kItems));
+}
+
+// The check on the executor path, while engine batches are in flight: one
+// connection pipelines valid executor-sized frames while another sends
+// frames with a bad item. Every bad frame is refused whole, every valid
+// one gets the costs a serial in-process run gives it, and the engine ends
+// where the valid frames alone leave it.
+TEST(NetServerTest, BatchCheckRefusesWhileExecutorBatchesAreInFlight) {
+  constexpr size_t kItems = ObjectService::kInlineBatchEvents;
+  // Exactly the connection's default in-flight budget.
+  constexpr size_t kValidFrames = 4;
+  util::ScopedThreads scope(4);
+  const tests::TagCollidingIds pair = tests::FindTagCollidingIds();
+  ASSERT_GE(pair.present, 0) << "no tag-and-home pair among 2^20 ids";
+  const std::vector<int64_t> ids = RegisteredIds(pair);
+
+  std::vector<BatchRequest> valid;
+  std::vector<double> reference_costs;
+  ObjectService reference = MakeService();
+  {
+    util::ScopedThreads serial(1);
+    for (int64_t id : ids) {
+      ASSERT_TRUE(reference.AddObject(id, TestConfig()).ok());
+    }
+    for (size_t f = 0; f < kValidFrames; ++f) {
+      valid.push_back(ValidBatch(ids, kItems, f * kItems));
+      util::StatusOr<core::BatchResult> result =
+          reference.ServeBatch(EventsOf(valid.back()));
+      ASSERT_TRUE(result.ok());
+      reference_costs.insert(reference_costs.end(), result->costs.begin(),
+                             result->costs.end());
+    }
+  }
+
+  ObjectService service = MakeService();
+  ASSERT_GE(service.CompletionFd(), 0) << "the executor path is off";
+  for (int64_t id : ids) {
+    ASSERT_TRUE(service.AddObject(id, TestConfig()).ok());
+  }
+  ServerOptions options;
+  options.max_batch_items = kItems;
+  options.batch_max_events = kItems;
+  ServerHarness harness(&service, options);
+  ASSERT_TRUE(harness.start_status().ok());
+  Client good;
+  Client bad;
+  ASSERT_TRUE(good.Connect("127.0.0.1", harness.port()).ok());
+  ASSERT_TRUE(bad.Connect("127.0.0.1", harness.port()).ok());
+
+  std::vector<uint64_t> sent;
+  for (const BatchRequest& request : valid) {
+    util::StatusOr<uint64_t> id = good.SendBatch(request);
+    ASSERT_TRUE(id.ok());
+    sent.push_back(*id);
+  }
+  size_t refused = 0;
+  for (const size_t at : {size_t{0}, size_t{16}, size_t{33}, kItems - 1}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      SCOPED_TRACE("kind " + std::to_string(kind) + " at item " +
+                   std::to_string(at));
+      BatchRequest request = ValidBatch(ids, kItems, at);
+      if (kind == 0) request.items[at].object = pair.absent;
+      if (kind == 1) request.items[at].object = 5'000'000;
+      if (kind == 2) request.items[at].processor = kProcessors;
+      util::StatusOr<std::vector<double>> reply = bad.Batch(request);
+      EXPECT_EQ(reply.status().code(), kind == 2
+                                           ? util::StatusCode::kOutOfRange
+                                           : util::StatusCode::kNotFound)
+          << reply.status().ToString();
+      EXPECT_EQ(reply.status().message(), kind == 2 ? "processor out of range"
+                                                    : "object not registered");
+      ++refused;
+    }
+  }
+  for (size_t f = 0; f < kValidFrames; ++f) {
+    util::StatusOr<Client::Reply> reply = good.WaitReply(10000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->status.ok()) << reply->status.ToString();
+    const auto it = std::find(sent.begin(), sent.end(), reply->request_id);
+    ASSERT_NE(it, sent.end());
+    const size_t first = static_cast<size_t>(it - sent.begin()) * kItems;
+    ASSERT_EQ(reply->costs.size(), kItems);
+    for (size_t i = 0; i < kItems; ++i) {
+      ASSERT_EQ(reply->costs[i], reference_costs[first + i]) << first + i;
+    }
+  }
+  util::StatusOr<WireStats> stats = bad.QueryStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->rejected_events, refused * kItems);
+  EXPECT_EQ(stats->admitted_events, kValidFrames * kItems);
+  EXPECT_EQ(Fingerprint::Of(*stats), Fingerprint::Of(reference));
 }
 
 // Single-event frames are not pre-checked: the engine refuses a bad one on

@@ -18,6 +18,7 @@
 #include "objalloc/util/parallel.h"
 #include "objalloc/workload/event_source.h"
 #include "objalloc/workload/trace_io.h"
+#include "tag_colliding_ids.h"
 
 namespace objalloc::core {
 namespace {
@@ -238,24 +239,7 @@ TEST(ObjectServiceTest, BatchRefusesOutOfRangeProcessorPerEvent) {
 // `present`; once `absent` is registered behind it, its events must reach
 // its own slot. On the in-place path, the executor path and in fault mode.
 TEST(ObjectServiceTest, FalseTagMatchesAreRefusedOrRerouted) {
-  using util::FlatDirectory;
-  std::vector<std::pair<uint32_t, ObjectId>> by_tag;
-  by_tag.reserve(size_t{1} << 20);
-  for (ObjectId id = 0; id < (ObjectId{1} << 20); ++id) {
-    by_tag.emplace_back(FlatDirectory::Tag(FlatDirectory::Hash(id)), id);
-  }
-  std::sort(by_tag.begin(), by_tag.end());
-  ObjectId present = -1;
-  ObjectId absent = -1;
-  for (size_t i = 1; i < by_tag.size() && present < 0; ++i) {
-    const ObjectId a = by_tag[i - 1].second;
-    const ObjectId b = by_tag[i].second;
-    if (by_tag[i - 1].first == by_tag[i].first &&
-        FlatDirectory::Hash(a) >> 60 == FlatDirectory::Hash(b) >> 60) {
-      present = a;
-      absent = b;
-    }
-  }
+  const auto [present, absent] = tests::FindTagCollidingIds();
   ASSERT_GE(present, 0) << "no tag-and-home pair among 2^20 ids";
 
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
@@ -314,8 +298,16 @@ TEST(ObjectServiceTest, AddObjectValidationMatchesManagerRules) {
   config.algorithm = AlgorithmKind::kDynamic;
   EXPECT_FALSE(service.AddObject(4, config).ok()) << "DA needs t >= 2";
   EXPECT_EQ(service.object_count(), 1u);
-  EXPECT_TRUE(service.HasObject(1));
-  EXPECT_FALSE(service.HasObject(4));
+  const MultiObjectEvent registered{1, model::Request::Read(0)};
+  const MultiObjectEvent refused{4, model::Request::Read(0)};
+  const ObjectService::Refusal none =
+      service.FirstRefusal(std::span(&registered, 1));
+  EXPECT_EQ(none.index, 1u);
+  EXPECT_EQ(none.outcome, EventOutcome::kServed);
+  const ObjectService::Refusal unknown =
+      service.FirstRefusal(std::span(&refused, 1));
+  EXPECT_EQ(unknown.index, 0u);
+  EXPECT_EQ(unknown.outcome, EventOutcome::kUnknownObject);
 }
 
 TEST(EventSourceTest, GeneratorSourceEqualsMaterializedTrace) {

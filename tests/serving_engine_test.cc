@@ -300,6 +300,19 @@ TEST(ServingEngineTest, PrefetchBoundaryBatchesMatchSerialReference) {
       size_t pos = 0;
       for (size_t n : sizes) {
         SCOPED_TRACE("batch size " + std::to_string(n));
+        // FirstRefusal names the batch's first caller-error refusal.
+        size_t first_refused = 0;
+        while (first_refused < n &&
+               reference_outcomes[pos + first_refused] ==
+                   EventOutcome::kServed) {
+          ++first_refused;
+        }
+        const ObjectService::Refusal refusal =
+            service.FirstRefusal(events.subspan(pos, n));
+        ASSERT_EQ(refusal.index, first_refused);
+        ASSERT_EQ(refusal.outcome, first_refused < n
+                                       ? reference_outcomes[pos + first_refused]
+                                       : EventOutcome::kServed);
         auto batch = service.ServeBatch(events.subspan(pos, n));
         ASSERT_TRUE(batch.ok());
         ASSERT_EQ(batch->costs.size(), n);
@@ -347,10 +360,12 @@ TEST(ServingEngineTest, SteadyStateBatchesDoNotAllocate) {
   const uint64_t mappings = util::HugePageMappingsMade();
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
+    ASSERT_EQ(service.FirstRefusal(id_span).index, id_span.size());
   }
   const int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
-      << "steady-state ServeBatchInto must not touch the heap";
+      << "steady-state ServeBatchInto and FirstRefusal must not touch the "
+         "heap";
   EXPECT_EQ(util::HugePageMappingsMade(), mappings);
 }
 
@@ -395,6 +410,8 @@ TEST(ServingEngineTest, SteadyStateExecutorBatchesDoNotAllocate) {
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(service.ServeBatchInto(id_span, &result).ok());
     ASSERT_TRUE(pipeline.Submit(id_span, retire).ok());
+    // The TCP server's kBatch check, with a batch in flight.
+    ASSERT_EQ(service.FirstRefusal(id_span).index, id_span.size());
     ASSERT_TRUE(pipeline.Reap(retire).ok());
   }
   ASSERT_TRUE(pipeline.Drain(retire).ok());
