@@ -53,7 +53,7 @@ enum class CheckpointRecordType : uint8_t {
   // 18 is retired (format v1's monolithic shard record): persisted
   // values are never reused.
   kCkptFooter = 19,
-  kShardChunk = 20,  // format v2: bounded slice of one shard's payload
+  kShardChunk = 20,  // since format v2: bounded slice of one shard's payload
   kDeltaHeader = 21, // delta snapshot header: names its parent generation
   kManifest = 32,
 };
@@ -206,7 +206,7 @@ struct Manifest {
 util::Status WriteManifest(const std::string& dir, const Manifest& manifest);
 util::StatusOr<Manifest> ReadManifest(const std::string& dir);
 
-// --- Streaming checkpoint writer (format v2) ---------------------------
+// --- Streaming checkpoint writer --------------------------------------
 // Streams one checkpoint straight to disk through an AtomicFileWriter:
 // shard snapshot bytes accumulate into bounded kShardChunk records, so
 // peak memory is O(chunk) however large the shard. Commit happens in
@@ -215,17 +215,17 @@ util::StatusOr<Manifest> ReadManifest(const std::string& dir);
 
 class CheckpointWriter {
  public:
-  // Flush threshold for shard bytes. One slab page of slot records
-  // (~150 KiB) fits in a single chunk.
+  // Flush threshold for shard bytes: a chunk is flushed by the append that
+  // fills it past this, so it holds at most kChunkBytes plus one append —
+  // the snapshot writer appends at most one 128 KiB slab page at a time.
   static constexpr size_t kChunkBytes = 256 * 1024;
 
   static util::StatusOr<CheckpointWriter> Open(const std::string& path,
                                                uint64_t sequence,
                                                const DurableConfig& config);
-  // Same stream shape, but the header is a kDeltaHeader naming `parent`,
-  // and shard bytes carry the dirty-range delta payload
-  // (ObjectShard::AppendDeltaHeader/AppendDeltaRange) instead of a full
-  // snapshot.
+  // Same stream shape, but the header is a kDeltaHeader naming `parent`.
+  // The shard bytes use the one snapshot format (ObjectShard::
+  // StreamSnapshot) over the dirty ranges instead of the whole slab.
   static util::StatusOr<CheckpointWriter> OpenDelta(
       const std::string& path, uint64_t sequence, uint64_t parent,
       const DurableConfig& config);

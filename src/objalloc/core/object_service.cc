@@ -763,50 +763,20 @@ util::Status ObjectService::RestoreServiceState(
 util::Status ObjectService::WriteSnapshot(CheckpointWriter* writer,
                                           bool delta) const {
   OBJALLOC_RETURN_IF_ERROR(writer->AppendServiceState(CaptureServiceState()));
-  // Slot ranges are split into bounded pieces so the scratch buffer (not
-  // the shard or the dirty span) caps peak memory.
-  constexpr uint32_t kSlotsPerAppend = 2048;
-  std::string scratch;
+  const auto sink = [writer](std::string_view bytes) {
+    return writer->AppendShardBytes(bytes);
+  };
   std::vector<std::pair<uint32_t, uint32_t>> ranges;
-  std::vector<std::pair<uint32_t, uint32_t>> pieces;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ObjectShard& shard = shards_[s];
     writer->BeginShard(static_cast<uint32_t>(s));
+    // A full snapshot is a delta whose one range covers the whole slab.
     if (delta) {
       shard.CollectDirtyRanges(&ranges);
     } else {
       ranges.assign(1, {0, shard.slot_span()});
     }
-    pieces.clear();
-    for (const auto& [begin, end] : ranges) {
-      // 64-bit cursor: begin + kSlotsPerAppend could wrap at the top of
-      // the 32-bit slot space.
-      for (uint64_t piece = begin; piece < end; piece += kSlotsPerAppend) {
-        pieces.emplace_back(
-            static_cast<uint32_t>(piece),
-            static_cast<uint32_t>(
-                std::min<uint64_t>(end, piece + kSlotsPerAppend)));
-      }
-    }
-    scratch.clear();
-    if (delta) {
-      shard.AppendDeltaHeader(static_cast<uint32_t>(pieces.size()), &scratch);
-    } else {
-      shard.AppendSnapshotHeader(&scratch);
-    }
-    OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    for (const auto& [begin, end] : pieces) {
-      scratch.clear();
-      if (delta) {
-        shard.AppendDeltaRange(begin, end, &scratch);
-      } else {
-        shard.AppendSnapshotSlots(begin, end, &scratch);
-      }
-      OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
-    }
-    scratch.clear();
-    shard.AppendSnapshotFooter(&scratch);
-    OBJALLOC_RETURN_IF_ERROR(writer->AppendShardBytes(scratch));
+    OBJALLOC_RETURN_IF_ERROR(shard.StreamSnapshot(ranges, sink));
     OBJALLOC_RETURN_IF_ERROR(writer->EndShard());
   }
   return util::Status::Ok();
@@ -945,16 +915,13 @@ util::Status ObjectService::RestoreSnapshot(CheckpointReader* reader,
                                             RecoveryReport* report) {
   OBJALLOC_CHECK_EQ(static_cast<size_t>(reader->config().num_shards),
                     shards_.size());
-  const bool delta = reader->is_delta();
   // Slots never move and ids never change once assigned, so a snapshot
   // only ever *extends* each shard's slot span (from 0 for a full one):
   // only the slots past the prior span hold ids not yet checked below.
   std::vector<uint32_t> prior_span(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     prior_span[s] = shards_[s].slot_span();
-  }
-  if (delta) {
-    for (ObjectShard& shard : shards_) shard.BeginDeltaRestore();
+    shards_[s].BeginRestore();
   }
   ServiceStateImage state;
   bool saw_state = false;
@@ -973,9 +940,7 @@ util::Status ObjectService::RestoreSnapshot(CheckpointReader* reader,
                                     " out of range");
     }
     ObjectShard& shard = shards_[piece.shard];
-    OBJALLOC_RETURN_IF_ERROR(
-        delta ? shard.RestoreDeltaChunk(piece.bytes, piece.last)
-              : shard.RestoreSnapshotChunk(piece.bytes, piece.last));
+    OBJALLOC_RETURN_IF_ERROR(shard.RestoreChunk(piece.bytes, piece.last));
   }
   if (!saw_state) {
     return util::Status::Internal("checkpoint: missing service state record");

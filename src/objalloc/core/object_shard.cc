@@ -1,6 +1,7 @@
 #include "objalloc/core/object_shard.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "objalloc/core/dynamic_allocation.h"
@@ -11,13 +12,19 @@
 namespace objalloc::core {
 
 namespace {
-// Wire size of one snapshot slot record:
-// id(8) kind(1) t(4) scheme(8) f(8) p(4) next_f(4) crash_log_pos(8)
-// requests(8) breakdown(3×8).
-constexpr size_t kSnapshotSlotBytes = 8 + 1 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 3 * 8;
+// Snapshot header {u64 slot span, u32 range count} and range header
+// {u32 begin, u32 end}.
+constexpr size_t kSnapshotHeaderBytes = sizeof(uint64_t) + sizeof(uint32_t);
+constexpr size_t kRangeHeaderBytes = 2 * sizeof(uint32_t);
 // Two sentinels ride on uint32 slots (kInvalidSlot and the directory
 // tombstone), so a shard's slot span stays below them.
 constexpr uint64_t kSlotLimit = 0xFFFFFFFEu;
+
+util::Status SlotMissing(uint32_t slot) {
+  return util::Status::Internal("shard snapshot: slot " +
+                                std::to_string(slot) +
+                                " below the span did not arrive");
+}
 }  // namespace
 
 ObjectShard::ObjectShard(int num_processors,
@@ -102,7 +109,6 @@ size_t ObjectShard::MemoryUsageBytes() const {
                  pages_.capacity() * sizeof(pages_[0]) +
                  pages_.size() * static_cast<size_t>(kPageSlots) *
                      sizeof(SlotRecord);
-  bytes += free_slots_.capacity() * sizeof(uint32_t);
   bytes += cost_table_.capacity() * sizeof(CostEntry);
   bytes += directory_.MemoryUsageBytes();
   bytes += degraded_.MemoryUsageBytes();
@@ -112,12 +118,6 @@ size_t ObjectShard::MemoryUsageBytes() const {
 }
 
 uint32_t ObjectShard::AllocateSlot() {
-  if (!free_slots_.empty()) [[unlikely]] {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    Slot(slot) = SlotRecord{};
-    return slot;
-  }
   OBJALLOC_CHECK_LT(slot_count_, kSlotLimit) << "shard slot space exhausted";
   if ((slot_count_ >> kPageShift) == pages_.size()) {
     GrowPages(pages_.size() + 1);
@@ -444,17 +444,13 @@ void ObjectShard::NoteCrash(ProcessorId p) {
   // re-checks after applying pending records, so an over-mark heals to a
   // no-op repair.
   for (uint32_t slot = 0; slot < slot_count_; ++slot) {
-    const SlotRecord& record = Slot(slot);
-    if (record.id >= 0 && ProcessorSet(record.scheme_mask).Contains(p)) {
-      MarkDegraded(slot);
-    }
+    if (ProcessorSet(Slot(slot).scheme_mask).Contains(p)) MarkDegraded(slot);
   }
 }
 
 void ObjectShard::FlushCrashLog(const CrashLog& crash_log) {
   for (uint32_t slot = 0; slot < slot_count_; ++slot) {
     SlotRecord& record = Slot(slot);
-    if (record.id < 0) continue;
     SyncSlotWithCrashes(&record, crash_log,
                         std::numeric_limits<size_t>::max());
     record.set_crash_log_pos(0);
@@ -541,8 +537,7 @@ std::vector<ObjectId> ObjectShard::SortedObjectIds() const {
   std::vector<ObjectId> ids;
   ids.reserve(object_count());
   for (uint32_t slot = 0; slot < slot_count_; ++slot) {
-    const ObjectId id = Slot(slot).id;
-    if (id >= 0) ids.push_back(id);
+    ids.push_back(Slot(slot).id);
   }
   std::sort(ids.begin(), ids.end());
   return ids;
@@ -551,98 +546,35 @@ std::vector<ObjectId> ObjectShard::SortedObjectIds() const {
 void ObjectShard::AppendIdSchemes(std::vector<IdScheme>* out) const {
   for (uint32_t slot = 0; slot < slot_count_; ++slot) {
     const SlotRecord& record = Slot(slot);
-    if (record.id >= 0) out->push_back({record.id, record.scheme_mask});
+    out->push_back({record.id, record.scheme_mask});
   }
 }
 
-void ObjectShard::AppendSnapshotHeader(std::string* out) const {
-  util::AppendScalar(static_cast<uint64_t>(object_count()), out);
-}
-
-void ObjectShard::AppendSlotRecord(const SlotRecord& record,
-                                   std::string* out) {
-  using util::AppendScalar;
-  AppendScalar(record.id, out);
-  AppendScalar(static_cast<uint8_t>(record.kind()), out);
-  AppendScalar(record.t(), out);
-  AppendScalar(record.scheme_mask, out);
-  AppendScalar(record.f_mask, out);
-  AppendScalar(record.p(), out);
-  AppendScalar(record.next_f(), out);
-  AppendScalar(static_cast<uint64_t>(record.crash_log_pos()), out);
-  AppendScalar(record.requests, out);
-  AppendScalar(record.breakdown.control_messages, out);
-  AppendScalar(record.breakdown.data_messages, out);
-  AppendScalar(record.breakdown.io_ops, out);
-}
-
-util::Status ObjectShard::ReadSlotRecord(util::PayloadReader* reader,
-                                         const char* what,
-                                         SlotRecord* record) const {
-  ObjectId id = -1;
-  uint8_t kind_raw = 0;
-  int32_t t = 0, p = -1;
-  uint64_t scheme_mask = 0, f_mask = 0, crash_log_pos = 0;
-  uint32_t next_f = 0;
-  int64_t requests = 0;
-  model::CostBreakdown breakdown;
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&id));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&kind_raw));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&t));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&scheme_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&f_mask));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&p));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&next_f));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&crash_log_pos));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&requests));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.control_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.data_messages));
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&breakdown.io_ops));
-  const auto invalid = [what](const std::string& message) {
-    return util::Status::Internal(std::string(what) + ": " + message);
-  };
-  const AlgorithmKind kind = static_cast<AlgorithmKind>(kind_raw);
-  if (kind != AlgorithmKind::kStatic && kind != AlgorithmKind::kDynamic) {
-    return invalid("non-inlined algorithm kind " + std::to_string(kind_raw));
+util::Status ObjectShard::StreamSnapshot(
+    std::span<const std::pair<uint32_t, uint32_t>> ranges,
+    const std::function<util::Status(std::string_view)>& sink) const {
+  std::string bytes;
+  util::AppendScalar(uint64_t{slot_count_}, &bytes);
+  util::AppendScalar(static_cast<uint32_t>(ranges.size()), &bytes);
+  OBJALLOC_RETURN_IF_ERROR(sink(bytes));
+  for (const auto& [begin, end] : ranges) {
+    bytes.clear();
+    util::AppendScalar(begin, &bytes);
+    util::AppendScalar(end, &bytes);
+    OBJALLOC_RETURN_IF_ERROR(sink(bytes));
+    // A page is contiguous; the next page need not follow it in memory.
+    // (64-bit cursor: a page end can be 2^32.)
+    for (uint64_t slot = begin; slot < end;) {
+      const uint64_t page_end = std::min<uint64_t>(end, (slot | kPageMask) + 1);
+      OBJALLOC_RETURN_IF_ERROR(sink(std::string_view(
+          reinterpret_cast<const char*>(&Slot(static_cast<uint32_t>(slot))),
+          (page_end - slot) * sizeof(SlotRecord))));
+      slot = page_end;
+    }
   }
-  if (t < 1 || t > num_processors_) {
-    return invalid("bad threshold " + std::to_string(t));
-  }
-  const ProcessorSet world = ProcessorSet::FirstN(num_processors_);
-  if (!ProcessorSet(scheme_mask).IsSubsetOf(world) ||
-      !ProcessorSet(f_mask).IsSubsetOf(world)) {
-    return invalid("scheme names out-of-range processors");
-  }
-  if (p < -1 || p >= num_processors_) {
-    return invalid("floating processor out of range");
-  }
-  // Bit-packing bounds: next_f indexes F (< t <= 64) and the crash-log
-  // cursor rides the meta word's high half.
-  if (next_f > 0x7F) {
-    return invalid("round-robin index " + std::to_string(next_f) +
-                   " out of range");
-  }
-  if (crash_log_pos > 0xFFFFFFFFull) {
-    return invalid("crash-log cursor " + std::to_string(crash_log_pos) +
-                   " out of range");
-  }
-  *record = SlotRecord{};
-  record->id = id;
-  record->scheme_mask = scheme_mask;
-  record->f_mask = f_mask;
-  record->meta = SlotRecord::PackMeta(kind, t, p, next_f,
-                                      static_cast<size_t>(crash_log_pos));
-  record->requests = requests;
-  record->breakdown = breakdown;
-  return util::Status::Ok();
-}
-
-void ObjectShard::AppendSnapshotSlots(uint32_t begin, uint32_t end,
-                                      std::string* out) const {
-  for (uint32_t slot = begin; slot < end; ++slot) {
-    const SlotRecord& record = Slot(slot);
-    if (record.id >= 0) AppendSlotRecord(record, out);  // skip free holes
-  }
+  bytes.clear();
+  AppendSnapshotFooter(&bytes);
+  return sink(bytes);
 }
 
 void ObjectShard::AppendSnapshotFooter(std::string* out) const {
@@ -674,6 +606,8 @@ util::Status ObjectShard::RestoreSnapshotFooter(util::PayloadReader* reader) {
   if (reader->remaining() != static_cast<size_t>(degraded) * 4) {
     return util::Status::Internal("shard snapshot: degraded registry size");
   }
+  for (const uint32_t slot : degraded_list_) degraded_.Erase(slot, SlotKey);
+  degraded_list_.clear();
   for (uint32_t d = 0; d < degraded; ++d) {
     uint32_t slot = 0;
     OBJALLOC_RETURN_IF_ERROR(reader->Read(&slot));
@@ -686,65 +620,139 @@ util::Status ObjectShard::RestoreSnapshotFooter(util::PayloadReader* reader) {
   return util::Status::Ok();
 }
 
-util::Status ObjectShard::RestoreSnapshotChunk(std::string_view chunk,
-                                               bool last) {
-  if (restore_.done) {
-    return util::Status::Internal("shard snapshot: chunk after final chunk");
-  }
-  if (!restore_.header_done && slot_count_ != 0) {
-    return util::Status::Internal(
-        "RestoreSnapshot requires a freshly constructed shard");
-  }
-  std::string_view data = chunk;
-  if (!restore_.carry.empty()) {
-    restore_.carry.append(chunk.data(), chunk.size());
-    data = restore_.carry;
-  }
-  util::PayloadReader reader(data);
-  if (!restore_.header_done && reader.remaining() >= sizeof(uint64_t)) {
-    OBJALLOC_RETURN_IF_ERROR(reader.Read(&restore_.expected));
-    // Bounded before it sizes the slab and the directory: the count comes
-    // from the file, and past the slot limit AllocateSlot would abort and
-    // the directory's sizing arithmetic would wrap.
-    if (restore_.expected >= kSlotLimit) {
-      return util::Status::Internal("shard snapshot: bad slot count " +
-                                    std::to_string(restore_.expected));
-    }
-    restore_.header_done = true;
-    Reserve(static_cast<size_t>(restore_.expected));
-  }
-  if (restore_.header_done) {
-    while (restore_.restored < restore_.expected &&
-           reader.remaining() >= kSnapshotSlotBytes) {
-      SlotRecord record;
-      OBJALLOC_RETURN_IF_ERROR(
-          ReadSlotRecord(&reader, "shard snapshot", &record));
-      if (directory_.Contains(record.id, SlotIds())) {
-        return util::Status::Internal("shard snapshot: duplicate object id " +
-                                      std::to_string(record.id));
-      }
-      const uint32_t slot = AllocateSlot();
-      Slot(slot) = record;
-      directory_.Insert(record.id, slot, SlotIds());
-      ++restore_.restored;
-    }
-  }
-  if (last) {
-    if (!restore_.header_done || restore_.restored < restore_.expected) {
-      return util::Status::Internal("shard snapshot: slot table truncated");
-    }
-    OBJALLOC_RETURN_IF_ERROR(RestoreSnapshotFooter(&reader));
-    restore_.carry.clear();
-    restore_.done = true;
+void ObjectShard::BeginRestore() {
+  restore_ = RestoreProgress{};
+  restore_.covered = slot_count_;
+}
+
+size_t ObjectShard::NextRestoreUnitBytes() const {
+  if (!restore_.header_done) return kSnapshotHeaderBytes;
+  if (restore_.cursor < restore_.range_end) return sizeof(SlotRecord);
+  return restore_.ranges_left > 0 ? kRangeHeaderBytes : 0;
+}
+
+util::Status ObjectShard::RestoreUnit(std::string_view unit) {
+  RestoreProgress& r = restore_;
+  if (r.cursor < r.range_end) {
+    SlotRecord record;
+    std::memcpy(&record, unit.data(), sizeof(record));
+    OBJALLOC_RETURN_IF_ERROR(RestoreSlot(r.cursor, record));
+    ++r.cursor;
     return util::Status::Ok();
   }
-  // Carry the incomplete tail (partial slot record or footer prefix) into
-  // the next chunk; bounded by one record plus the footer head.
-  restore_.carry = std::string(data.substr(data.size() - reader.remaining()));
+  util::PayloadReader reader(unit);
+  if (!r.header_done) {
+    uint64_t span = 0;
+    OBJALLOC_RETURN_IF_ERROR(reader.Read(&span));
+    OBJALLOC_RETURN_IF_ERROR(reader.Read(&r.ranges_left));
+    // Bounded before it sizes the slab and the directory: the span comes
+    // from the file, and past the slot limit the directory's sizing
+    // arithmetic would wrap. Slots never move and ids never change, so a
+    // snapshot only ever extends the span.
+    if (span < slot_count_ || span >= kSlotLimit) {
+      return util::Status::Internal("shard snapshot: bad slot span " +
+                                    std::to_string(span));
+    }
+    r.span = static_cast<uint32_t>(span);
+    r.header_done = true;
+    Reserve(r.span);  // one huge-page run for a large full restore
+    return util::Status::Ok();
+  }
+  uint32_t begin = 0, end = 0;
+  OBJALLOC_RETURN_IF_ERROR(reader.Read(&begin));
+  OBJALLOC_RETURN_IF_ERROR(reader.Read(&end));
+  if (begin < r.range_end || begin > end || end > r.span) {
+    return util::Status::Internal("shard snapshot: bad slot range");
+  }
+  // Slots from the old span up hold no object until their record arrives,
+  // and the ranges ascend: a range that starts past `covered` skips one.
+  if (begin > r.covered) return SlotMissing(r.covered);
+  r.covered = std::max(r.covered, end);
+  r.cursor = begin;
+  r.range_end = end;
+  --r.ranges_left;
   return util::Status::Ok();
 }
 
-// --- Delta checkpoints --------------------------------------------------
+util::Status ObjectShard::RestoreSlot(uint32_t slot,
+                                      const SlotRecord& record) {
+  const auto invalid = [](const std::string& message) {
+    return util::Status::Internal("shard snapshot: " + message);
+  };
+  if (record.id < 0) {
+    return invalid("bad object id " + std::to_string(record.id));
+  }
+  const uint64_t kind = record.meta & 0xF;
+  if (kind != static_cast<uint64_t>(AlgorithmKind::kStatic) &&
+      kind != static_cast<uint64_t>(AlgorithmKind::kDynamic)) {
+    return invalid("non-inlined algorithm kind " + std::to_string(kind));
+  }
+  if (record.t() < 1 || record.t() > num_processors_) {
+    return invalid("bad threshold " + std::to_string(record.t()));
+  }
+  const ProcessorSet world = ProcessorSet::FirstN(num_processors_);
+  if (!ProcessorSet(record.scheme_mask).IsSubsetOf(world) ||
+      !ProcessorSet(record.f_mask).IsSubsetOf(world)) {
+    return invalid("scheme names out-of-range processors");
+  }
+  if (record.p() >= num_processors_) {  // p() >= -1 by its encoding
+    return invalid("floating processor out of range");
+  }
+  if ((record.meta >> 25) & 0x7F) return invalid("reserved meta bits set");
+  const uint32_t existing = directory_.Find(record.id, SlotIds());
+  if (existing != kInvalidSlot && existing != slot) {
+    return invalid("duplicate object id " + std::to_string(record.id));
+  }
+  // The directory confirms every probe against the record's id, so an old
+  // id leaves it before the record is overwritten, and a new one enters it
+  // after. Only slots below the old span held an object.
+  SlotRecord& target = Slot(slot);
+  if (slot < slot_count_ && target.id != record.id) {
+    directory_.Erase(target.id, SlotIds());
+  }
+  target = record;
+  if (existing == kInvalidSlot) directory_.Insert(record.id, slot, SlotIds());
+  return util::Status::Ok();
+}
+
+util::Status ObjectShard::RestoreChunk(std::string_view chunk, bool last) {
+  RestoreProgress& r = restore_;
+  if (r.done) {
+    return util::Status::Internal("shard snapshot: chunk after final chunk");
+  }
+  for (size_t need; (need = NextRestoreUnitBytes()) != 0;) {
+    std::string_view unit;
+    if (r.carry.empty() && chunk.size() >= need) {
+      unit = chunk.substr(0, need);
+      chunk.remove_prefix(need);
+    } else {
+      // A unit split across chunks is completed in the carry.
+      const size_t take = std::min(need - r.carry.size(), chunk.size());
+      r.carry.append(chunk.substr(0, take));
+      chunk.remove_prefix(take);
+      if (r.carry.size() < need) break;
+      unit = r.carry;
+    }
+    OBJALLOC_RETURN_IF_ERROR(RestoreUnit(unit));
+    r.carry.clear();
+  }
+  // Whatever is left of the chunk (nothing while a unit is still partial)
+  // is footer, which is parsed whole on the final chunk.
+  r.carry.append(chunk);
+  if (!last) return util::Status::Ok();
+  if (NextRestoreUnitBytes() != 0) {
+    return util::Status::Internal("shard snapshot: range table truncated");
+  }
+  if (r.covered < r.span) return SlotMissing(r.covered);
+  slot_count_ = r.span;
+  util::PayloadReader reader(r.carry);
+  OBJALLOC_RETURN_IF_ERROR(RestoreSnapshotFooter(&reader));
+  r.carry.clear();
+  r.done = true;
+  return util::Status::Ok();
+}
+
+// --- Dirty tracking ----------------------------------------------------
 
 void ObjectShard::EnableDirtyTracking() {
   dirty_tracking_ = true;
@@ -798,153 +806,6 @@ void ObjectShard::CollectDirtyRanges(
                       static_cast<uint32_t>(std::min<uint64_t>(
                           slot_count_, uint64_t{pages} << kPageShift)));
   }
-}
-
-void ObjectShard::AppendDeltaHeader(uint32_t range_count,
-                                    std::string* out) const {
-  util::AppendScalar(static_cast<uint64_t>(slot_count_), out);
-  util::AppendScalar(range_count, out);
-}
-
-void ObjectShard::AppendDeltaRange(uint32_t begin, uint32_t end,
-                                   std::string* out) const {
-  util::AppendScalar(begin, out);
-  util::AppendScalar(end, out);
-  for (uint32_t slot = begin; slot < end; ++slot) {
-    const SlotRecord& record = Slot(slot);
-    util::AppendScalar(static_cast<uint8_t>(record.id >= 0 ? 1 : 0), out);
-    if (record.id >= 0) AppendSlotRecord(record, out);
-  }
-}
-
-void ObjectShard::BeginDeltaRestore() { delta_restore_ = DeltaProgress{}; }
-
-util::Status ObjectShard::RestoreDeltaSlot(uint32_t slot,
-                                           util::PayloadReader* reader) {
-  uint8_t present = 0;
-  OBJALLOC_RETURN_IF_ERROR(reader->Read(&present));
-  SlotRecord& record = Slot(slot);
-  if (present == 0) {
-    // The slot was empty at snapshot time. With no removal API this only
-    // names never-yet-allocated slots, but handle an occupied one anyway:
-    // the delta is authoritative for every slot it covers.
-    if (record.id >= 0) {
-      directory_.Erase(record.id, SlotIds());
-      record = SlotRecord{};
-      free_slots_.push_back(slot);
-    }
-    return util::Status::Ok();
-  }
-  SlotRecord restored;
-  OBJALLOC_RETURN_IF_ERROR(ReadSlotRecord(reader, "shard delta", &restored));
-  // The directory confirms every probe against the record's id, so the old
-  // id leaves the directory before the record is overwritten, and the new
-  // one enters it after.
-  if (record.id >= 0 && record.id != restored.id) {
-    directory_.Erase(record.id, SlotIds());
-  }
-  const uint32_t existing = directory_.Find(restored.id, SlotIds());
-  if (existing != kInvalidSlot && existing != slot) {
-    return util::Status::Internal("shard delta: duplicate object id " +
-                                  std::to_string(restored.id));
-  }
-  record = restored;
-  if (existing == kInvalidSlot) directory_.Insert(record.id, slot, SlotIds());
-  return util::Status::Ok();
-}
-
-util::Status ObjectShard::RestoreDeltaChunk(std::string_view chunk,
-                                            bool last) {
-  DeltaProgress& d = delta_restore_;
-  if (d.done) {
-    return util::Status::Internal("shard delta: chunk after final chunk");
-  }
-  std::string_view data = chunk;
-  if (!d.carry.empty()) {
-    d.carry.append(chunk.data(), chunk.size());
-    data = d.carry;
-  }
-  util::PayloadReader reader(data);
-  size_t committed = 0;  // offset of the first byte not yet consumed whole
-  if (!d.header_done) {
-    if (reader.remaining() >= sizeof(uint64_t) + sizeof(uint32_t)) {
-      uint64_t span = 0;
-      OBJALLOC_RETURN_IF_ERROR(reader.Read(&span));
-      OBJALLOC_RETURN_IF_ERROR(reader.Read(&d.ranges_total));
-      if (span < slot_count_ || span >= kSlotLimit) {
-        return util::Status::Internal("shard delta: bad slot span " +
-                                      std::to_string(span));
-      }
-      // Grow the slab to the delta's span: the new slots were allocated
-      // during the delta window and arrive inside its dirty ranges.
-      GrowPages((static_cast<size_t>(span) + kPageSlots - 1) >> kPageShift);
-      slot_count_ = static_cast<uint32_t>(span);
-      d.header_done = true;
-      committed = data.size() - reader.remaining();
-    }
-  }
-  if (d.header_done) {
-    while (d.ranges_done < d.ranges_total) {
-      if (!d.in_range) {
-        if (reader.remaining() < 2 * sizeof(uint32_t)) break;
-        uint32_t begin = 0, end = 0;
-        OBJALLOC_RETURN_IF_ERROR(reader.Read(&begin));
-        OBJALLOC_RETURN_IF_ERROR(reader.Read(&end));
-        if (begin > end || end > slot_count_) {
-          return util::Status::Internal("shard delta: bad slot range");
-        }
-        d.cursor = begin;
-        d.range_end = end;
-        d.in_range = true;
-        committed = data.size() - reader.remaining();
-      }
-      bool need_more = false;
-      while (d.cursor < d.range_end) {
-        // A unit is 1 presence byte, plus the full record when present;
-        // peek the presence byte without consuming a partial unit.
-        const size_t avail = reader.remaining();
-        if (avail < 1) {
-          need_more = true;
-          break;
-        }
-        const uint8_t present =
-            static_cast<uint8_t>(data[data.size() - avail]);
-        if (present != 0 && avail < 1 + kSnapshotSlotBytes) {
-          need_more = true;
-          break;
-        }
-        OBJALLOC_RETURN_IF_ERROR(RestoreDeltaSlot(d.cursor, &reader));
-        ++d.cursor;
-        committed = data.size() - reader.remaining();
-      }
-      if (need_more) break;
-      if (d.cursor == d.range_end) {
-        d.in_range = false;
-        ++d.ranges_done;
-      }
-    }
-  }
-  if (last) {
-    if (!d.header_done || d.ranges_done < d.ranges_total || d.in_range) {
-      return util::Status::Internal("shard delta: range table truncated");
-    }
-    // The footer *replaces* the aggregates and the degraded registry.
-    for (const uint32_t slot : degraded_list_) degraded_.Erase(slot, SlotKey);
-    degraded_list_.clear();
-    OBJALLOC_RETURN_IF_ERROR(RestoreSnapshotFooter(&reader));
-    d.carry.clear();
-    d.done = true;
-    return util::Status::Ok();
-  }
-  // Keep everything past the last whole unit for the next chunk. When the
-  // range table is complete the remainder is the footer, which is parsed
-  // only on the final chunk. (`data` may view the carry itself, so the
-  // tail is copied out before the assignment.)
-  if (d.ranges_done == d.ranges_total && d.header_done) {
-    committed = data.size() - reader.remaining();
-  }
-  d.carry = std::string(data.substr(committed));
-  return util::Status::Ok();
 }
 
 }  // namespace objalloc::core

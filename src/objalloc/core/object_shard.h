@@ -16,9 +16,8 @@
 //     Registration grows the slab one 128 KiB page at a time; a Reserve or
 //     snapshot restore that needs kMinRunPages or more pages at once gets
 //     them as one run on 2 MiB pages (util/huge_pages.h), so random
-//     accesses into a large slab do not also miss the TLB. Freed slots go
-//     on a free list for reuse (no removal API exists yet; the slab is
-//     built for one).
+//     accesses into a large slab do not also miss the TLB. No removal API
+//     exists, so the slots below the span are exactly the objects.
 //   * A SlotRecord bit-packs the full inline SA/DA machine: identity, the
 //     scheme and DA core-set masks, and a meta word holding the dispatch
 //     tag, availability threshold, DA floating processor and round-robin
@@ -73,8 +72,14 @@
 #ifndef OBJALLOC_CORE_OBJECT_SHARD_H_
 #define OBJALLOC_CORE_OBJECT_SHARD_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -139,7 +144,7 @@ class ObjectShard {
   bool HasObject(ObjectId id) const {
     return directory_.Contains(id, SlotIds());
   }
-  size_t object_count() const { return slot_count_ - free_slots_.size(); }
+  size_t object_count() const { return slot_count_; }
   int num_processors() const { return num_processors_; }
 
   // Bytes held by the shard, heap and mapped: slab pages, directories,
@@ -182,8 +187,8 @@ class ObjectShard {
   // checks |live| >= t per event without re-hashing the id).
   int32_t ThresholdAt(uint32_t slot) const { return Slot(slot).t(); }
 
-  // One past the highest slot ever allocated (free-list holes included);
-  // the iteration bound for slot-addressed walks like the snapshot writer.
+  // One past the highest slot allocated (equal to object_count()); the
+  // iteration bound for slot-addressed walks like the snapshot writer.
   uint32_t slot_span() const { return slot_count_; }
 
   // Serves one request against one object, returning the request's cost.
@@ -302,47 +307,50 @@ class ObjectShard {
   // the slab, no directory probe.
   void AppendIdSchemes(std::vector<IdScheme>* out) const;
 
-  // --- Durability (core/checkpoint.h) ---------------------------------
+  // --- Snapshots (core/checkpoint.h, DESIGN.md §12–§13) ----------------
   //
-  // The snapshot byte format: a u64 slot count, one 75-byte record per
-  // slot in slot order, lifetime aggregates, then the degraded registry.
-  // The writer streams it as header / bounded slot ranges / footer so a
-  // checkpoint never materializes the whole shard in memory, and the
-  // reader accepts arbitrary re-chunkings of the stream.
-
-  // Streaming writer: the slot count, then any partition of
-  // [0, slot_span()) into ranges, then the aggregates + degraded registry.
-  void AppendSnapshotHeader(std::string* out) const;
-  void AppendSnapshotSlots(uint32_t begin, uint32_t end,
-                           std::string* out) const;
-  void AppendSnapshotFooter(std::string* out) const;
-
-  // Restores a snapshot into a freshly constructed, still-empty shard built
-  // with the writer's processor count and cost model, one chunk at a time
-  // and in order; `last` marks the final chunk. Chunk boundaries are
-  // arbitrary (a partial slot record is carried to the next call). Restored
-  // slots re-derive their cost constants from (kind, t) via the same table
-  // AddObject reads, so a restored slot is bit-identical to one that lived
-  // through the original run. Every field is range-checked; a payload that
-  // deserializes but violates an invariant (unknown kind, out-of-range
-  // scheme, duplicate id, a slot count at or past the slot limit) is
-  // rejected as Internal — the caller falls back to an older checkpoint
-  // generation. The id → slot directory is rebuilt as the slots arrive.
-  util::Status RestoreSnapshotChunk(std::string_view chunk, bool last);
-
-  // --- Delta checkpoints (DESIGN.md §13) -------------------------------
+  // One byte format serves full and delta checkpoints:
   //
-  // When armed, the shard keeps one dirty bit per slab page, set on every
-  // slot mutation. A delta snapshot serializes only the dirty pages, as
-  // explicit [begin, end) slot ranges with a presence byte per slot,
-  // followed by the standard aggregate footer — its cost is proportional
-  // to the pages touched since the previous checkpoint, not to the shard.
-  // Restoring applies a delta *on top of* existing state (the base
-  // snapshot, or an earlier delta), overwriting exactly the serialized
-  // slots and replacing the aggregates and degraded registry.
+  //   header  u64 slot span, u32 range count
+  //   ranges  per range, u32 begin and u32 end, then the end − begin
+  //           SlotRecords of those slots: 64 bytes each, copied verbatim
+  //           from the slab (native little-endian, layout pinned below)
+  //   footer  lifetime aggregates, then the degraded registry
+  //
+  // A full snapshot is the one range [0, span). A delta is the dirty
+  // ranges CollectDirtyRanges returns, so its cost is proportional to the
+  // pages touched since the previous checkpoint, not to the shard. Every
+  // slot below the span holds an object, so no slot needs a presence mark.
 
-  // Arms tracking; every existing page starts dirty (the caller is expected
-  // to take a full base snapshot and then ClearDirty).
+  // Streams the snapshot over `ranges` (ascending, disjoint, within
+  // slot_span()) to `sink`: the header, each range header followed by its
+  // records one slab page at a time (straight from the page, uncopied),
+  // then the footer. Stops at, and returns, the first error `sink` returns.
+  util::Status StreamSnapshot(
+      std::span<const std::pair<uint32_t, uint32_t>> ranges,
+      const std::function<util::Status(std::string_view)>& sink) const;
+
+  // Applies a snapshot on top of the shard's state — a fresh shard for a
+  // full one, the base and earlier deltas for a delta — one chunk at a
+  // time and in order; `last` marks the final chunk, and BeginRestore
+  // resets the cursor before each snapshot. Chunk boundaries are arbitrary
+  // (a partial record is carried to the next call). Each record is checked
+  // before it touches the slab; the span must not shrink, the ranges must
+  // ascend without overlapping, every slot from the old span up must
+  // arrive, and the footer replaces the aggregates and the degraded
+  // registry. A payload that violates an invariant
+  // (unknown kind, out-of-range scheme, duplicate id, a span at or past the
+  // slot limit) is rejected as Internal, and the caller falls back to an
+  // older checkpoint generation. The directory follows the records: a slot
+  // restored under another id drops the old one.
+  void BeginRestore();
+  util::Status RestoreChunk(std::string_view chunk, bool last);
+
+  // --- Dirty tracking for delta checkpoints (DESIGN.md §13) -------------
+
+  // Arms tracking: one dirty bit per slab page, set on every slot
+  // mutation. Every existing page starts dirty (the caller is expected to
+  // take a full base snapshot and then ClearDirty).
   void EnableDirtyTracking();
   void DisableDirtyTracking();
   // Clears every dirty bit — call only after the checkpoint that captured
@@ -352,17 +360,6 @@ class ObjectShard {
   // slot_span(), ascending.
   void CollectDirtyRanges(
       std::vector<std::pair<uint32_t, uint32_t>>* out) const;
-
-  // Streaming delta writer: header (slot span + range count), one call per
-  // CollectDirtyRanges entry in order, then AppendSnapshotFooter.
-  void AppendDeltaHeader(uint32_t range_count, std::string* out) const;
-  void AppendDeltaRange(uint32_t begin, uint32_t end, std::string* out) const;
-
-  // Streaming delta reader; chunk boundaries are arbitrary (partial units
-  // carry over), `last` marks the final chunk. BeginDeltaRestore resets the
-  // cursor before each delta in a chain.
-  void BeginDeltaRestore();
-  util::Status RestoreDeltaChunk(std::string_view chunk, bool last);
 
  private:
   // One dense slot of the serving engine: the full inline SA/DA machine in
@@ -374,12 +371,14 @@ class ObjectShard {
   //   bits  4..10  t                         (1..64)
   //   bits 11..17  p + 1                     (0 encodes "no floating proc")
   //   bits 18..24  next_f                    (round-robin F index, < t-1)
+  //   bits 25..31  reserved, zero
   //   bits 32..63  crash_log_pos             (applied crash-log prefix)
   //
   // Cost scalars live in the shard-level (kind, t) table, so they do not
-  // widen the record.
+  // widen the record. A snapshot writes the record's bytes as they are, so
+  // its layout is the snapshot format: the asserts below pin it.
   struct alignas(64) SlotRecord {
-    ObjectId id = -1;          // -1 marks a free-listed slot
+    ObjectId id = -1;          // -1 only in a slot not yet allocated
     uint64_t scheme_mask = 0;  // current allocation scheme
     uint64_t f_mask = 0;       // DA: core set F
     uint64_t meta = 0;
@@ -424,6 +423,19 @@ class ObjectShard {
   // out at mmap base + 16), and most records then straddle two lines.
   static_assert(alignof(SlotRecord) == 64,
                 "every SlotRecord must start on a cache line");
+  static_assert(std::is_trivially_copyable_v<SlotRecord> &&
+                std::endian::native == std::endian::little);
+  static_assert(offsetof(SlotRecord, id) == 0 &&
+                offsetof(SlotRecord, scheme_mask) == 8 &&
+                offsetof(SlotRecord, f_mask) == 16 &&
+                offsetof(SlotRecord, meta) == 24 &&
+                offsetof(SlotRecord, requests) == 32 &&
+                offsetof(SlotRecord, breakdown) == 40 &&
+                offsetof(model::CostBreakdown, control_messages) == 0 &&
+                offsetof(model::CostBreakdown, data_messages) == 8 &&
+                offsetof(model::CostBreakdown, io_ops) == 16 &&
+                sizeof(model::CostBreakdown) == 24,
+                "the snapshot format is this layout, with no padding");
 
   // Per-(kind, t) cost scalars, shared by every object of that shape.
   struct CostEntry {
@@ -467,7 +479,7 @@ class ObjectShard {
                        static_cast<size_t>(t)];
   }
 
-  // Pops a free-listed slot or appends one, growing the slab by one page;
+  // Appends a slot, growing the slab by one page when the last is full;
   // never moves existing records.
   uint32_t AllocateSlot();
 
@@ -502,37 +514,29 @@ class ObjectShard {
                       model::CostBreakdown* breakdown,
                       FaultStats* stats) const;
 
-  // Incremental-restore cursor for RestoreSnapshotChunk.
+  // Incremental-restore cursor for RestoreChunk.
   struct RestoreProgress {
     bool header_done = false;
     bool done = false;
-    uint64_t expected = 0;
-    uint64_t restored = 0;
-    std::string carry;  // partial record spanning a chunk boundary
+    uint32_t span = 0;         // the snapshot's slot span
+    uint32_t ranges_left = 0;  // range headers still to come
+    uint32_t cursor = 0;       // next slot of the open range
+    uint32_t range_end = 0;    // one past the open (or last) range
+    uint32_t covered = 0;      // every slot below it holds an object
+    std::string carry;  // a partial header or record, or the footer so far
   };
 
-  // Incremental-restore cursor for RestoreDeltaChunk.
-  struct DeltaProgress {
-    bool header_done = false;
-    bool done = false;
-    uint32_t ranges_total = 0;
-    uint32_t ranges_done = 0;
-    bool in_range = false;
-    uint32_t cursor = 0;     // next slot of the open range
-    uint32_t range_end = 0;  // one past the open range
-    std::string carry;       // partial unit spanning a chunk boundary
-  };
-
-  // The 75-byte slot record that full snapshots and deltas share: the
-  // writer, and the reader that parses and range-checks one into
-  // `*record` (errors are Internal, prefixed with `what`).
-  static void AppendSlotRecord(const SlotRecord& record, std::string* out);
-  util::Status ReadSlotRecord(util::PayloadReader* reader, const char* what,
-                              SlotRecord* record) const;
-  // Parses the aggregates + degraded registry that close a snapshot.
+  // Bytes of the restore's next unit: the header, a range header or a
+  // record; 0 once every range has arrived (the rest is the footer).
+  size_t NextRestoreUnitBytes() const;
+  // Consumes one whole unit of NextRestoreUnitBytes() bytes.
+  util::Status RestoreUnit(std::string_view unit);
+  // Range-checks a record that arrived as raw bytes, then writes it to
+  // `slot` and keys the directory by its id (errors are Internal).
+  util::Status RestoreSlot(uint32_t slot, const SlotRecord& record);
+  // The aggregates + degraded registry that close a snapshot.
+  void AppendSnapshotFooter(std::string* out) const;
   util::Status RestoreSnapshotFooter(util::PayloadReader* reader);
-  // Parses one presence-prefixed delta slot unit into absolute `slot`.
-  util::Status RestoreDeltaSlot(uint32_t slot, util::PayloadReader* reader);
 
   // Sets the dirty bit of `slot`'s page; no-op unless tracking is armed.
   void MarkDirty(uint32_t slot) {
@@ -549,12 +553,11 @@ class ObjectShard {
   int num_processors_;
   model::CostModel cost_model_;
 
-  // Slab storage: runs of one or more pages, the stable fixed-size pages
-  // carved from them, plus a free list. Dirty tracking stays per page.
+  // Slab storage: runs of one or more pages, and the stable fixed-size
+  // pages carved from them. Dirty tracking stays per page.
   std::vector<util::HugePageArray<SlotRecord>> runs_;
   std::vector<SlotRecord*> pages_;
-  uint32_t slot_count_ = 0;  // slots ever allocated (span of the slab)
-  std::vector<uint32_t> free_slots_;
+  uint32_t slot_count_ = 0;  // slots allocated, each holding one object
 
   // (kind, t) → precomputed cost scalars; filled at construction.
   std::vector<CostEntry> cost_table_;
@@ -576,7 +579,6 @@ class ObjectShard {
   // Delta-checkpoint machinery: one dirty bit per slab page while armed.
   bool dirty_tracking_ = false;
   std::vector<uint64_t> dirty_words_;
-  DeltaProgress delta_restore_;
 };
 
 }  // namespace objalloc::core

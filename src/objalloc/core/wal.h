@@ -62,7 +62,7 @@ enum class WalRecordType : uint8_t {
 inline constexpr uint32_t kWalMagic = 0x4c57414f;  // "OAWL"
 // Stamped into every WAL header, checkpoint header and manifest; readers
 // accept this version only.
-inline constexpr uint32_t kDurabilityFormatVersion = 2;
+inline constexpr uint32_t kDurabilityFormatVersion = 3;
 
 // The immutable service configuration a log (or checkpoint) was written
 // under. Recovery refuses to replay against a mismatched world: shard

@@ -7,10 +7,13 @@
 // histories — and assert exact state equality, never "close enough".
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,29 +278,70 @@ TEST(DurabilityTest, ObjectStoredInTheWrongShardIsRefused) {
       << recovered.status().ToString();
 }
 
-// A full snapshot's slot count comes from the file; one at or past the
-// shard's slot limit is refused before it sizes the slab or the directory,
-// so Recover can fall back instead of aborting on the allocation.
+// --- The shard snapshot codec -------------------------------------------
+
+// The shard's snapshot over `ranges`, as one byte string.
+std::string SnapshotBytes(
+    const ObjectShard& shard,
+    const std::vector<std::pair<uint32_t, uint32_t>>& ranges) {
+  std::string bytes;
+  const util::Status status =
+      shard.StreamSnapshot(ranges, [&bytes](std::string_view piece) {
+        bytes.append(piece);
+        return util::Status::Ok();
+      });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return bytes;
+}
+
+std::string FullSnapshotBytes(const ObjectShard& shard) {
+  return SnapshotBytes(shard, {{0, shard.slot_span()}});
+}
+
+// Restores `bytes` as the chunks that the ascending offsets `cuts` cut.
+util::Status RestoreInChunks(ObjectShard& shard, std::string_view bytes,
+                             const std::vector<size_t>& cuts = {}) {
+  shard.BeginRestore();
+  size_t at = 0;
+  for (const size_t cut : cuts) {
+    OBJALLOC_RETURN_IF_ERROR(
+        shard.RestoreChunk(bytes.substr(at, cut - at), /*last=*/false));
+    at = cut;
+  }
+  return shard.RestoreChunk(bytes.substr(at), /*last=*/true);
+}
+
+// Byte offsets inside a snapshot stream: the header, then per range its
+// 8-byte header and 64-byte records, then the footer.
+constexpr size_t kHeaderBytes = 12;
+constexpr size_t kRangeBytes = 8;
+constexpr size_t kRecordBytes = 64;
+
+// A snapshot's span comes from the file; one at or past the shard's slot
+// limit is refused before it sizes the slab or the directory, so Recover
+// can fall back instead of aborting on the allocation.
 TEST(DurabilityTest, OversizedSnapshotSlotCountIsRefused) {
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
-  for (const uint64_t count : {uint64_t{0xFFFFFFFE}, uint64_t{1} << 62}) {
-    SCOPED_TRACE("count=" + std::to_string(count));
+  for (const uint64_t span : {uint64_t{0xFFFFFFFE}, uint64_t{1} << 62}) {
+    SCOPED_TRACE("span=" + std::to_string(span));
     ObjectShard shard(8, sc);
     std::string header;
-    util::AppendScalar(count, &header);
-    const util::Status status = shard.RestoreSnapshotChunk(header, false);
+    util::AppendScalar(span, &header);
+    util::AppendScalar(uint32_t{1}, &header);
+    shard.BeginRestore();
+    const util::Status status = shard.RestoreChunk(header, false);
     EXPECT_EQ(status.code(), util::StatusCode::kInternal) << status.ToString();
     EXPECT_EQ(shard.slot_span(), 0u);
   }
 }
 
 // A delta is authoritative for every slot it covers, occupied ones too: a
-// slot restored under a different id drops its old id, and an absent slot
-// is freed. The directory confirms every probe against the record's id, so
-// an id must leave the directory before its record is overwritten, or a
-// stale bucket survives that names the slot — and re-registering that id
-// into its freed slot would then find a duplicate.
-TEST(DurabilityTest, DeltaOverOccupiedSlotsReKeysAndFrees) {
+// slot restored under a different id drops its old id. The directory
+// confirms every probe against the record's id, so an id must leave the
+// directory before its record is overwritten, or a stale bucket survives
+// that names the slot. Every slot below the span holds an object, so a
+// record whose id is -1 is refused rather than read as a free slot.
+TEST(DurabilityTest, DeltaOverOccupiedSlotsReKeys) {
   const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
   const ObjectConfig config = TestConfig();
   ObjectShard shard(8, sc);
@@ -305,53 +349,289 @@ TEST(DurabilityTest, DeltaOverOccupiedSlotsReKeysAndFrees) {
     ASSERT_TRUE(shard.AddObject(id, config).ok());  // slots 0, 1, 2
   }
 
-  // Delta 1 re-keys slot 1 from id 11 to id 20.
+  // The delta re-keys slot 1 from id 11 to id 20.
   ObjectShard rekeyed(8, sc);
   for (const ObjectId id : {10, 20, 12}) {
     ASSERT_TRUE(rekeyed.AddObject(id, config).ok());
   }
-  std::string delta;
-  rekeyed.AppendDeltaHeader(/*range_count=*/1, &delta);
-  rekeyed.AppendDeltaRange(1, 2, &delta);
-  rekeyed.AppendSnapshotFooter(&delta);
-  shard.BeginDeltaRestore();
-  ASSERT_TRUE(shard.RestoreDeltaChunk(delta, /*last=*/true).ok());
+  const std::string delta = SnapshotBytes(rekeyed, {{1, 2}});
+
+  // The same delta with slot 1's id set to -1 changes nothing.
+  std::string freed = delta;
+  const ObjectId no_id = -1;
+  std::memcpy(freed.data() + kHeaderBytes + kRangeBytes, &no_id,
+              sizeof(no_id));
+  const util::Status refused = RestoreInChunks(shard, freed);
+  EXPECT_EQ(refused.code(), util::StatusCode::kInternal);
+  EXPECT_EQ(refused.message(), "shard snapshot: bad object id -1");
+  EXPECT_EQ(shard.SlotOf(11), 1u);
+  EXPECT_EQ(shard.object_count(), 3u);
+
+  ASSERT_TRUE(RestoreInChunks(shard, delta).ok());
   EXPECT_EQ(shard.SlotOf(11), ObjectShard::kInvalidSlot);
   EXPECT_FALSE(shard.HasObject(11));
+  // No bucket still carries the old id's tag.
+  EXPECT_EQ(shard.CandidateSlotHashed(util::FlatDirectory::Hash(11)),
+            ObjectShard::kInvalidSlot);
   EXPECT_EQ(shard.SlotOf(20), 1u);
   EXPECT_TRUE(shard.HasObject(20));
   EXPECT_EQ(shard.SlotOf(10), 0u);
   EXPECT_EQ(shard.SlotOf(12), 2u);
+  EXPECT_EQ(shard.object_count(), 3u);
 
-  // Delta 2 frees slots 1 and 2 (presence byte 0), which no writer emits
-  // for an occupied slot, so its range is written by hand.
-  delta.clear();
-  rekeyed.AppendDeltaHeader(/*range_count=*/1, &delta);
-  util::AppendScalar(uint32_t{1}, &delta);
-  util::AppendScalar(uint32_t{3}, &delta);
-  util::AppendScalar(uint8_t{0}, &delta);
-  util::AppendScalar(uint8_t{0}, &delta);
-  rekeyed.AppendSnapshotFooter(&delta);
-  shard.BeginDeltaRestore();
-  ASSERT_TRUE(shard.RestoreDeltaChunk(delta, /*last=*/true).ok());
-  for (const ObjectId id : {11, 12, 20}) {
-    EXPECT_EQ(shard.SlotOf(id), ObjectShard::kInvalidSlot) << id;
-    EXPECT_FALSE(shard.HasObject(id)) << id;
-  }
-  EXPECT_EQ(shard.object_count(), 1u);
-
-  // The old ids register again; the first two take the freed slots.
-  for (const ObjectId id : {12, 11, 20}) {
-    auto slot = shard.AddObject(id, config);
-    ASSERT_TRUE(slot.ok()) << slot.status().ToString();
-    EXPECT_EQ(shard.SlotOf(id), *slot) << id;
-    EXPECT_TRUE(shard.HasObject(id)) << id;
-    if (id != 20) {
-      EXPECT_LT(*slot, 3u) << id;
-    }
-  }
-  EXPECT_EQ(shard.SlotOf(10), 0u);
+  // The old id registers again, in a new slot.
+  auto slot = shard.AddObject(11, config);
+  ASSERT_TRUE(slot.ok()) << slot.status().ToString();
+  EXPECT_EQ(*slot, 3u);
+  EXPECT_EQ(shard.SlotOf(11), 3u);
   EXPECT_EQ(shard.object_count(), 4u);
+}
+
+// Every slot from the span before the restore up to the snapshot's span
+// must arrive in some range. A slot that does not would count as an object
+// with no record, and the next full snapshot would carry it as id -1.
+TEST(DurabilityTest, SnapshotThatSkipsANewSlotIsRefused) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  const ObjectConfig config = TestConfig();
+  ObjectShard source(8, sc);
+  for (const ObjectId id : {10, 11, 12}) {
+    ASSERT_TRUE(source.AddObject(id, config).ok());  // span 3
+  }
+  using Ranges = std::vector<std::pair<uint32_t, uint32_t>>;
+  const struct {
+    uint32_t prior_span;  // slots registered before the restore
+    Ranges ranges;
+    uint32_t missing;     // 3 when nothing is missing
+  } cases[] = {
+      {0, {{0, 1}}, 1},
+      {0, {{0, 1}, {2, 3}}, 1},
+      {0, {{1, 3}}, 0},
+      {1, {{2, 3}}, 1},
+      {1, {{1, 3}}, 3},
+      {1, {{0, 1}, {1, 3}}, 3},
+      {2, {{0, 1}, {2, 3}}, 3},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE("prior span " + std::to_string(c.prior_span) + ", " +
+                 std::to_string(c.ranges.size()) + " ranges from slot " +
+                 std::to_string(c.ranges[0].first));
+    ObjectShard shard(8, sc);
+    for (uint32_t slot = 0; slot < c.prior_span; ++slot) {
+      ASSERT_TRUE(shard.AddObject(source.IdAt(slot), config).ok());
+    }
+    const util::Status status =
+        RestoreInChunks(shard, SnapshotBytes(source, c.ranges));
+    if (c.missing == 3) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(shard.object_count(), 3u);
+      for (uint32_t slot = 0; slot < 3; ++slot) {
+        EXPECT_EQ(shard.SlotOf(source.IdAt(slot)), slot);
+      }
+      continue;
+    }
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal);
+    EXPECT_EQ(status.message(), "shard snapshot: slot " +
+                                    std::to_string(c.missing) +
+                                    " below the span did not arrive");
+    EXPECT_EQ(shard.object_count(), c.prior_span);
+  }
+}
+
+// A record arrives as the slab's raw 64 bytes, so each field is range
+// checked before it touches the slab: a refused record leaves the shard's
+// objects and directory as they were.
+TEST(DurabilityTest, CorruptSlotRecordsAreRefusedAndChangeNothing) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  constexpr int kProcessors = 8;
+  const ObjectConfig config = TestConfig();
+  ObjectShard rekeyed(kProcessors, sc);
+  for (const ObjectId id : {10, 20, 12}) {
+    ASSERT_TRUE(rekeyed.AddObject(id, config).ok());
+  }
+  const std::string valid = SnapshotBytes(rekeyed, {{1, 2}});
+  // Field offsets of the one record: id, scheme, F, then the meta word.
+  constexpr size_t kRecord = kHeaderBytes + kRangeBytes;
+  constexpr size_t kScheme = kRecord + 8, kF = kRecord + 16;
+  constexpr size_t kMeta = kRecord + 24;
+  uint64_t meta = 0;
+  std::memcpy(&meta, valid.data() + kMeta, sizeof(meta));
+  const auto with = [&valid](size_t offset, uint64_t value) {
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const auto with_bits = [&](int shift, uint64_t value) {
+    return with(kMeta, (meta & ~(uint64_t{0x7F} << shift)) | value << shift);
+  };
+  uint64_t scheme = 0, f = 0;
+  std::memcpy(&scheme, valid.data() + kScheme, sizeof(scheme));
+  std::memcpy(&f, valid.data() + kF, sizeof(f));
+  const uint64_t bit_n = uint64_t{1} << kProcessors;
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {with(kMeta, (meta & ~uint64_t{0xF}) | 2),
+       "non-inlined algorithm kind 2"},
+      {with(kMeta, meta | 0xF), "non-inlined algorithm kind 15"},
+      {with_bits(4, 0), "bad threshold 0"},
+      {with_bits(4, kProcessors + 1), "bad threshold 9"},
+      {with(kScheme, scheme | bit_n), "scheme names out-of-range processors"},
+      {with(kF, f | bit_n), "scheme names out-of-range processors"},
+      {with_bits(11, kProcessors + 1), "floating processor out of range"},
+      {with(kRecord, static_cast<uint64_t>(-1)), "bad object id -1"},
+  };
+  for (int bit = 25; bit < 32; ++bit) {
+    cases.emplace_back(with(kMeta, meta | uint64_t{1} << bit),
+                       "reserved meta bits set");
+  }
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c) + ": " + cases[c].second);
+    ObjectShard shard(kProcessors, sc);
+    for (const ObjectId id : {10, 11, 12}) {
+      ASSERT_TRUE(shard.AddObject(id, config).ok());
+    }
+    const util::Status status = RestoreInChunks(shard, cases[c].first);
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal);
+    EXPECT_EQ(status.message(), "shard snapshot: " + cases[c].second);
+    EXPECT_EQ(shard.object_count(), 3u);
+    EXPECT_EQ(shard.SlotOf(10), 0u);
+    EXPECT_EQ(shard.SlotOf(11), 1u);
+    EXPECT_EQ(shard.SlotOf(12), 2u);
+    EXPECT_EQ(shard.SlotOf(20), ObjectShard::kInvalidSlot);
+  }
+  // The uncorrupted record applies.
+  ObjectShard shard(kProcessors, sc);
+  for (const ObjectId id : {10, 11, 12}) {
+    ASSERT_TRUE(shard.AddObject(id, config).ok());
+  }
+  ASSERT_TRUE(RestoreInChunks(shard, valid).ok());
+  EXPECT_EQ(shard.SlotOf(20), 1u);
+}
+
+// The checkpoint writer cuts a shard's stream into chunks regardless of
+// record boundaries, so a restore must give the same shard however the
+// stream is cut: here at every offset inside the header, each range
+// header, the first and last record and the footer, and into 1-byte
+// chunks, for a full stream and for a two-range delta that also extends
+// the span.
+TEST(DurabilityTest, SnapshotRestoresIdenticallyUnderAnyChunking) {
+  const CostModel sc = CostModel::StationaryComputing(0.25, 1.0);
+  constexpr int kProcessors = 8;
+  ObjectShard source(kProcessors, sc);
+  const auto add = [&source](ObjectId first, ObjectId last) {
+    for (ObjectId id = first; id < last; ++id) {
+      ObjectConfig config;
+      config.algorithm =
+          id % 3 == 0 ? AlgorithmKind::kStatic : AlgorithmKind::kDynamic;
+      config.initial_scheme = id % 2 == 0 ? ProcessorSet{0, 1, 2}
+                                          : ProcessorSet{3, 5};
+      ASSERT_TRUE(source.AddObject(id * 7 + 1, config).ok());
+    }
+  };
+  // Requests on the objects in `slots`, seeded by `seed`.
+  const auto serve = [&source](uint32_t begin, uint32_t end, uint64_t seed) {
+    uint64_t x = seed;
+    for (int e = 0; e < 2000; ++e) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const uint32_t slot = begin + static_cast<uint32_t>((x >> 33) %
+                                                          (end - begin));
+      const ProcessorId p = static_cast<ProcessorId>((x >> 20) % kProcessors);
+      const Request request =
+          (x >> 40) % 3 == 0 ? Request::Write(p) : Request::Read(p);
+      ASSERT_TRUE(source.Serve(source.IdAt(slot), request).ok());
+    }
+  };
+  add(0, 250);
+  serve(0, 250, 1);
+  source.NoteCrash(3);  // a non-empty degraded registry for the footer
+  ASSERT_GT(source.degraded_count(), 0u);
+  const std::string full = FullSnapshotBytes(source);
+  const size_t footer = 36 + 4 * source.degraded_count();
+  ASSERT_EQ(full.size(),
+            kHeaderBytes + kRangeBytes + kRecordBytes * 250 + footer);
+
+  // Then the delta: the slots that change after the full snapshot.
+  add(250, 300);
+  serve(20, 50, 2);
+  serve(250, 300, 3);
+  const std::vector<std::pair<uint32_t, uint32_t>> ranges = {{20, 50},
+                                                             {200, 300}};
+  const std::string delta = SnapshotBytes(source, ranges);
+  ASSERT_EQ(delta.size(), kHeaderBytes + (kRangeBytes + kRecordBytes * 30) +
+                              (kRangeBytes + kRecordBytes * 100) + footer);
+  const std::string expected = FullSnapshotBytes(source);
+
+  // Every cut of `bytes` at an offset in one of `spans` (inclusive).
+  const auto cuts_in =
+      [](const std::vector<std::pair<size_t, size_t>>& spans) {
+        std::vector<size_t> cuts;
+        for (const auto& [first, last] : spans) {
+          for (size_t cut = first; cut <= last; ++cut) cuts.push_back(cut);
+        }
+        return cuts;
+      };
+  const size_t full_records = kHeaderBytes + kRangeBytes;
+  const size_t full_footer = full.size() - footer;
+  const std::vector<size_t> full_cuts = cuts_in({
+      {0, kHeaderBytes},
+      {kHeaderBytes, full_records},
+      {full_records, full_records + kRecordBytes},
+      {full_footer - kRecordBytes, full_footer},
+      {full_footer, full.size()},
+  });
+  const size_t range2 = full_records + kRecordBytes * 30;
+  const size_t delta_footer = delta.size() - footer;
+  const std::vector<size_t> delta_cuts = cuts_in({
+      {0, kHeaderBytes},
+      {kHeaderBytes, full_records},
+      {full_records, full_records + kRecordBytes},
+      {range2, range2 + kRangeBytes},
+      {delta_footer - kRecordBytes, delta_footer},
+      {delta_footer, delta.size()},
+  });
+  const auto bytewise = [&cuts_in](const std::string& bytes) {
+    return cuts_in({{1, bytes.size() - 1}});
+  };
+
+  // `shard` holds the same objects, in the same slots, as `reference`.
+  const auto expect_same = [](const ObjectShard& shard,
+                              const ObjectShard& reference) {
+    ASSERT_EQ(FullSnapshotBytes(shard), FullSnapshotBytes(reference));
+    EXPECT_EQ(shard.degraded_count(), reference.degraded_count());
+    for (uint32_t slot = 0; slot < reference.slot_span(); ++slot) {
+      ASSERT_EQ(shard.SlotOf(reference.IdAt(slot)), slot);
+    }
+  };
+  // The one-chunk restores, base then delta, end at the source's state.
+  ObjectShard base(kProcessors, sc);
+  ASSERT_TRUE(RestoreInChunks(base, full).ok());
+  ObjectShard whole(kProcessors, sc);
+  ASSERT_TRUE(RestoreInChunks(whole, full).ok());
+  ASSERT_TRUE(RestoreInChunks(whole, delta).ok());
+  EXPECT_EQ(FullSnapshotBytes(whole), expected);
+  expect_same(whole, source);
+
+  const auto check = [&](const std::string& bytes, bool is_delta,
+                         const std::vector<size_t>& cuts) {
+    ObjectShard shard(kProcessors, sc);
+    if (is_delta) {
+      ASSERT_TRUE(RestoreInChunks(shard, full).ok());
+    }
+    const util::Status status = RestoreInChunks(shard, bytes, cuts);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    expect_same(shard, is_delta ? whole : base);
+  };
+  for (const size_t cut : full_cuts) {
+    SCOPED_TRACE("full stream cut at " + std::to_string(cut));
+    check(full, false, {cut});
+  }
+  for (const size_t cut : delta_cuts) {
+    SCOPED_TRACE("delta cut at " + std::to_string(cut));
+    check(delta, true, {cut});
+  }
+  {
+    SCOPED_TRACE("1-byte chunks");
+    check(full, false, bytewise(full));
+    check(delta, true, bytewise(delta));
+  }
 }
 
 TEST(DurabilityTest, TruncateAtEveryOffsetRecoversAConsistentPrefix) {
